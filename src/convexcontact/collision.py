@@ -192,45 +192,73 @@ def rod_endpoint_halfspace(position, angle: float, rod: Rod, hs: HalfSpace,
     return contacts
 
 
-def _aabb(shape: Shape, position) -> Optional[tuple]:
-    if isinstance(shape, Sphere):
-        p = np.asarray(position, dtype=float)
-        return (p - shape.radius, p + shape.radius)
-    return None  # half-spaces and the rest: no pruning
+def _sphere_contacts(bodies, margin: float) -> list[Contact]:
+    """Sphere/sphere and sphere/half-space contacts by broadcasting over pairs.
+
+    Same formulas as `sphere_sphere` and `sphere_halfspace`, over every
+    sphere pair and every sphere/half-space pair with a free body.
+    """
+    spheres = [i for i, b in enumerate(bodies) if isinstance(b.shape, Sphere)]
+    planes = [i for i, b in enumerate(bodies) if isinstance(b.shape, HalfSpace)]
+    if not spheres:
+        return []
+    free = np.array([b.motion == "free" for b in bodies])
+    sphere_free = free[spheres]
+    center = np.array([bodies[i].position for i in spheres], dtype=float)
+    radius = np.array([bodies[i].shape.radius for i in spheres])
+    up = np.eye(center.shape[1])[-1]
+    found = []
+
+    if planes:
+        normal = np.array([bodies[h].shape.normal for h in planes])
+        offset = np.array([bodies[h].shape.offset for h in planes])
+        x0 = radius[:, None] + offset[None, :] - center @ normal.T
+        keep = ~(x0 <= -margin) & (sphere_free[:, None] | free[planes][None, :])
+        for s, h in zip(*np.nonzero(keep)):
+            found.append(Contact(body_a=spheres[s], body_b=planes[h],
+                                 point=center[s] - radius[s] * normal[h],
+                                 normal=normal[h], x0=float(x0[s, h])))
+
+    a, b = np.triu_indices(len(spheres), k=1)
+    delta = center[a] - center[b]
+    dist = np.linalg.norm(delta, axis=1)
+    x0 = radius[a] + radius[b] - dist
+    keep = ~(x0 <= -margin) & (sphere_free[a] | sphere_free[b])
+    a, b, delta, dist, x0 = a[keep], b[keep], delta[keep], dist[keep], x0[keep]
+    coincident = dist < 1e-12
+    normal = delta / np.where(coincident, 1.0, dist)[:, None]
+    normal[coincident] = up
+    for ca in center[a[coincident]]:
+        log.warning("coincident sphere centers at %s; using fallback normal %s", ca, up)
+    # Midpoint of the overlap segment between the two surface points.
+    point = 0.5 * ((center[b] + radius[b, None] * normal) + (center[a] - radius[a, None] * normal))
+    for k in range(len(a)):
+        found.append(Contact(body_a=spheres[a[k]], body_b=spheres[b[k]], point=point[k],
+                             normal=normal[k], x0=float(x0[k])))
+    return found
 
 
 def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> list[Contact]:
-    """All-pairs narrow phase over a body list.
+    """All contacts of a body list, in (lower, higher) body-index pair order.
 
     Bodies expose shape/position/orientation/motion attributes; pairs of two
-    prescribed bodies are skipped (no degrees of freedom to act on), and
-    sphere pairs are pruned with axis-aligned bounds first.  Unsupported
-    shape pairs raise: the scenario geometries only ever need sphere/sphere
-    and shape/half-space queries.
+    prescribed bodies are skipped (no degrees of freedom to act on).  Sphere
+    pairs are handled in one broadcast pass; boxes and rods run their
+    narrow phase against each half-space.  Unsupported shape pairs raise:
+    the scenario geometries only ever need sphere/sphere and
+    shape/half-space queries.  Within a pair, contacts come in feature order.
     """
-    contacts: list[Contact] = []
-    n = len(bodies)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = bodies[i], bodies[j]
-            if a.motion != "free" and b.motion != "free":
+    planes = [b for b in bodies if isinstance(b.shape, HalfSpace)]
+    if len(planes) > 1 and any(b.motion == "free" for b in planes):
+        raise NotImplementedError("no narrow phase for HalfSpace/HalfSpace")
+    contacts = _sphere_contacts(bodies, margin)
+    for i, a in enumerate(bodies):
+        if isinstance(a.shape, (Sphere, HalfSpace)):
+            continue
+        for j, b in enumerate(bodies):
+            if j == i or (a.motion != "free" and b.motion != "free"):
                 continue
-            # Orient each pair so the half-space (if any) is body b.
-            ia, ib = i, j
-            if isinstance(a.shape, HalfSpace):
-                a, b = b, a
-                ia, ib = j, i
-            found: list[Contact] = []
-            if isinstance(a.shape, Sphere) and isinstance(b.shape, HalfSpace):
-                c = sphere_halfspace(a.position, a.shape.radius, b.shape, margin)
-                found = [c] if c else []
-            elif isinstance(a.shape, Sphere) and isinstance(b.shape, Sphere):
-                ba, bb = _aabb(a.shape, a.position), _aabb(b.shape, b.position)
-                if (ba[0] - margin > bb[1]).any() or (bb[0] - margin > ba[1]).any():
-                    continue
-                c = sphere_sphere(a.position, a.shape.radius, b.position, b.shape.radius, margin)
-                found = [c] if c else []
-            elif isinstance(a.shape, Box) and isinstance(b.shape, HalfSpace):
+            if isinstance(a.shape, Box) and isinstance(b.shape, HalfSpace):
                 found = box_halfspace_corners(a.position, a.orientation, a.shape, b.shape, margin)
             elif isinstance(a.shape, Rod) and isinstance(b.shape, HalfSpace):
                 found = rod_endpoint_halfspace(a.position, a.orientation, a.shape, b.shape, margin)
@@ -238,9 +266,10 @@ def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> list[Contact]:
                 raise NotImplementedError(
                     f"no narrow phase for {type(a.shape).__name__}/{type(b.shape).__name__}"
                 )
-            for c in found:
-                contacts.append(Contact(body_a=ia, body_b=ib, point=c.point,
-                                        normal=c.normal, x0=c.x0, feature=c.feature))
+            contacts.extend(Contact(body_a=i, body_b=j, point=c.point, normal=c.normal,
+                                    x0=c.x0, feature=c.feature) for c in found)
+    # Stable: each pair's contacts keep their feature order.
+    contacts.sort(key=lambda c: (min(c.body_a, c.body_b), max(c.body_a, c.body_b)))
     return contacts
 
 

@@ -6,10 +6,23 @@ velocity, orientation as a unit quaternion w-first).  Prescribed bodies
 carry no degrees of freedom; their surface motion enters contact constraints
 through the bias term only.
 
-`assemble_problem` runs the collision pass and freezes one StepProblem: the
-mass matrix A, the free-motion velocity v* = v0 + dt * A^-1 * f_ext, and per
-contact the frame Jacobian blocks, bias, penetration and previous-step
-normal impulse (matched by (body pair, feature), zero for fresh contacts).
+`assemble_problem` runs the collision pass and freezes one StepProblem in
+array form, built in one vectorized pass over all contacts:
+
+- A, the dense block-diagonal mass matrix (n_v, n_v), and a_inv, its
+  inverse blocks (n_free, nv_body, nv_body), one per free body;
+- the free-motion velocity v* = v0 + dt * A^-1 * f_ext;
+- J (n * dim, n_v), the contact frame Jacobians stacked row-wise: rows
+  i*dim .. i*dim + dim - 1 hold contact i's tangent row(s), then its
+  normal row, as blocks [F, r x F] at each free body's columns;
+- bias (n, dim), the frame velocity from prescribed body motion, so that
+  the contact velocities are (J v).reshape(n, dim) + bias;
+- the Delassus diagonal w_i = trace(J_i A^-1 J_i') / dim, from J and a_inv.
+
+`problem.contacts` keeps the per-contact view (ContactKinematics and
+ContactData, matched to the previous-step normal impulse by (body pair,
+feature), zero for fresh contacts); the Jacobian blocks of each
+ContactKinematics are views into J.
 """
 
 from __future__ import annotations
@@ -99,7 +112,8 @@ class World:
 
 @dataclass
 class ContactKinematics:
-    """Frame, Jacobian blocks and bias for one contact."""
+    """One contact's frame, Jacobian blocks and bias: views into the
+    StepProblem arrays, for per-contact readers off the hot path."""
 
     body_a: int
     body_b: int
@@ -120,61 +134,63 @@ class ContactKinematics:
 
 @dataclass
 class StepProblem:
-    """Frozen convex step problem: 0.5*|v - v*|_A^2 + sum of contact costs."""
+    """Frozen convex step problem: 0.5*|v - v*|_A^2 + sum of contact costs.
+
+    Array layout as in the module docstring.
+    """
 
     dim: int
     dt: float
     model: str
     n_v: int
-    a_blocks: list  # (offset, mass matrix block) per free body
+    A: np.ndarray  # (n_v, n_v)
+    a_inv: np.ndarray  # (n_free, nv_body, nv_body)
     v0: np.ndarray
     v_star: np.ndarray
+    J: np.ndarray  # (n_contacts * dim, n_v)
+    bias: np.ndarray  # (n_contacts, dim)
     contacts: list  # (ContactKinematics, ContactData)
 
-    @property
-    def A(self) -> np.ndarray:
-        a = np.zeros((self.n_v, self.n_v))
-        for off, blk in self.a_blocks:
-            a[off:off + blk.shape[0], off:off + blk.shape[1]] = blk
-        return a
-
     def apply_A(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for off, blk in self.a_blocks:
-            n = blk.shape[0]
-            out[off:off + n] = blk @ v[off:off + n]
-        return out
+        return self.A @ v
+
+    def contact_velocities(self, v: np.ndarray) -> np.ndarray:
+        """(n_contacts, dim) frame velocities J v + b."""
+        return (self.J @ v).reshape(self.bias.shape) + self.bias
 
 
-def _skew(r):
-    return np.array([[0.0, -r[2], r[1]], [r[2], 0.0, -r[0]], [-r[1], r[0], 0.0]])
+def _contact_frames(normals: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (n, dim, dim), tangent rows first, normal last.
+
+    In 3D the first tangent is n x e_k with e_k the axis of the smallest
+    normal component, which keeps it well away from parallel to n.
+    """
+    if normals.shape[1] == 2:
+        tangent = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
+        return np.stack([tangent, normals], axis=1)
+    ref = np.zeros_like(normals)
+    ref[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
+    t1 = np.cross(normals, ref)
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    return np.stack([t1, np.cross(normals, t1), normals], axis=1)
 
 
-def _tangent_frame(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal contact frame, tangent rows first, normal last."""
-    n = np.asarray(normal, dtype=float)
-    if n.size == 2:
-        return np.array([[-n[1], n[0]], n])
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(n)))] = 1.0
-    t1 = np.cross(n, ref)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return np.array([t1, t2, n])
+def _frame_jacobians(frames: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Blocks [F, r x F] (..., dim, nv_body): a body's generalized velocity
+    to the frame components of the velocity of its point at offset r."""
+    if r.shape[-1] == 2:
+        ang = r[..., None, 0] * frames[..., 1] - r[..., None, 1] * frames[..., 0]
+        return np.concatenate([frames, ang[..., None]], axis=-1)
+    return np.concatenate([frames, np.cross(r[..., None, :], frames)], axis=-1)
 
 
-def _point_jacobian(dim: int, r: np.ndarray) -> np.ndarray:
-    """Maps a body's generalized velocity to the velocity of a point at offset r."""
-    if dim == 2:
-        return np.array([[1.0, 0.0, -r[1]], [0.0, 1.0, r[0]]])
-    return np.hstack([np.eye(3), -_skew(r)])
-
-
-def _point_velocity(dim: int, spatial: np.ndarray, r: np.ndarray) -> np.ndarray:
-    if dim == 2:
-        vx, vy, w = spatial
-        return np.array([vx - w * r[1], vy + w * r[0]])
-    return spatial[:3] + np.cross(spatial[3:], r)
+def _inertia_spd(inertia) -> bool:
+    """SPD test of the body-frame inertia: the rotated R I R' is SPD exactly
+    when I is, so this stands in for a test of the rotated mass matrix."""
+    inertia = np.asarray(inertia, dtype=float)
+    if inertia.ndim == 0:
+        return inertia > 0.0
+    return np.linalg.eigvalsh(inertia)[0] > 0.0
 
 
 def mass_matrix(body: Body, dim: int) -> np.ndarray:
@@ -203,45 +219,53 @@ def assemble_problem(world: World, dt: float, model: str,
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     prev_impulses = prev_impulses or {}
-    nvb = world.nv_per_body
-    offsets = {}
-    a_blocks = []
-    for idx in world.free_bodies:
-        offsets[idx] = len(offsets) * nvb
-    n_v = nvb * len(offsets)
+    dim, nvb = world.dim, world.nv_per_body
+    bodies = world.bodies
+    free = world.free_bodies
+    n_free = len(free)
+    n_v = nvb * n_free
 
-    v0 = np.zeros(n_v)
-    v_star = np.zeros(n_v)
-    for idx, off in offsets.items():
-        body = world.bodies[idx]
-        m = mass_matrix(body, world.dim)
-        if not np.isfinite(m).all() or np.linalg.eigvalsh(m).min() <= 0.0:
-            raise ValueError(f"mass matrix of body {body.name!r} is not SPD")
-        a_blocks.append((off, m))
-        force = np.zeros(nvb)
-        force[:world.dim] = body.mass * world.gravity
-        if external and idx in external:
-            force = force + np.asarray(external[idx], dtype=float)
-        v0[off:off + nvb] = body.velocity
-        v_star[off:off + nvb] = body.velocity + dt * np.linalg.solve(m, force)
+    blocks = np.array([mass_matrix(bodies[idx], dim) for idx in free]).reshape(n_free, nvb, nvb)
+    for idx, finite in zip(free, np.isfinite(blocks).all(axis=(1, 2))):
+        if not (finite and _inertia_spd(bodies[idx].inertia)):
+            raise ValueError(f"mass matrix of body {bodies[idx].name!r} is not SPD")
+    a_inv = np.linalg.inv(blocks)
+    a4 = np.zeros((n_free, nvb, n_free, nvb))
+    a4[np.arange(n_free), :, np.arange(n_free), :] = blocks
+    # Per body: column block of its dofs; n_free for prescribed bodies, a
+    # scratch block that the Jacobian assembly below drops.
+    slot = np.full(len(bodies), n_free)
+    slot[free] = np.arange(n_free)
+    force = np.zeros((n_free, nvb))
+    force[:, :dim] = np.array([bodies[idx].mass for idx in free])[:, None] * world.gravity
+    for idx, f in (external or {}).items():
+        if slot[idx] < n_free:
+            force[slot[idx]] += np.asarray(f, dtype=float)
+    v0 = np.array([bodies[idx].velocity for idx in free]).reshape(n_free, nvb)
+    v_star = v0 + dt * np.einsum("sij,sj->si", a_inv, force)
 
-    kins = []
-    for c in detect_contacts(world.bodies, world.margin):
-        frame = _tangent_frame(c.normal)
-        blocks = []
-        bias = np.zeros(world.dim)
-        for idx, sign in ((c.body_a, 1.0), (c.body_b, -1.0)):
-            body = world.bodies[idx]
-            r = c.point - body.position
-            if body.motion == "free":
-                blocks.append((offsets[idx], sign * frame @ _point_jacobian(world.dim, r)))
-            elif body.prescribed_velocity is not None:
-                spatial = np.asarray(body.prescribed_velocity(world.time + 0.5 * dt), dtype=float)
-                bias += sign * frame @ _point_velocity(world.dim, spatial, r)
-        kins.append(ContactKinematics(
-            body_a=c.body_a, body_b=c.body_b, frame=frame, point=c.point,
-            x0=c.x0, feature=c.feature, blocks=blocks, bias=bias, key=c.key,
-        ))
+    found = detect_contacts(bodies, world.margin)
+    n = len(found)
+    # Spatial velocity entering the bias: zero unless prescribed with one.
+    position = np.array([b.position for b in bodies])
+    spatial = np.zeros((len(bodies), nvb))
+    t_mid = world.time + 0.5 * dt
+    for idx, body in enumerate(bodies):
+        if body.motion != "free" and body.prescribed_velocity is not None:
+            spatial[idx] = body.prescribed_velocity(t_mid)
+
+    # Both sides of every contact at once: pair (n, 2) holds body a, body b.
+    pair = np.array([(c.body_a, c.body_b) for c in found], dtype=int).reshape(n, 2)
+    frames = _contact_frames(np.array([c.normal for c in found], dtype=float).reshape(n, dim))
+    points = np.array([c.point for c in found], dtype=float).reshape(n, dim)
+    jac = _frame_jacobians(np.repeat(frames[:, None], 2, axis=1),
+                           points[:, None, :] - position[pair])
+    jac[:, 1] *= -1.0
+    bias = np.einsum("isdk,isk->id", jac, spatial[pair])
+    j5 = np.zeros((n, dim, n_free + 1, nvb))
+    j5[np.arange(n)[:, None], :, slot[pair]] = jac
+    J = j5[:, :, :n_free].reshape(n * dim, n_v)
+    j3 = J.reshape(n, dim, n_v)
 
     law = HuntCrossley(world.stiffness, world.dissipation)
     friction = world.friction
@@ -250,36 +274,40 @@ def assemble_problem(world: World, dt: float, model: str,
         friction = replace(friction, regularize_impacts=True)
 
     contacts = []
-    for kin, w in zip(kins, _delassus_from(kins, a_blocks, world.dim)):
+    for i, (c, w) in enumerate(zip(found, _delassus(J, a_inv, dim))):
+        kin = ContactKinematics(
+            body_a=c.body_a, body_b=c.body_b, frame=frames[i], point=c.point, x0=c.x0,
+            feature=c.feature, bias=bias[i], key=c.key,
+            blocks=[(nvb * k, j3[i, :, nvb * k:nvb * (k + 1)])
+                    for k in slot[pair[i]].tolist() if k < n_free],
+        )
         data = ContactData(
-            normal=DiscreteNormal.from_penetration(law, kin.x0, dt),
+            normal=DiscreteNormal.from_penetration(law, c.x0, dt),
             friction=friction,
-            gamma_n0=prev_impulses.get(kin.key, 0.0),
+            gamma_n0=prev_impulses.get(c.key, 0.0),
             delassus_w=w,
-            dim=world.dim,
+            dim=dim,
         )
         contacts.append((kin, data))
 
-    return StepProblem(dim=world.dim, dt=dt, model=model, n_v=n_v,
-                       a_blocks=a_blocks, v0=v0, v_star=v_star, contacts=contacts)
+    return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=a4.reshape(n_v, n_v),
+                       a_inv=a_inv, v0=v0.ravel(), v_star=v_star.ravel(), J=J, bias=bias,
+                       contacts=contacts)
 
 
-def _delassus_from(kins, a_blocks, dim) -> np.ndarray:
-    inv = {off: np.linalg.inv(blk) for off, blk in a_blocks}
-    out = np.zeros(len(kins))
-    for i, kin in enumerate(kins):
-        w = np.zeros((dim, dim))
-        for off, jac in kin.blocks:
-            w += jac @ inv[off] @ jac.T
-        out[i] = np.trace(w) / dim
-        if not out[i] > 0.0:
-            raise ValueError("contact with no effective mass; check free-body pairing")
-    return out
+def _delassus(J: np.ndarray, a_inv: np.ndarray, dim: int) -> np.ndarray:
+    """Per-contact trace(J_i A^-1 J_i') / dim from the inverse mass blocks."""
+    n_free, nvb = a_inv.shape[:2]
+    j4 = J.reshape(J.shape[0] // dim, dim, n_free, nvb)
+    w = np.einsum("idsk,skl,idsl->i", j4, a_inv, j4) / dim
+    if not (w > 0.0).all():
+        raise ValueError("contact with no effective mass; check free-body pairing")
+    return w
 
 
 def delassus_diagonal(problem: StepProblem) -> np.ndarray:
     """Per-contact scalar w_i = trace(J_i A^-1 J_i^T) / dim."""
-    return _delassus_from([kin for kin, _ in problem.contacts], problem.a_blocks, problem.dim)
+    return _delassus(problem.J, problem.a_inv, problem.dim)
 
 
 def _quat_mul(p, q):

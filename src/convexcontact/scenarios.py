@@ -97,6 +97,14 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_IDS}")
         if self.model not in MODEL_IDS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_IDS}")
+        for name in ("dt", "duration", "stiffness"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError(f"mu must be finite and non-negative, got {self.mu}")
+        if self.scenario == "clutter" and not 1 <= self.n_bodies <= 40:
+            raise ValueError(f"clutter supports 1..40 spheres, got {self.n_bodies}")
 
     def resolve(self) -> "ScenarioSpec":
         dt, duration, d, tau_d, mu, margin = _DEFAULTS[self.scenario]
@@ -251,8 +259,6 @@ _COLUMN_XY = [(0.0, 0.0), (0.105, 0.0), (0.0525, 0.0909), (-0.105, 0.0),
 
 
 def _build_clutter(spec: ScenarioSpec) -> World:
-    if not 1 <= spec.n_bodies <= 40:
-        raise ValueError("clutter supports 1..40 spheres")
     half = 0.4
     walls = [
         Body("floor", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed"),
@@ -363,8 +369,9 @@ class Simulation:
         from .normal_laws import discrete_impulse
 
         problem = assemble_problem(self.world, self.spec.dt, self.spec.model)
-        return {kin.key: discrete_impulse(data.normal, kin.velocity(problem.v0)[-1])
-                for kin, data in problem.contacts}
+        v_n = problem.contact_velocities(problem.v0)[:, -1]
+        return {kin.key: discrete_impulse(data.normal, v)
+                for (kin, data), v in zip(problem.contacts, v_n)}
 
     def _state_row(self):
         qs, vs = [], []
@@ -386,24 +393,24 @@ class Simulation:
                 f"step {self.step_index} (t = {self.world.time:.6g}) did not converge: "
                 f"{sol.diagnostic}; config {self.spec.as_dict()}")
 
+        dt = self.spec.dt
+        v_c = problem.contact_velocities(sol.v)
+        gammas = np.reshape(sol.impulses, v_c.shape)
+        rows = np.column_stack([
+            v_c[:, -1],
+            np.linalg.norm(v_c[:, :-1], axis=1),
+            gammas[:, -1] / dt,
+            np.linalg.norm(gammas[:, :-1], axis=1) / dt,
+        ]).tolist()
         record = {}
         memory = {}
-        for (kin, data), gamma in zip(problem.contacts, sol.impulses):
-            v_c = kin.velocity(sol.v)
-            gamma_n = float(gamma[-1])
+        for (kin, data), gamma_n, row in zip(problem.contacts, gammas[:, -1].tolist(), rows):
             memory[kin.key] = gamma_n
             if self.spec.model == "sap":
                 eps = sap_stiction_tolerance(data, gamma_n)
             else:
                 eps = effective_stiction_tolerance(data)
-            record[kin.key] = (
-                float(v_c[-1]),
-                float(np.linalg.norm(v_c[:-1])),
-                gamma_n / self.spec.dt,
-                float(np.linalg.norm(gamma[:-1])) / self.spec.dt,
-                kin.x0,
-                eps,
-            )
+            record[kin.key] = (*row, kin.x0, eps)
         self.memory = memory
         nvb = self.world.nv_per_body
         for slot, idx in enumerate(self.world.free_bodies):

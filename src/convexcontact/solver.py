@@ -7,7 +7,10 @@ Minimizes
 which is strongly convex whenever every per-contact cost is convex.  The
 Newton system (A + J' G J) dv = -grad uses the per-contact model Hessians G,
 so the system matrix is symmetric positive definite and a Cholesky solve
-applies.
+applies.  The matrix is built in one shot from the problem's stacked J:
+one batched product G_i @ J_i over the (n, dim, dim) Hessian blocks, then
+one GEMM J' (G J) added to the cached dense A.  The per-step condition
+number reuses the Hessians the solver holds at its final iterate.
 
 Line search: the full Newton step is tried with an Armijo test first (it
 wins in smooth regimes and preserves quadratic convergence); when contacts
@@ -86,19 +89,10 @@ class _Terms:
         self.problem = problem
         self.n = len(problem.contacts)
         self.dim = problem.dim
-        self.j_stack = np.zeros((self.n * self.dim, problem.n_v))
-        self.bias = np.zeros((self.n, self.dim))
-        for i, (kin, _) in enumerate(problem.contacts):
-            rows = slice(i * self.dim, (i + 1) * self.dim)
-            for off, jac in kin.blocks:
-                self.j_stack[rows, off:off + jac.shape[1]] += jac
-            self.bias[i] = kin.bias
         self.batch = ContactBatch.build(problem)
 
     def velocities(self, v: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros((0, self.dim))
-        return (self.j_stack @ v).reshape(self.n, self.dim) + self.bias
+        return self.problem.contact_velocities(v)
 
     def terms(self, v_c: np.ndarray, need_hessian: bool):
         """(contact cost, gammas (n, dim), hessians (n, dim, dim) | None)."""
@@ -118,25 +112,18 @@ class _Terms:
         return cost, gammas, hessians
 
     def scatter(self, gammas: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(self.problem.n_v)
-        return self.j_stack.T @ gammas.ravel()
+        return self.problem.J.T @ gammas.ravel()
 
     def cost(self, v: np.ndarray) -> float:
         dv = v - self.problem.v_star
         quad = 0.5 * float(dv @ self.problem.apply_A(dv))
         return quad + self.terms(self.velocities(v), need_hessian=False)[0]
 
-    def newton_matrix(self, hessians: np.ndarray) -> np.ndarray:
-        hess = self.problem.A
-        for i, (kin, _) in enumerate(self.problem.contacts):
-            g_blk = hessians[i]
-            for off_r, jac_r in kin.blocks:
-                jt_g = jac_r.T @ g_blk
-                for off_c, jac_c in kin.blocks:
-                    hess[off_r:off_r + jac_r.shape[1],
-                         off_c:off_c + jac_c.shape[1]] += jt_g @ jac_c
-        return hess
+
+def _newton_matrix(problem: StepProblem, hessians: np.ndarray) -> np.ndarray:
+    """A + J' G J with G = blockdiag(hessians): one batched G @ J_i, one GEMM."""
+    j3 = problem.J.reshape(len(hessians), problem.dim, problem.n_v)
+    return problem.A + problem.J.T @ (hessians @ j3).reshape(problem.J.shape)
 
 
 def _section_minimum(terms: _Terms, v, step, slope0,
@@ -153,7 +140,7 @@ def _section_minimum(terms: _Terms, v, step, slope0,
     base = float(a_step @ (v - problem.v_star))
     curve = float(a_step @ step)
     v_c0 = terms.velocities(v)
-    dv_c = (terms.j_stack @ step).reshape(terms.n, terms.dim) if terms.n else None
+    dv_c = (problem.J @ step).reshape(v_c0.shape)
 
     def dphi(a):
         contact = 0.0
@@ -211,7 +198,7 @@ def solve_step(problem: StepProblem, model: Optional[str] = None,
             converged = True
             break
 
-        hess = terms.newton_matrix(hessians)
+        hess = _newton_matrix(problem, hessians)
         try:
             step = cho_solve(cho_factor(hess, lower=True), -grad)
         except np.linalg.LinAlgError as err:
@@ -277,16 +264,23 @@ def solve_step(problem: StepProblem, model: Optional[str] = None,
 
     cond = None
     if opts.compute_condition_number:
-        cond = condition_number(problem, v)
+        cond = condition_number(problem, v, hessians=hessians)
     return Solution(v=v, impulses=[gammas[i] for i in range(terms.n)],
                     iterations=iterations, converged=converged,
                     cost=cost, cost_history=history, condition_number=cond,
                     diagnostic=diagnostic)
 
 
-def condition_number(problem: StepProblem, v: np.ndarray) -> float:
-    """Spectral condition number of A + J' G J at v."""
-    terms = _Terms(problem)
-    _, _, hessians = terms.terms(terms.velocities(v), need_hessian=True)
-    eigs = np.linalg.eigvalsh(terms.newton_matrix(hessians))
+def condition_number(problem: StepProblem, v: np.ndarray,
+                     hessians: Optional[np.ndarray] = None) -> float:
+    """Spectral condition number of A + J' G J at v.
+
+    hessians, when given, are the contact Hessians G at v (the solver hands
+    over the ones it holds at its final iterate); otherwise they are
+    evaluated here.
+    """
+    if hessians is None:
+        terms = _Terms(problem)
+        _, _, hessians = terms.terms(terms.velocities(v), need_hessian=True)
+    eigs = np.linalg.eigvalsh(_newton_matrix(problem, hessians))
     return float(eigs[-1] / eigs[0])

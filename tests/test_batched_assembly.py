@@ -1,0 +1,256 @@
+"""The batched step assembly must reproduce the per-contact loops it replaced.
+
+The loops below are the reference: contact frames and point Jacobians built
+one contact at a time, the Delassus diagonal and the Newton matrix summed
+block by block, and the all-pairs narrow-phase detection.  They are compared
+with the array code on a mid-run 3D clutter pile, the 2D belt (prescribed
+surface velocity in the bias), the sliding rod's endpoints and a tilted 3D
+box's corners.
+"""
+
+import numpy as np
+import pytest
+
+from convexcontact.collision import (
+    Box,
+    Contact,
+    HalfSpace,
+    Rod,
+    Sphere,
+    box_halfspace_corners,
+    detect_contacts,
+    rod_endpoint_halfspace,
+    sphere_halfspace,
+    sphere_sphere,
+)
+from convexcontact.dynamics import (
+    Body,
+    World,
+    assemble_problem,
+    delassus_diagonal,
+    mass_matrix,
+)
+from convexcontact.potentials import FrictionParams
+from convexcontact.scenarios import ScenarioSpec, Simulation
+from convexcontact.solver import _newton_matrix, _Terms
+
+RTOL = 1e-12
+
+
+# -- reference loops ---------------------------------------------------------
+
+def _skew(r):
+    return np.array([[0.0, -r[2], r[1]], [r[2], 0.0, -r[0]], [-r[1], r[0], 0.0]])
+
+
+def ref_tangent_frame(normal):
+    n = np.asarray(normal, dtype=float)
+    if n.size == 2:
+        return np.array([[-n[1], n[0]], n])
+    ref = np.zeros(3)
+    ref[int(np.argmin(np.abs(n)))] = 1.0
+    t1 = np.cross(n, ref)
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(n, t1)
+    return np.array([t1, t2, n])
+
+
+def ref_point_jacobian(dim, r):
+    if dim == 2:
+        return np.array([[1.0, 0.0, -r[1]], [0.0, 1.0, r[0]]])
+    return np.hstack([np.eye(3), -_skew(r)])
+
+
+def ref_point_velocity(dim, spatial, r):
+    if dim == 2:
+        vx, vy, w = spatial
+        return np.array([vx - w * r[1], vy + w * r[0]])
+    return spatial[:3] + np.cross(spatial[3:], r)
+
+
+def ref_detect(bodies, margin):
+    """All-pairs loop with axis-aligned pruning of sphere pairs."""
+    contacts = []
+    n = len(bodies)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = bodies[i], bodies[j]
+            if a.motion != "free" and b.motion != "free":
+                continue
+            ia, ib = i, j
+            if isinstance(a.shape, HalfSpace):
+                a, b = b, a
+                ia, ib = j, i
+            if isinstance(a.shape, Sphere) and isinstance(b.shape, HalfSpace):
+                c = sphere_halfspace(a.position, a.shape.radius, b.shape, margin)
+                found = [c] if c else []
+            elif isinstance(a.shape, Sphere) and isinstance(b.shape, Sphere):
+                pa, pb = np.asarray(a.position), np.asarray(b.position)
+                ra, rb = a.shape.radius, b.shape.radius
+                if (pa - ra - margin > pb + rb).any() or (pb - rb - margin > pa + ra).any():
+                    continue
+                c = sphere_sphere(pa, ra, pb, rb, margin)
+                found = [c] if c else []
+            elif isinstance(a.shape, Box) and isinstance(b.shape, HalfSpace):
+                found = box_halfspace_corners(a.position, a.orientation, a.shape, b.shape, margin)
+            elif isinstance(a.shape, Rod) and isinstance(b.shape, HalfSpace):
+                found = rod_endpoint_halfspace(a.position, a.orientation, a.shape, b.shape, margin)
+            else:
+                raise NotImplementedError
+            contacts += [Contact(body_a=ia, body_b=ib, point=c.point, normal=c.normal,
+                                 x0=c.x0, feature=c.feature) for c in found]
+    return contacts
+
+
+def ref_assembly(world, dt, contacts):
+    """Per-contact Jacobian blocks and bias, stacked J, A, v* and Delassus."""
+    dim, nvb = world.dim, world.nv_per_body
+    offsets = {idx: slot * nvb for slot, idx in enumerate(world.free_bodies)}
+    n_v = nvb * len(offsets)
+    a = np.zeros((n_v, n_v))
+    v_star = np.zeros(n_v)
+    inv = {}
+    for idx, off in offsets.items():
+        body = world.bodies[idx]
+        m = mass_matrix(body, dim)
+        a[off:off + nvb, off:off + nvb] = m
+        inv[off] = np.linalg.inv(m)
+        force = np.zeros(nvb)
+        force[:dim] = body.mass * world.gravity
+        v_star[off:off + nvb] = body.velocity + dt * np.linalg.solve(m, force)
+    frames, blocks, biases, delassus = [], [], [], []
+    j_stack = np.zeros((len(contacts) * dim, n_v))
+    for i, c in enumerate(contacts):
+        frame = ref_tangent_frame(c.normal)
+        blk, bias = [], np.zeros(dim)
+        for idx, sign in ((c.body_a, 1.0), (c.body_b, -1.0)):
+            body = world.bodies[idx]
+            r = c.point - body.position
+            if body.motion == "free":
+                blk.append((offsets[idx], sign * frame @ ref_point_jacobian(dim, r)))
+            elif body.prescribed_velocity is not None:
+                spatial = np.asarray(body.prescribed_velocity(world.time + 0.5 * dt))
+                bias += sign * frame @ ref_point_velocity(dim, spatial, r)
+        w = np.zeros((dim, dim))
+        for off, jac in blk:
+            j_stack[i * dim:(i + 1) * dim, off:off + nvb] += jac
+            w += jac @ inv[off] @ jac.T
+        frames.append(frame)
+        blocks.append(blk)
+        biases.append(bias)
+        delassus.append(np.trace(w) / dim)
+    return {"A": a, "v_star": v_star, "frames": frames, "blocks": blocks,
+            "bias": np.array(biases).reshape(-1, dim), "J": j_stack,
+            "delassus": np.array(delassus)}
+
+
+def ref_newton_matrix(problem, hessians):
+    hess = problem.A.copy()
+    for i, (kin, _) in enumerate(problem.contacts):
+        for off_r, jac_r in kin.blocks:
+            jt_g = jac_r.T @ hessians[i]
+            for off_c, jac_c in kin.blocks:
+                hess[off_r:off_r + jac_r.shape[1], off_c:off_c + jac_c.shape[1]] += jt_g @ jac_c
+    return hess
+
+
+def close(actual, desired):
+    desired = np.asarray(desired, dtype=float)
+    scale = float(np.max(np.abs(desired))) if desired.size else 0.0
+    np.testing.assert_allclose(actual, desired, rtol=RTOL, atol=RTOL * scale)
+
+
+# -- worlds ------------------------------------------------------------------
+
+def _mid_run(scenario, steps, **kwargs):
+    sim = Simulation(ScenarioSpec(scenario, **kwargs))
+    for _ in range(steps):
+        sim.step()
+    return sim.world, sim.spec.dt, sim.memory
+
+
+def _tilted_box():
+    ground = Body("ground", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
+    q = np.array([np.cos(0.2), np.sin(0.2) * 0.6, np.sin(0.2) * 0.8, 0.0])
+    box = Body("box", Box((0.05, 0.04, 0.03)), np.array([0.01, -0.02, 0.045]), q,
+               velocity=np.array([0.3, -0.1, -0.2, 0.5, -1.0, 2.0]),
+               mass=1.2, inertia=np.diag([1e-3, 2e-3, 2.5e-3]))
+    world = World(dim=3, bodies=[ground, box], friction=FrictionParams(mu=0.4), margin=0.02)
+    return world, 1e-3, {}
+
+
+def _interleaved_spheres():
+    """Spheres listed between the planes, touching two planes, other spheres
+    and a prescribed sphere, so pair order differs from generation order."""
+    def ball(name, x, z, motion="free"):
+        free = motion == "free"
+        return Body(name, Sphere(0.05), np.array([x, 0.0, z]), np.array([1.0, 0, 0, 0]),
+                    velocity=np.array([0.1, 0.0, -0.3, 0.0, 2.0, 0.0]) if free else None,
+                    mass=0.5 if free else 0.0, inertia=5e-4, motion=motion)
+    floor = Body("floor", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
+    wall = Body("wall", HalfSpace((-1.0, 0.0, 0.0), -0.3), np.zeros(3), motion="prescribed")
+    bodies = [ball("s0", 0.26, 0.05), floor, ball("s1", 0.16, 0.049), wall,
+              ball("s2", 0.26, 0.15, motion="prescribed"), ball("s3", 0.06, 0.05)]
+    return World(dim=3, bodies=bodies, margin=0.01), 1e-3, {}
+
+
+WORLDS = {
+    "clutter": lambda: _mid_run("clutter", 30, seed=5),
+    "spheres": _interleaved_spheres,
+    "belt": lambda: _mid_run("belt", 5),
+    "rod": lambda: _mid_run("sliding_rod", 20),
+    "box3d": _tilted_box,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WORLDS))
+def case(request):
+    world, dt, memory = WORLDS[request.param]()
+    problem = assemble_problem(world, dt, "lagged", prev_impulses=memory)
+    assert problem.contacts, "the reference comparison needs contacts"
+    return world, dt, problem
+
+
+# -- comparisons -------------------------------------------------------------
+
+def test_detection_keys_order_and_geometry(case):
+    world, _, _ = case
+    got = detect_contacts(world.bodies, world.margin)
+    want = ref_detect(world.bodies, world.margin)
+    assert [c.key for c in got] == [c.key for c in want]
+    for field in ("point", "normal", "x0"):
+        close([getattr(c, field) for c in got], [getattr(c, field) for c in want])
+
+
+def test_frames_jacobians_and_bias(case):
+    world, dt, problem = case
+    ref = ref_assembly(world, dt, detect_contacts(world.bodies, world.margin))
+    for (kin, _), frame, blocks in zip(problem.contacts, ref["frames"], ref["blocks"]):
+        close(kin.frame, frame)
+        assert [off for off, _ in kin.blocks] == [off for off, _ in blocks]
+        for (_, got), (_, want) in zip(kin.blocks, blocks):
+            close(got, want)
+    close(problem.J, ref["J"])
+    close(problem.bias, ref["bias"])
+    close(np.array([kin.bias for kin, _ in problem.contacts]), ref["bias"])
+    if world.dim == 2 and any(b.prescribed_velocity for b in world.bodies):
+        assert np.abs(problem.bias).max() > 0.1  # the belt's surface speed is in it
+
+
+def test_mass_matrix_free_motion_and_delassus(case):
+    world, dt, problem = case
+    ref = ref_assembly(world, dt, detect_contacts(world.bodies, world.margin))
+    close(problem.A, ref["A"])
+    close(problem.v_star, ref["v_star"])
+    close(delassus_diagonal(problem), ref["delassus"])
+    close([data.delassus_w for _, data in problem.contacts], ref["delassus"])
+
+
+def test_newton_matrix(case):
+    _, _, problem = case
+    terms = _Terms(problem)
+    _, _, hessians = terms.terms(terms.velocities(problem.v0), need_hessian=True)
+    rng = np.random.default_rng(3)
+    spd = rng.normal(size=hessians.shape)
+    for g in (hessians, spd @ spd.transpose(0, 2, 1)):
+        close(_newton_matrix(problem, g), ref_newton_matrix(problem, g))

@@ -72,6 +72,15 @@ def test_missing_scenario_is_config_error(capsys):
     assert run_cli(["run", "--model", "lagged"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--dt", "-1"), ("--n-bodies", "0"),
+                                        ("--duration", "0")])
+def test_bad_config_value_exits_2(flag, value, capsys):
+    code = main(["run", "--scenario", "clutter", flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_bad_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--scenario", "belt", "--bogus", "1"])

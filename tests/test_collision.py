@@ -141,6 +141,9 @@ def test_prescribed_pairs_skipped_and_unsupported_raises():
     b2 = Body("b2", Box((0.1, 0.1)), np.array([0.05, 0.0]), 0.0, mass=1.0, inertia=1.0)
     with pytest.raises(NotImplementedError):
         detect_contacts([b1, b2])
+    slab = Body("slab", GROUND2D, np.zeros(2), 0.0, mass=1.0, inertia=1.0)
+    with pytest.raises(NotImplementedError):
+        detect_contacts([g2, slab])
 
 
 def test_quaternion_matrix_is_rotation():

@@ -59,6 +59,17 @@ class TestAssembly:
         fresh = assemble_problem(world, 1e-3, "lagged")
         assert fresh.contacts[0][1].gamma_n0 == 0.0
 
+    @pytest.mark.parametrize("inertia,orientation", [
+        (np.diag([1e-3, -1e-3, 1e-3]), [1.0, 0.0, 0.0, 0.0]),  # indefinite inertia
+        (1e-3, [np.nan, 0.0, 0.0, 0.0]),  # non-finite rotation
+    ])
+    def test_non_spd_mass_matrix_rejected(self, inertia, orientation):
+        ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
+        ball = Body("ball", Sphere(0.05), np.array([0.0, 0.0, 1.0]), np.array(orientation),
+                    mass=1.0, inertia=inertia)
+        with pytest.raises(ValueError, match="ball"):
+            assemble_problem(World(dim=3, bodies=[ground, ball]), 1e-3, "lagged")
+
     def test_zero_mass_free_body_rejected(self):
         with pytest.raises(ValueError):
             Body("bad", Sphere(0.1), np.zeros(2), 0.0, mass=0.0)

@@ -90,8 +90,11 @@ def test_condition_number_increases_with_stiffness():
         world = resting_disk_world(k=k, x0=0.5 * 9.81 / k)
         problem = assemble_problem(world, 1e-3, "lagged",
                                    prev_impulses={(1, 0, 0): 1e-3 * 0.5 * 9.81})
-        sol = solve_step(problem)
+        sol = solve_step(problem, opts=SolveOptions(compute_condition_number=True))
         conds.append(condition_number(problem, sol.v))
+        # The solver's figure reuses its final Hessians; it must match a
+        # fresh evaluation at the returned velocities.
+        assert sol.condition_number == pytest.approx(conds[-1], rel=1e-12)
     assert conds[1] > conds[0]
 
 
