@@ -1,10 +1,8 @@
 """Vectorized per-step contact evaluation for the solver hot path.
 
 Evaluates cost, impulses and Hessian blocks for all contacts of a step at
-once, on (n_contacts, dim) velocity arrays.  Line searches evaluate the
-contact terms many times per Newton iteration, and per-contact scalar calls
-dominate the runtime of the clutter benchmarks; batching them is worth a
-second implementation of the model formulas.  Equivalence with the
+once, on (n_contacts, dim) velocity arrays; per-contact scalar calls would
+dominate the runtime of the clutter benchmarks.  Equivalence with the
 reference evaluations in `potentials` is enforced by tests over randomized
 states (tests/test_batch.py).
 

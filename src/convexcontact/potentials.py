@@ -283,8 +283,8 @@ def naive_impulse(data: ContactData, v_c) -> np.ndarray:
 def evaluate(model: str, data: ContactData, v_c, need_hessian: bool = True) -> PotentialEval:
     """Evaluate one contact under the given model id.
 
-    need_hessian=False skips the Hessian assembly (line searches only need
-    cost and impulse); PotentialEval.hessian is then None.
+    need_hessian=False skips the Hessian assembly; PotentialEval.hessian is
+    then None.
     """
     if model == "sap":
         return sap_eval(data, v_c, need_hessian)

@@ -45,7 +45,7 @@ from .potentials import (
     effective_stiction_tolerance,
     sap_stiction_tolerance,
 )
-from .solver import SolveOptions, solve_step
+from .solver import SolveOptions, SolverFailure, solve_step
 
 __all__ = [
     "SCENARIO_IDS",
@@ -68,7 +68,7 @@ _DEFAULTS = {
 
 
 class ScenarioError(RuntimeError):
-    """A scenario step failed to converge; carries the step index."""
+    """A scenario step failed or did not converge; carries the step index."""
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,19 @@ class ScenarioSpec:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be finite and non-negative, got {self.mu}")
+        for name in ("v_s", "sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("mu", "dissipation", "tau_d", "margin"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        dt, duration = _DEFAULTS[self.scenario][:2]
+        dt = self.dt if self.dt is not None else dt
+        duration = self.duration if self.duration is not None else duration
+        if dt > duration:
+            raise ValueError(f"dt = {dt} exceeds duration = {duration}")
         if self.scenario == "clutter" and not 1 <= self.n_bodies <= 40:
             raise ValueError(f"clutter supports 1..40 spheres, got {self.n_bodies}")
 
@@ -387,11 +398,14 @@ class Simulation:
 
     def step(self):
         problem = self.assemble()
-        sol = solve_step(problem, opts=self.options)
+        where = f"step {self.step_index} (t = {self.world.time:.6g})"
+        try:
+            sol = solve_step(problem, opts=self.options)
+        except SolverFailure as err:
+            raise ScenarioError(f"{where}: {err}; config {self.spec.as_dict()}") from err
         if not sol.converged:
-            raise ScenarioError(
-                f"step {self.step_index} (t = {self.world.time:.6g}) did not converge: "
-                f"{sol.diagnostic}; config {self.spec.as_dict()}")
+            raise ScenarioError(f"{where} did not converge: {sol.diagnostic}; "
+                                f"config {self.spec.as_dict()}")
 
         dt = self.spec.dt
         v_c = problem.contact_velocities(sol.v)

@@ -12,16 +12,11 @@ one batched product G_i @ J_i over the (n, dim, dim) Hessian blocks, then
 one GEMM J' (G J) added to the cached dense A.  The per-step condition
 number reuses the Hessians the solver holds at its final iterate.
 
-Line search: the full Newton step is tried with an Armijo test first (it
-wins in smooth regimes and preserves quadratic convergence); when contacts
-chatter between regimes the model Hessian underestimates curvature across
-the impulse kinks and full steps overshoot, so the solver switches to an
-exact search on the convex section phi(a) = l_p(v + a*step), bracketing the
-root of phi'.  Because the per-contact potentials sit on large constant
-offsets, near the optimum the true decrease can drop below one ulp of the
-cost; the bracketed section minimizer is then taken on the strength of the
-convexity argument alone (phi' < 0 up to it), with a cap on consecutive
-value-blind steps.  Plain backtracking is kept as a safety net.
+Line search: exact, on the convex section phi(a) = l_p(v + a*step), and
+driven by phi'(a) alone (see _line_search).  The per-contact potentials sit
+on large constant offsets, so near the optimum the true decrease can drop
+below one ulp of the cost and no comparison of costs by value certifies a
+step; phi' is free of the offsets and monotone on the section.
 
 The stopping criterion is the momentum-balance residual in relative form:
 
@@ -50,16 +45,13 @@ STOP_CRITERION = "momentum_residual <= rel_tol*max(|A(v-v*)|,|J'gamma|) + 1e-14*
 
 
 class SolverFailure(RuntimeError):
-    """Internal invariant broke (non-PSD contact Hessian, singular system)."""
+    """Internal invariant broke (non-finite input, non-PSD or singular system)."""
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     rel_tol: float = 1e-5
     max_iters: int = 100
-    ls_backtrack: float = 0.5
-    armijo_c: float = 1e-4
-    ls_max_backtracks: int = 40
     compute_condition_number: bool = False
 
     def __post_init__(self):
@@ -80,6 +72,8 @@ class Solution:
     condition_number: Optional[float] = None
     stop_criterion: str = STOP_CRITERION
     diagnostic: str = ""
+    step_lengths: list = field(default_factory=list)  # line-search alpha per iteration
+    contact_evaluations: int = 0  # contact-term evaluations, line-search probes included
 
 
 class _Terms:
@@ -91,33 +85,31 @@ class _Terms:
         self.dim = problem.dim
         self.batch = ContactBatch.build(problem)
 
-    def velocities(self, v: np.ndarray) -> np.ndarray:
-        return self.problem.contact_velocities(v)
-
-    def terms(self, v_c: np.ndarray, need_hessian: bool):
-        """(contact cost, gammas (n, dim), hessians (n, dim, dim) | None)."""
+    def terms(self, v: np.ndarray):
+        """(contact cost, gammas (n, dim), hessians (n, dim, dim)) at generalized v."""
         if self.n == 0:
             return 0.0, np.zeros((0, self.dim)), np.zeros((0, self.dim, self.dim))
+        v_c = self.problem.contact_velocities(v)
         if self.batch is not None:
-            return self.batch.terms(v_c, need_hessian)
+            return self.batch.terms(v_c, need_hessian=True)
         cost = 0.0
         gammas = np.zeros((self.n, self.dim))
-        hessians = np.zeros((self.n, self.dim, self.dim)) if need_hessian else None
+        hessians = np.zeros((self.n, self.dim, self.dim))
         for i, (_, data) in enumerate(self.problem.contacts):
-            out = evaluate(self.problem.model, data, v_c[i], need_hessian=need_hessian)
+            out = evaluate(self.problem.model, data, v_c[i])
             cost += out.cost
             gammas[i] = out.gamma
-            if need_hessian:
-                hessians[i] = out.hessian
+            hessians[i] = out.hessian
         return cost, gammas, hessians
 
     def scatter(self, gammas: np.ndarray) -> np.ndarray:
         return self.problem.J.T @ gammas.ravel()
 
-    def cost(self, v: np.ndarray) -> float:
-        dv = v - self.problem.v_star
-        quad = 0.5 * float(dv @ self.problem.apply_A(dv))
-        return quad + self.terms(self.velocities(v), need_hessian=False)[0]
+
+# Relative slope tolerance of the exact line search, |phi'(a)| <= tol*|phi'(0)|.
+_LS_TOL = 1e-3
+# Bracket width at which the search stops: float resolution of a near 1.
+_EPS = np.finfo(float).eps
 
 
 def _newton_matrix(problem: StepProblem, hessians: np.ndarray) -> np.ndarray:
@@ -126,48 +118,60 @@ def _newton_matrix(problem: StepProblem, hessians: np.ndarray) -> np.ndarray:
     return problem.A + problem.J.T @ (hessians @ j3).reshape(problem.J.shape)
 
 
-def _section_minimum(terms: _Terms, v, step, slope0,
-                     tol: float = 1e-3, max_bisect: int = 60) -> Optional[float]:
-    """Step length minimizing the cost along the Newton direction, in (0, 1].
+def _line_search(terms: _Terms, v, step, momentum, slope):
+    """Exact search for the minimizer of phi(a) = l_p(v + a*step) on (0, 1].
 
-    phi' is continuous and non-decreasing (convex section); if phi'(1) <= 0
-    the capped full step is optimal, otherwise bisect the sign change and
-    polish with one secant step.  Tolerance is loose: the outer Newton loop
-    only needs near-optimal progress.
+    Works on phi' alone, which is monotone on the convex section and free of
+    the potentials' constant offsets.  Each probe evaluates the contact terms
+    once, with Hessians, at v + a*step and gives
+
+        phi'(a)  = step' A (v + a*step - v*) - gamma(a) . J step
+        phi''(a) = step' A step + sum_i (J step)_i' G_i(a) (J step)_i
+
+    The full step is taken when phi'(1) <= tol*|phi'(0)|; otherwise Newton
+    steps on phi', kept inside the sign-change bracket by bisection, run until
+    |phi'(a)| <= tol*|phi'(0)| or the bracket reaches float resolution.
+    Returns (a, trial, probe terms at trial, probe count); the caller reuses
+    the accepted probe as the next iterate's gradient and Hessians.
     """
     problem = terms.problem
-    a_step = problem.apply_A(step)
-    base = float(a_step @ (v - problem.v_star))
-    curve = float(a_step @ step)
-    v_c0 = terms.velocities(v)
-    dv_c = (problem.J @ step).reshape(v_c0.shape)
+    base = float(step @ momentum)
+    curve = float(step @ problem.apply_A(step))
+    dv_c = (problem.J @ step).reshape(problem.bias.shape)
+    target = _LS_TOL * abs(slope)
 
-    def dphi(a):
-        contact = 0.0
-        if terms.n:
-            gammas = terms.terms(v_c0 + a * dv_c, need_hessian=False)[1]
-            contact = float(gammas.ravel() @ dv_c.ravel())
-        return base + a * curve - contact
+    def probe(alpha):
+        trial = v + alpha * step
+        out = terms.terms(trial)
+        _, gammas, hessians = out
+        dphi = base + alpha * curve - float(gammas.ravel() @ dv_c.ravel())
+        if not np.isfinite(dphi):
+            raise SolverFailure(f"non-finite line-search slope phi'({alpha:.6g}) = {dphi}")
+        d2phi = curve + float(np.einsum("ni,nij,nj->", dv_c, hessians, dv_c))
+        return trial, out, dphi, d2phi
 
-    hi_slope = dphi(1.0)
-    if hi_slope <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    lo_slope = slope0
-    for _ in range(max_bisect):
-        if (hi - lo) <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        ms = dphi(mid)
-        if ms <= 0.0:
-            lo, lo_slope = mid, ms
+    alpha, lo, hi = 1.0, 0.0, 1.0
+    trial, out, dphi, d2phi = probe(alpha)
+    probes = 1
+    # Bracket widths one and two probes back: Newton steps that fail to
+    # halve the bracket over two probes give way to bisection.
+    width, width_before = np.inf, np.inf
+    while dphi > target or (dphi < -target and alpha < 1.0):
+        if dphi < 0.0:
+            lo = alpha
         else:
-            hi, hi_slope = mid, ms
-    if hi_slope > lo_slope:
-        alpha = lo - lo_slope * (hi - lo) / (hi_slope - lo_slope)
-        if lo < alpha < hi:
-            return alpha
-    return lo if lo > 0.0 else None
+            hi = alpha
+        if hi - lo <= _EPS:
+            break
+        newton = alpha - dphi / d2phi
+        if lo < newton < hi and hi - lo <= 0.5 * width_before:
+            alpha = newton
+        else:
+            alpha = 0.5 * (lo + hi)
+        width, width_before = hi - lo, width
+        trial, out, dphi, d2phi = probe(alpha)
+        probes += 1
+    return alpha, trial, out, probes
 
 
 def solve_step(problem: StepProblem, model: Optional[str] = None,
@@ -175,100 +179,68 @@ def solve_step(problem: StepProblem, model: Optional[str] = None,
     """Solve one implicit step; warm starts at the previous velocities v0."""
     if model is not None and model != problem.model:
         raise ValueError(f"problem was assembled for {problem.model!r}, not {model!r}")
+    if not np.all(np.isfinite(problem.v0)):
+        raise SolverFailure("non-finite warm start v0")
 
     terms = _Terms(problem)
     v = problem.v0.copy()
     av_star = np.linalg.norm(problem.apply_A(problem.v_star))
     abs_floor = 1e-14 * av_star
 
-    cost = terms.cost(v)
-    _, gammas, hessians = terms.terms(terms.velocities(v), need_hessian=True)
+    contact_cost, gammas, hessians = terms.terms(v)
+    evaluations = 1
+    momentum = problem.apply_A(v - problem.v_star)
+    cost = 0.5 * float((v - problem.v_star) @ momentum) + contact_cost
     history = [cost]
+    step_lengths = []
 
     converged = False
-    diagnostic = ""
-    iterations = 0
-    uncertified = 0
+    diagnostic = f"no convergence within max_iters={opts.max_iters}"
     for _ in range(opts.max_iters):
-        momentum = problem.apply_A(v - problem.v_star)
         jt_gamma = terms.scatter(gammas)
         grad = momentum - jt_gamma
+        if not np.all(np.isfinite(grad)):
+            raise SolverFailure("non-finite cost gradient")
         scale = max(np.linalg.norm(momentum), np.linalg.norm(jt_gamma))
         if np.linalg.norm(grad) <= opts.rel_tol * scale + abs_floor:
             converged = True
+            diagnostic = ""
             break
 
         hess = _newton_matrix(problem, hessians)
         try:
             step = cho_solve(cho_factor(hess, lower=True), -grad)
-        except np.linalg.LinAlgError as err:
+        except (np.linalg.LinAlgError, ValueError) as err:
             raise SolverFailure(f"Newton system not SPD: {err}") from err
 
         slope = float(grad @ step)
         if slope >= 0.0:
             raise SolverFailure("Newton direction is not a descent direction")
 
-        # Full step with Armijo first; exact section search on failure.
-        alpha = 1.0
-        trial = v + step
-        trial_cost = terms.cost(trial)
-        # Strict decrease required: a bitwise-equal cost would pass the
-        # Armijo inequality (the slope term underflows) and the iteration
-        # would spin on microscopic steps.
-        accepted = trial_cost < cost and trial_cost <= cost + opts.armijo_c * slope
-        if not accepted:
-            alpha = _section_minimum(terms, v, step, slope)
-            if alpha is not None:
-                trial = v + alpha * step
-                trial_cost = terms.cost(trial)
-                accepted = trial_cost < cost
-        if not accepted:
-            bt_alpha = 1.0
-            for _ in range(opts.ls_max_backtracks):
-                trial = v + bt_alpha * step
-                trial_cost = terms.cost(trial)
-                if trial_cost < cost and trial_cost <= cost + opts.armijo_c * bt_alpha * slope:
-                    accepted = True
-                    break
-                bt_alpha *= opts.ls_backtrack
-        if accepted:
-            v = trial
-            cost = trial_cost
+        alpha, trial, (contact_cost, gammas, hessians), probes = _line_search(
+            terms, v, step, momentum, slope)
+        evaluations += probes
+        if np.array_equal(trial, v):
+            diagnostic = "line search stalled at numerical precision"
+            break
+        v = trial
+        step_lengths.append(alpha)
+        momentum = problem.apply_A(v - problem.v_star)
+        cost = 0.5 * float((v - problem.v_star) @ momentum) + contact_cost
+        # The section minimizer descends by convexity even when the decrease
+        # is below the float resolution of the offset-laden cost, so the
+        # history records strict decreases only.
+        if cost < history[-1]:
             history.append(cost)
-            uncertified = 0
-            iterations += 1
-            _, gammas, hessians = terms.terms(terms.velocities(v), need_hessian=True)
-            continue
-
-        # No alpha is certifiable by cost value (decrease below the float
-        # resolution of the offset-laden cost).  The bracketed section
-        # minimizer still descends by convexity; take it value-blind, with
-        # a cap that bounds float pathologies.
-        if alpha is not None and uncertified < 30:
-            uncertified += 1
-            v = v + alpha * step
-            trial_cost = terms.cost(v)
-            if trial_cost < history[-1]:
-                cost = trial_cost
-                history.append(cost)
-            iterations += 1
-            _, gammas, hessians = terms.terms(terms.velocities(v), need_hessian=True)
-            continue
-        diagnostic = "line search stalled at numerical precision"
-        break
-    else:
-        diagnostic = f"no convergence within max_iters={opts.max_iters}"
-
-    if not converged and not diagnostic:
-        diagnostic = f"no convergence within max_iters={opts.max_iters}"
 
     cond = None
     if opts.compute_condition_number:
         cond = condition_number(problem, v, hessians=hessians)
     return Solution(v=v, impulses=[gammas[i] for i in range(terms.n)],
-                    iterations=iterations, converged=converged,
+                    iterations=len(step_lengths), converged=converged,
                     cost=cost, cost_history=history, condition_number=cond,
-                    diagnostic=diagnostic)
+                    diagnostic=diagnostic, step_lengths=step_lengths,
+                    contact_evaluations=evaluations)
 
 
 def condition_number(problem: StepProblem, v: np.ndarray,
@@ -280,7 +252,6 @@ def condition_number(problem: StepProblem, v: np.ndarray,
     evaluated here.
     """
     if hessians is None:
-        terms = _Terms(problem)
-        _, _, hessians = terms.terms(terms.velocities(v), need_hessian=True)
+        hessians = _Terms(problem).terms(v)[2]
     eigs = np.linalg.eigvalsh(_newton_matrix(problem, hessians))
     return float(eigs[-1] / eigs[0])

@@ -248,8 +248,7 @@ def test_mass_matrix_free_motion_and_delassus(case):
 
 def test_newton_matrix(case):
     _, _, problem = case
-    terms = _Terms(problem)
-    _, _, hessians = terms.terms(terms.velocities(problem.v0), need_hessian=True)
+    _, _, hessians = _Terms(problem).terms(problem.v0)
     rng = np.random.default_rng(3)
     spd = rng.normal(size=hessians.shape)
     for g in (hessians, spd @ spd.transpose(0, 2, 1)):

@@ -81,6 +81,17 @@ def test_bad_config_value_exits_2(flag, value, capsys):
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--v-s", "0"], ["--sigma", "-1"], ["--dissipation", "-1"],
+    ["--model", "sap", "--tau-d", "nan"], ["--margin", "-1"],
+    ["--dt", "0.5", "--duration", "0.1"]], ids=lambda args: args[-2])
+def test_bad_spec_field_exits_2(args, capsys):
+    code = main(["run", "--scenario", "falling_sphere", *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_bad_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--scenario", "belt", "--bogus", "1"])
@@ -109,6 +120,21 @@ def test_solver_failure_exit_code(capsys, tmp_path):
         cli.run_scenario = orig
     assert code == 1
     assert "step 3" in capsys.readouterr().err
+
+
+def test_solver_failure_reports_step_index(capsys, monkeypatch):
+    from convexcontact import scenarios
+    from convexcontact.solver import SolverFailure
+
+    def fail(problem, opts):
+        raise SolverFailure("non-finite cost gradient")
+
+    monkeypatch.setattr(scenarios, "solve_step", fail)
+    code = main(["run", "--scenario", "falling_sphere", "--duration", "0.01"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: step 0 ") and "non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_study_outputs_orders(tmp_path, capsys):

@@ -9,7 +9,7 @@ from convexcontact.scenarios import (
     build_world,
     run_scenario,
 )
-from convexcontact.solver import SolveOptions
+from convexcontact.solver import SolveOptions, SolverFailure
 
 
 def test_spec_resolution_and_validation():
@@ -106,6 +106,17 @@ def test_non_convergence_aborts_with_step_index():
     opts = SolveOptions(rel_tol=1e-5, max_iters=1, compute_condition_number=False)
     with pytest.raises(ScenarioError, match="step"):
         Simulation(spec, opts).run()
+
+
+def test_non_finite_state_aborts_with_step_index():
+    sim = Simulation(ScenarioSpec("falling_sphere", model="sap", dt=2e-3, duration=0.2))
+    sim.step()
+    sim.step()
+    sim.world.bodies[sim.world.free_bodies[0]].velocity[:] = np.nan
+    with pytest.raises(ScenarioError, match=r"^step 2 .*non-finite") as err:
+        sim.step()
+    assert isinstance(err.value.__cause__, SolverFailure)
+    assert sim.step_index == 2
 
 
 def test_trajectory_kinetic_energy_matches_hand_value():

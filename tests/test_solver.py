@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from convexcontact import solver as solver_module
+from convexcontact.batch import ContactBatch
 from convexcontact.collision import HalfSpace, Sphere
 from convexcontact.dynamics import Body, World, advance_state, assemble_problem
-from convexcontact.potentials import FrictionParams
-from convexcontact.solver import SolveOptions, Solution, condition_number, solve_step
+from convexcontact.potentials import FrictionParams, evaluate
+from convexcontact.scenarios import ScenarioSpec, Simulation
+from convexcontact.solver import (SolveOptions, Solution, SolverFailure, condition_number,
+                                  solve_step)
 
 
 def resting_disk_world(k=1e7, d=500.0, mu=0.5, x0=None):
@@ -128,3 +132,110 @@ def test_option_validation():
         SolveOptions(rel_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+
+
+def impact_problem(scenario, model, steps):
+    sim = Simulation(ScenarioSpec(scenario, model=model, dt=2e-3, duration=0.2))
+    for _ in range(steps):
+        sim.step()
+    return sim.assemble()
+
+
+# Criterion 8's impact problem (full steps only) and a clutter impact whose
+# searches cut most steps short.
+@pytest.mark.parametrize("scenario,model,steps,partial", [
+    ("falling_sphere", "similar", 37, False), ("clutter", "lagged", 23, True)])
+def test_line_search_accepts_exact_section_minimizer(scenario, model, steps, partial,
+                                                     monkeypatch):
+    problem = impact_problem(scenario, model, steps)
+    searches = []
+    search = solver_module._line_search
+
+    def recorded(terms, v, step, momentum, slope):
+        out = search(terms, v, step, momentum, slope)
+        searches.append((v, step, slope, out[0]))
+        return out
+
+    monkeypatch.setattr(solver_module, "_line_search", recorded)
+    sol = solve_step(problem)
+    assert sol.converged
+    assert sol.step_lengths == [alpha for *_, alpha in searches]
+    assert len(sol.step_lengths) == sol.iterations >= 2
+    assert any(alpha < 1.0 for alpha in sol.step_lengths) == partial
+    assert sol.contact_evaluations >= sol.iterations + 1
+
+    def dphi(v, step, alpha):
+        """phi'(alpha) = grad l_p(v + alpha*step) . step, recomputed from scratch."""
+        trial = v + alpha * step
+        gammas = np.array([evaluate(problem.model, data, vc).gamma for (_, data), vc
+                           in zip(problem.contacts, problem.contact_velocities(trial))])
+        grad = problem.A @ (trial - problem.v_star) - problem.J.T @ gammas.ravel()
+        return float(grad @ step)
+
+    tol = solver_module._LS_TOL
+    for v, step, slope, alpha in searches:
+        assert 0.0 < alpha <= 1.0
+        assert dphi(v, step, 0.0) == pytest.approx(slope, rel=1e-9)
+        d = dphi(v, step, alpha)
+        if alpha == 1.0:
+            assert d <= tol * abs(slope)
+        else:
+            assert abs(d) <= tol * abs(slope)
+
+
+@pytest.mark.parametrize("model", ["lagged", "similar", "sap"])
+def test_solution_cost_is_the_step_cost_at_v(model):
+    problem = impact_problem("falling_sphere", model, 37)
+    sol = solve_step(problem)
+    dv = sol.v - problem.v_star
+    contact = sum(evaluate(model, data, vc).cost for (_, data), vc
+                  in zip(problem.contacts, problem.contact_velocities(sol.v)))
+    assert sol.cost == pytest.approx(0.5 * dv @ problem.A @ dv + contact, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["lagged", "similar", "sap"])
+def test_stiff_resting_disk_converges_without_diagnostic(model):
+    k, dt = 1e12, 1e-3
+    world = resting_disk_world(k=k)
+    memory = {(1, 0, 0): dt * 0.5 * 9.81}
+    for _ in range(5):
+        problem = assemble_problem(world, dt, model, prev_impulses=memory)
+        sol = solve_step(problem)
+        assert sol.converged
+        assert sol.diagnostic == ""
+        memory = {kin.key: g[-1] for (kin, _), g in zip(problem.contacts, sol.impulses)}
+        advance_state(world.bodies[1], sol.v, dt)
+
+
+def test_non_finite_input_raises_solver_failure():
+    world = resting_disk_world()
+    problem = assemble_problem(world, 1e-3, "lagged")
+    problem.v0 = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(SolverFailure, match="non-finite"):
+        solve_step(problem)
+    problem = assemble_problem(world, 1e-3, "lagged")
+    problem.v_star = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(SolverFailure, match="non-finite"):
+        solve_step(problem)
+
+
+@pytest.mark.parametrize("model", ["lagged", "similar", "sap"])
+def test_contact_evaluations_per_newton_iteration(model, monkeypatch):
+    """Deterministic count guard: 12-sphere clutter through its first impacts."""
+    calls = []
+    terms = ContactBatch.terms
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return terms(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContactBatch, "terms", counted)
+    sim = Simulation(ScenarioSpec("clutter", model=model, seed=0, duration=0.08))
+    iterations = evaluations = 0
+    for _ in range(40):
+        sol = sim.step()
+        iterations += sol.iterations
+        evaluations += sol.contact_evaluations
+    assert iterations > 40
+    assert len(calls) == evaluations
+    assert evaluations / iterations <= 4.0
