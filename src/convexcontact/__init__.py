@@ -31,11 +31,8 @@ from .potentials import (  # noqa: E402
     PotentialEval,
     effective_stiction_tolerance,
     evaluate,
-    lagged_eval,
     naive_impulse,
-    sap_eval,
     sap_stiction_tolerance,
-    similar_eval,
 )
 from .softmath import soft_norm, soft_norm_hessian, soft_unit  # noqa: E402
 

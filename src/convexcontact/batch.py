@@ -1,108 +1,132 @@
-"""Vectorized per-step contact evaluation for the solver hot path.
+"""The contact-model kernel: cost, impulse and Hessian of every model.
 
-Evaluates cost, impulses and Hessian blocks for all contacts of a step at
-once, on (n_contacts, dim) velocity arrays; per-contact scalar calls would
-dominate the runtime of the clutter benchmarks.  Equivalence with the
-reference evaluations in `potentials` is enforced by tests over randomized
-states (tests/test_batch.py).
+`ContactBatch` holds the kernel parameters of n contacts that share one
+Hunt & Crossley material, as (n,) arrays, and `ContactBatch.evaluate` maps
+their contact velocities v_c (n, dim) to per-contact costs (n,), impulses
+(n, dim) and Hessian blocks (n, dim, dim).  It is the only implementation of
+the lagged, similar and SAP models.  Two entry points reach it:
+`ContactBatch.terms`, the solver's, which sums the costs; and
+`potentials.evaluate`, which runs one contact's data on one or many
+velocities (criterion 1's finite-difference checks go through it).
 
-A batch requires every contact of the step to share the force-law and
-friction parameters (always true for worlds built here, which carry one
-material); `ContactBatch.build` returns None otherwise and the solver falls
-back to the per-contact path.
+The model id is resolved once, in the constructor: "lagged_regularized"
+runs the lagged kernel with the impact-softened stiction tolerance.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .normal_laws import HuntCrossley
-from .potentials import effective_stiction_tolerance
+from .normal_laws import HuntCrossley, UnsupportedLaw
 
-__all__ = ["ContactBatch"]
+__all__ = ["ContactBatch", "MODEL_IDS"]
+
+# Model ids accepted by the stepping pipeline.  "lagged_regularized" is the
+# lagged model with the impact-softened stiction tolerance switched on.
+MODEL_IDS = ("sap", "lagged", "lagged_regularized", "similar")
 
 
 class ContactBatch:
-    def __init__(self, model, dim, dt, law, mu, sigma, tau_d, x0, f0, eps, w):
+    """Kernel parameters of n contacts; x0, f0, gamma_n0 and w are (n,) arrays.
+
+    x0 is the previous-step penetration, f0 the previous-step elastic force,
+    gamma_n0 the previous-step normal impulse and w the Delassus diagonal.
+    `friction` is a FrictionParams.
+    """
+
+    def __init__(self, model, dim, dt, law, friction, x0, f0, gamma_n0, w):
+        if model not in MODEL_IDS:
+            raise ValueError(f"unknown model id {model!r}; expected one of {MODEL_IDS}")
+        if not isinstance(law, HuntCrossley):
+            raise UnsupportedLaw("the contact models require a HuntCrossley law")
         self.model = model
         self.dim = dim
-        self.tdim = dim - 1
         self.dt = dt
         self.k = law.stiffness
         self.d = law.dissipation
-        self.mu = mu
-        self.n = x0.size
+        self.mu = friction.mu
         self.x0 = x0
         self.f0 = f0
-        self.eps = eps
+        self.gamma_n0 = gamma_n0
         self.vhat = x0 / dt
         if self.d > 0.0:
             self.vhat = np.minimum(self.vhat, 1.0 / self.d)
+        self.r_t = friction.sigma * w
+        # Stiction tolerance of the lagged and similar models; with impact
+        # regularization it softens to max(v_s, sigma * w * mu * gamma_n0)
+        # so strong impacts solve a better conditioned problem.
+        self.eps = np.full(np.shape(x0), friction.v_s)
+        if model == "lagged_regularized":
+            self.model = "lagged"
+            self.eps = np.maximum(friction.v_s, self.r_t * self.mu * gamma_n0)
         if model == "sap":
             if not self.k > 0.0:
-                raise ValueError("SAP requires positive stiffness")
-            self.r_t = sigma * w
-            self.r_n = 1.0 / (dt * (dt + tau_d) * self.k)
-            self.vhat_n = x0 / (dt + tau_d)
-            self.mu_hat = mu * self.r_t / self.r_n
+                raise ValueError("SAP normal regularization degenerates for k = 0")
+            self.r_n = 1.0 / (dt * (dt + friction.tau_d) * self.k)
+            self.vhat_n = x0 / (dt + friction.tau_d)
+            self.mu_hat = self.mu * self.r_t / self.r_n
 
     @classmethod
-    def build(cls, problem) -> Optional["ContactBatch"]:
-        contacts = problem.contacts
-        if not contacts:
-            return None
-        datas = [data for _, data in contacts]
-        first = datas[0]
-        law = first.normal.law
-        if not isinstance(law, HuntCrossley):
-            return None
-        fp = first.friction
-        for data in datas[1:]:
-            if data.normal.law is not law and data.normal.law != law:
-                return None
-            if data.friction != fp:
-                return None
-        model = problem.model
-        if model == "lagged_regularized":
-            from dataclasses import replace
-            datas = [d if d.friction.regularize_impacts else
-                     replace(d, friction=replace(d.friction, regularize_impacts=True))
-                     for d in datas]
-            model = "lagged"
-        batch = cls(
-            model=model, dim=problem.dim, dt=problem.dt, law=law, mu=fp.mu,
-            sigma=fp.sigma, tau_d=fp.tau_d,
-            x0=np.array([d.normal.x0 for d in datas]),
-            f0=np.array([d.normal.f0 for d in datas]),
-            eps=np.array([effective_stiction_tolerance(d) for d in datas]),
-            w=np.array([d.delassus_w for d in datas]),
-        )
-        batch.gamma_n0 = np.array([d.gamma_n0 for d in datas])
-        return batch
+    def build(cls, problem) -> "ContactBatch":
+        """Kernel parameters of every contact of a StepProblem."""
+        return cls(problem.model, problem.dim, problem.dt, problem.law, problem.friction,
+                   x0=problem.x0, f0=problem.law.stiffness * problem.x0,
+                   gamma_n0=problem.gamma_n0, w=problem.w)
 
-    # -- shared pieces ----------------------------------------------------
+    def terms(self, v_c):
+        """(total cost, gammas (n, dim), hessians (n, dim, dim)) at v_c (n, dim)."""
+        costs, gam, hess = self.evaluate(v_c)
+        return float(np.sum(costs)), gam, hess
 
-    def _impulse(self, v_n):
-        """n(v_n) batched; zero at and beyond the transition velocity."""
+    def evaluate(self, v_c):
+        """(costs (n,), gammas (n, dim), hessians (n, dim, dim)) at v_c (n, dim)."""
+        if self.model == "lagged":
+            return self._lagged(v_c)
+        if self.model == "similar":
+            return self._similar(v_c)
+        return self._sap(v_c)
+
+    def stiction_tolerance(self, gamma_n):
+        """Per-contact stick-slip transition speed for the recorded eps_s.
+
+        The lagged/similar tolerance eps; for SAP, which has none, the slip
+        speed sigma * w * mu * gamma_n at which its regularization makes the
+        transition for the current-step normal impulse gamma_n.
+        """
+        if self.model == "sap":
+            return self.r_t * self.mu * gamma_n
+        return self.eps
+
+    def normal_impulse(self, v_n):
+        """n(v_n) = dt * f_n(x0 - dt*v_n, -v_n); zero at and beyond vhat."""
         return np.where(v_n < self.vhat,
                         self.dt * (self.f0 - self.dt * self.k * v_n) * (1.0 - self.d * v_n),
                         0.0)
 
+    def sap_y(self, v_c):
+        """SAP's unconstrained impulse y = (-v_t / R_t, (vhat_n - v_n) / R_n)."""
+        return -v_c[:, :-1] / self.r_t[:, None], (self.vhat_n - v_c[:, -1]) / self.r_n
+
+    # -- shared pieces ----------------------------------------------------
+
     def _impulse_derivative(self, v_n):
-        """n'(v_n); left value at the kink so Hessians stay PSD."""
+        """n'(v_n); the active-side value at the kink v_n = vhat, so that the
+        Hessians built from -n' stay positive semi-definite."""
         slope = -self.dt * (self.dt * self.k * (1.0 - self.d * v_n)
                             + self.d * (self.f0 - self.dt * self.k * v_n))
         return np.where(v_n <= self.vhat, slope, 0.0)
 
     def _antiderivative(self, v_n):
+        """N(v_n) with N' = n, constant past vhat.  With w = min(v_n, vhat)
+        and df = -dt*k*w, N = dt * [w*(f0 + df/2) - d*w^2/2 * (f0 + 2*df/3)]."""
         w = np.minimum(v_n, self.vhat)
         df = -self.dt * self.k * w
         return self.dt * (w * (self.f0 + 0.5 * df)
                           - self.d * 0.5 * w * w * (self.f0 + (2.0 / 3.0) * df))
 
     def _soft(self, v_t):
+        """Soft norm sqrt(|v_t|^2 + eps^2) - eps (cancellation-free), its
+        gradient and the shared denominator sqrt(|v_t|^2 + eps^2)."""
         nt2 = np.einsum("ij,ij->i", v_t, v_t)
         den = np.sqrt(nt2 + self.eps * self.eps)
         soft = nt2 / (den + self.eps)
@@ -110,54 +134,51 @@ class ContactBatch:
         return soft, unit, den
 
     def _soft_hessian_block(self, unit, den):
-        eye = np.eye(self.tdim)
+        eye = np.eye(self.dim - 1)
         return (eye[None, :, :] - unit[:, :, None] * unit[:, None, :]) / den[:, None, None]
 
-    # -- per-model cost/gamma and Hessians --------------------------------
+    # -- the models -------------------------------------------------------
 
-    def terms(self, v_c, need_hessian: bool):
-        """(total cost, gammas (n, dim), hessians (n, dim, dim) or None)."""
-        if self.model == "lagged":
-            return self._lagged(v_c, need_hessian)
-        if self.model == "similar":
-            return self._similar(v_c, need_hessian)
-        return self._sap(v_c, need_hessian)
-
-    def _lagged(self, v_c, need_hessian):
+    def _lagged(self, v_c):
+        """Friction sees the previous-step normal impulse gamma_n0; the normal
+        impulse stays implicit.  Cost -N(v_n) + mu*gamma_n0*|v_t|_soft
+        separates, so the Hessian is block diagonal."""
         v_t, v_n = v_c[:, :-1], v_c[:, -1]
         soft, unit, den = self._soft(v_t)
         mu_g0 = self.mu * self.gamma_n0
-        cost = float(np.sum(-self._antiderivative(v_n) + mu_g0 * soft))
+        costs = -self._antiderivative(v_n) + mu_g0 * soft
         gam = np.empty_like(v_c)
         gam[:, :-1] = -(mu_g0 / den)[:, None] * v_t
-        gam[:, -1] = self._impulse(v_n)
-        if not need_hessian:
-            return cost, gam, None
-        hess = np.zeros((self.n, self.dim, self.dim))
+        gam[:, -1] = self.normal_impulse(v_n)
+        hess = np.zeros((len(v_c), self.dim, self.dim))
         hess[:, :-1, :-1] = mu_g0[:, None, None] * self._soft_hessian_block(unit, den)
         hess[:, -1, -1] = -self._impulse_derivative(v_n)
-        return cost, gam, hess
+        return costs, gam, hess
 
-    def _similar(self, v_c, need_hessian):
+    def _similar(self, v_c):
+        """Cost -N(z) in the grouped variable z = v_n - mu*|v_t|_soft, so
+        gamma = n(z) * dz/dv_c and the Hessian is -n'(z) g g' plus the
+        curvature of z weighted by mu * n(z)."""
         v_t, v_n = v_c[:, :-1], v_c[:, -1]
         soft, unit, den = self._soft(v_t)
         z = v_n - self.mu * soft
-        n_z = self._impulse(z)
-        cost = float(-np.sum(self._antiderivative(z)))
+        n_z = self.normal_impulse(z)
+        costs = -self._antiderivative(z)
         g = np.empty_like(v_c)
         g[:, :-1] = -self.mu * unit
         g[:, -1] = 1.0
         gam = n_z[:, None] * g
-        if not need_hessian:
-            return cost, gam, None
         hess = (-self._impulse_derivative(z))[:, None, None] * g[:, :, None] * g[:, None, :]
         hess[:, :-1, :-1] += (self.mu * n_z)[:, None, None] * self._soft_hessian_block(unit, den)
-        return cost, gam, hess
+        return costs, gam, hess
 
-    def _sap(self, v_c, need_hessian):
-        v_t, v_n = v_c[:, :-1], v_c[:, -1]
-        y_t = -v_t / self.r_t[:, None]
-        y_n = (self.vhat_n - v_n) / self.r_n
+    def _sap(self, v_c):
+        """Projection of y onto the friction cone in the metric
+        R = diag(R_t, .., R_n); cost 0.5 * gamma' R gamma.  Regions: y in the
+        cone -> stiction, gamma = y (the stiction Hessian also holds on the
+        cone boundary); y in the polar cone -> separation, gamma = 0;
+        otherwise sliding, gamma on the cone surface."""
+        y_t, y_n = self.sap_y(v_c)
         ny_t = np.linalg.norm(y_t, axis=1)
         stick = ny_t <= self.mu * y_n
         away = ~stick & (y_n <= -self.mu_hat * ny_t)
@@ -166,6 +187,7 @@ class ContactBatch:
         scale = 1.0 / (1.0 + self.mu * self.mu_hat)
         gn_slide = scale * (y_n + self.mu_hat * ny_t)
         gam_n = np.where(stick, y_n, np.where(slide, gn_slide, 0.0))
+        # Sliding has ny_t > 0: y_t = 0 lands in one of the other regions.
         safe_ny = np.where(ny_t > 0.0, ny_t, 1.0)
         t_hat = y_t / safe_ny[:, None]
         gam = np.empty_like(v_c)
@@ -174,12 +196,10 @@ class ContactBatch:
                                         (self.mu * gn_slide)[:, None] * t_hat, 0.0))
         gam[:, -1] = gam_n
         nt2 = np.einsum("ij,ij->i", gam[:, :-1], gam[:, :-1])
-        cost = float(np.sum(0.5 * (self.r_t * nt2 + self.r_n * gam_n * gam_n)))
-        if not need_hessian:
-            return cost, gam, None
+        costs = 0.5 * (self.r_t * nt2 + self.r_n * gam_n * gam_n)
 
-        hess = np.zeros((self.n, self.dim, self.dim))
-        tdim = self.tdim
+        hess = np.zeros((len(v_c), self.dim, self.dim))
+        tdim = self.dim - 1
         eye = np.eye(tdim)
         inv_rt = 1.0 / self.r_t
         st = np.flatnonzero(stick)
@@ -201,4 +221,4 @@ class ContactBatch:
             hess[sl, :tdim, -1] = cross
             hess[sl, -1, :tdim] = cross
             hess[sl, -1, -1] = scale[sl] / self.r_n
-        return cost, gam, hess
+        return costs, gam, hess

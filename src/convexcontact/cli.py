@@ -95,6 +95,21 @@ def _spec_from(args, file_cfg: dict) -> ScenarioSpec:
         raise ConfigError(str(err)) from err
 
 
+def _variant(spec: ScenarioSpec, **fields) -> ScenarioSpec:
+    """The resolved spec with fields replaced; a rejected value is a config error."""
+    try:
+        return replace(spec.resolve(), **fields)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err)) from err
+
+
+def _floats(flag: str, text: str) -> list:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as err:
+        raise ConfigError(f"{flag}: {err}") from err
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
@@ -188,13 +203,15 @@ def cmd_study(args) -> int:
     for model in models:
         if model not in MODEL_IDS:
             raise ConfigError(f"unknown model {model!r}")
-    dts = [float(x) for x in args.dts.split(",")]
+    dts = _floats("--dts", args.dts)
+    for dt in dts:  # reject a bad step size before any run
+        _variant(spec, dt=dt)
     ref = analysis.get_reference(spec, dts)
 
     rows = []
     results = {}
     for model in models:
-        study = analysis.convergence_study(replace(spec.resolve(), model=model), dts,
+        study = analysis.convergence_study(_variant(spec, model=model), dts,
                                            horizon=args.horizon, ref=ref)
         for dt, err in study.rows:
             rows.append((model, dt, err, study.order))
@@ -220,16 +237,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep supports the clutter scenario")
     if args.parameter not in ("stiffness", "dt"):
         raise ConfigError("sweep parameter must be 'stiffness' or 'dt'")
-    values = [float(x) for x in args.values.split(",")]
+    values = _floats("--values", args.values)
     models = [m.strip() for m in args.models.split(",")]
 
-    jobs = []
-    for model in models:
-        for value in values:
-            kwargs = spec.resolve().as_dict()
-            kwargs["model"] = model
-            kwargs[args.parameter] = value
-            jobs.append((kwargs, args.tail))
+    jobs = [(_variant(spec, model=model, **{args.parameter: value}).as_dict(), args.tail)
+            for model in models for value in values]
 
     workers = int(os.environ.get("IRC_THREADS", "0")) or (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:

@@ -17,12 +17,14 @@ array form, built in one vectorized pass over all contacts:
   normal row, as blocks [F, r x F] at each free body's columns;
 - bias (n, dim), the frame velocity from prescribed body motion, so that
   the contact velocities are (J v).reshape(n, dim) + bias;
-- the Delassus diagonal w_i = trace(J_i A^-1 J_i') / dim, from J and a_inv.
-
-`problem.contacts` keeps the per-contact view (ContactKinematics and
-ContactData, matched to the previous-step normal impulse by (body pair,
-feature), zero for fresh contacts); the Jacobian blocks of each
-ContactKinematics are views into J.
+- the Delassus diagonal w (n,), w_i = trace(J_i A^-1 J_i') / dim, from J
+  and a_inv;
+- per contact, its key (body a, body b, feature), the penetration x0 (n,)
+  and the previous-step normal impulse gamma_n0 (n,), matched by key and
+  zero for fresh contacts;
+- the world's one contact material: its Hunt & Crossley law and friction
+  parameters, from which `batch.ContactBatch.build` makes the kernel
+  parameters.
 """
 
 from __future__ import annotations
@@ -33,18 +35,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .collision import Shape, detect_contacts, quaternion_matrix
-from .normal_laws import DiscreteNormal, HuntCrossley
-from .potentials import ContactData, FrictionParams
+from .normal_laws import HuntCrossley
+from .potentials import FrictionParams
 
 __all__ = [
     "Body",
     "World",
-    "ContactKinematics",
     "StepProblem",
     "assemble_problem",
     "delassus_diagonal",
     "advance_state",
-    "kinetic_energy",
 ]
 
 
@@ -111,28 +111,6 @@ class World:
 
 
 @dataclass
-class ContactKinematics:
-    """One contact's frame, Jacobian blocks and bias: views into the
-    StepProblem arrays, for per-contact readers off the hot path."""
-
-    body_a: int
-    body_b: int
-    frame: np.ndarray  # rows: tangent(s), then normal
-    point: np.ndarray
-    x0: float
-    feature: int
-    blocks: list  # (dof offset, dim x nv_body Jacobian block)
-    bias: np.ndarray
-    key: tuple
-
-    def velocity(self, v: np.ndarray) -> np.ndarray:
-        v_c = self.bias.copy()
-        for off, jac in self.blocks:
-            v_c += jac @ v[off:off + jac.shape[1]]
-        return v_c
-
-
-@dataclass
 class StepProblem:
     """Frozen convex step problem: 0.5*|v - v*|_A^2 + sum of contact costs.
 
@@ -149,7 +127,12 @@ class StepProblem:
     v_star: np.ndarray
     J: np.ndarray  # (n_contacts * dim, n_v)
     bias: np.ndarray  # (n_contacts, dim)
-    contacts: list  # (ContactKinematics, ContactData)
+    keys: list  # (body a, body b, feature) per contact
+    x0: np.ndarray  # (n_contacts,)
+    gamma_n0: np.ndarray  # (n_contacts,)
+    w: np.ndarray  # (n_contacts,)
+    law: HuntCrossley
+    friction: FrictionParams
 
     def apply_A(self, v: np.ndarray) -> np.ndarray:
         return self.A @ v
@@ -265,34 +248,17 @@ def assemble_problem(world: World, dt: float, model: str,
     j5 = np.zeros((n, dim, n_free + 1, nvb))
     j5[np.arange(n)[:, None], :, slot[pair]] = jac
     J = j5[:, :, :n_free].reshape(n * dim, n_v)
-    j3 = J.reshape(n, dim, n_v)
 
-    law = HuntCrossley(world.stiffness, world.dissipation)
-    friction = world.friction
-    if model == "lagged_regularized" and not friction.regularize_impacts:
-        from dataclasses import replace
-        friction = replace(friction, regularize_impacts=True)
-
-    contacts = []
-    for i, (c, w) in enumerate(zip(found, _delassus(J, a_inv, dim))):
-        kin = ContactKinematics(
-            body_a=c.body_a, body_b=c.body_b, frame=frames[i], point=c.point, x0=c.x0,
-            feature=c.feature, bias=bias[i], key=c.key,
-            blocks=[(nvb * k, j3[i, :, nvb * k:nvb * (k + 1)])
-                    for k in slot[pair[i]].tolist() if k < n_free],
-        )
-        data = ContactData(
-            normal=DiscreteNormal.from_penetration(law, c.x0, dt),
-            friction=friction,
-            gamma_n0=prev_impulses.get(c.key, 0.0),
-            delassus_w=w,
-            dim=dim,
-        )
-        contacts.append((kin, data))
-
+    gamma_n0 = np.array([prev_impulses.get(c.key, 0.0) for c in found], dtype=float)
+    if (gamma_n0 < 0.0).any():
+        raise ValueError("previous-step normal impulses must be >= 0")
     return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=a4.reshape(n_v, n_v),
                        a_inv=a_inv, v0=v0.ravel(), v_star=v_star.ravel(), J=J, bias=bias,
-                       contacts=contacts)
+                       keys=[c.key for c in found],
+                       x0=np.array([c.x0 for c in found], dtype=float),
+                       gamma_n0=gamma_n0, w=_delassus(J, a_inv, dim),
+                       law=HuntCrossley(world.stiffness, world.dissipation),
+                       friction=world.friction)
 
 
 def _delassus(J: np.ndarray, a_inv: np.ndarray, dim: int) -> np.ndarray:
@@ -336,16 +302,3 @@ def advance_state(body: Body, v_next: np.ndarray, dt: float) -> Body:
         q = body.orientation + dt * 0.5 * _quat_mul(omega, body.orientation)
         body.orientation = q / np.linalg.norm(q)
     return body
-
-
-def kinetic_energy(world: World) -> float:
-    total = 0.0
-    for idx in world.free_bodies:
-        body = world.bodies[idx]
-        v = body.velocity
-        if world.dim == 2:
-            total += 0.5 * body.mass * float(v[:2] @ v[:2]) + 0.5 * float(body.inertia) * v[2] ** 2
-        else:
-            m = mass_matrix(body, 3)
-            total += 0.5 * float(v @ m @ v)
-    return total

@@ -37,14 +37,10 @@ from typing import Optional
 
 import numpy as np
 
+from .batch import ContactBatch
 from .collision import Box, HalfSpace, Rod, Sphere
 from .dynamics import Body, World, advance_state, assemble_problem
-from .potentials import (
-    MODEL_IDS,
-    FrictionParams,
-    effective_stiction_tolerance,
-    sap_stiction_tolerance,
-)
+from .potentials import MODEL_IDS, FrictionParams
 from .solver import SolveOptions, SolverFailure, solve_step
 
 __all__ = [
@@ -148,10 +144,7 @@ class ScenarioSpec:
 
 
 def _friction(spec: ScenarioSpec) -> FrictionParams:
-    return FrictionParams(
-        mu=spec.mu, v_s=spec.v_s, sigma=spec.sigma, tau_d=spec.tau_d,
-        regularize_impacts=(spec.model == "lagged_regularized"),
-    )
+    return FrictionParams(mu=spec.mu, v_s=spec.v_s, sigma=spec.sigma, tau_d=spec.tau_d)
 
 
 def build_world(spec: ScenarioSpec) -> World:
@@ -346,13 +339,17 @@ class Trajectory:
             else:
                 vel = self.v[:, col:col + 6]
                 ke += 0.5 * mass * np.einsum("ij,ij->i", vel[:, :3], vel[:, :3])
-                ine = float(inertia) if np.isscalar(inertia) else None
-                if ine is not None:
-                    ke += 0.5 * ine * np.einsum("ij,ij->i", vel[:, 3:], vel[:, 3:])
-                else:
-                    raise NotImplementedError("KE with full inertia tensors is not needed here")
+                ke += 0.5 * float(inertia) * np.einsum("ij,ij->i", vel[:, 3:], vel[:, 3:])
                 col += 6
         return ke
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of x; rows whose squares would overflow
+    are scaled by their largest entry first (the others by exactly 1)."""
+    peak = np.abs(x).max(axis=1, initial=0.0)
+    scale = np.where(peak > 1e150, peak, 1.0)
+    return scale * np.linalg.norm(x / scale[:, None], axis=1)
 
 
 class Simulation:
@@ -377,12 +374,10 @@ class Simulation:
         model one friction-free step at t = 0, a large transient when the
         run starts mid-slip).
         """
-        from .normal_laws import discrete_impulse
-
         problem = assemble_problem(self.world, self.spec.dt, self.spec.model)
         v_n = problem.contact_velocities(problem.v0)[:, -1]
-        return {kin.key: discrete_impulse(data.normal, v)
-                for (kin, data), v in zip(problem.contacts, v_n)}
+        impulses = ContactBatch.build(problem).normal_impulse(v_n)
+        return dict(zip(problem.keys, impulses.tolist()))
 
     def _state_row(self):
         qs, vs = [], []
@@ -410,22 +405,20 @@ class Simulation:
         dt = self.spec.dt
         v_c = problem.contact_velocities(sol.v)
         gammas = np.reshape(sol.impulses, v_c.shape)
+        gamma_n = gammas[:, -1]
         rows = np.column_stack([
             v_c[:, -1],
-            np.linalg.norm(v_c[:, :-1], axis=1),
-            gammas[:, -1] / dt,
-            np.linalg.norm(gammas[:, :-1], axis=1) / dt,
-        ]).tolist()
-        record = {}
-        memory = {}
-        for (kin, data), gamma_n, row in zip(problem.contacts, gammas[:, -1].tolist(), rows):
-            memory[kin.key] = gamma_n
-            if self.spec.model == "sap":
-                eps = sap_stiction_tolerance(data, gamma_n)
-            else:
-                eps = effective_stiction_tolerance(data)
-            record[kin.key] = (*row, kin.x0, eps)
-        self.memory = memory
+            _row_norms(v_c[:, :-1]),
+            gamma_n / dt,
+            _row_norms(gammas[:, :-1]) / dt,
+            problem.x0,
+            ContactBatch.build(problem).stiction_tolerance(gamma_n),
+        ])
+        if not np.isfinite(rows).all():
+            raise ScenarioError(f"{where}: non-finite contact channel (v_n, v_t, f_n, f_t, "
+                                f"x0, eps_s); config {self.spec.as_dict()}")
+        record = dict(zip(problem.keys, map(tuple, rows.tolist())))
+        self.memory = dict(zip(problem.keys, gamma_n.tolist()))
         nvb = self.world.nv_per_body
         for slot, idx in enumerate(self.world.free_bodies):
             advance_state(self.world.bodies[idx], sol.v[slot * nvb:(slot + 1) * nvb],

@@ -37,7 +37,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .batch import ContactBatch
 from .dynamics import StepProblem
-from .potentials import evaluate
 
 __all__ = ["SolveOptions", "Solution", "SolverFailure", "solve_step", "condition_number"]
 
@@ -77,33 +76,15 @@ class Solution:
 
 
 class _Terms:
-    """Per-problem contact evaluation engine (batched when uniform)."""
+    """The problem's contact terms at generalized velocities."""
 
     def __init__(self, problem: StepProblem):
         self.problem = problem
-        self.n = len(problem.contacts)
-        self.dim = problem.dim
         self.batch = ContactBatch.build(problem)
 
     def terms(self, v: np.ndarray):
         """(contact cost, gammas (n, dim), hessians (n, dim, dim)) at generalized v."""
-        if self.n == 0:
-            return 0.0, np.zeros((0, self.dim)), np.zeros((0, self.dim, self.dim))
-        v_c = self.problem.contact_velocities(v)
-        if self.batch is not None:
-            return self.batch.terms(v_c, need_hessian=True)
-        cost = 0.0
-        gammas = np.zeros((self.n, self.dim))
-        hessians = np.zeros((self.n, self.dim, self.dim))
-        for i, (_, data) in enumerate(self.problem.contacts):
-            out = evaluate(self.problem.model, data, v_c[i])
-            cost += out.cost
-            gammas[i] = out.gamma
-            hessians[i] = out.hessian
-        return cost, gammas, hessians
-
-    def scatter(self, gammas: np.ndarray) -> np.ndarray:
-        return self.problem.J.T @ gammas.ravel()
+        return self.batch.terms(self.problem.contact_velocities(v))
 
 
 # Relative slope tolerance of the exact line search, |phi'(a)| <= tol*|phi'(0)|.
@@ -197,7 +178,7 @@ def solve_step(problem: StepProblem, model: Optional[str] = None,
     converged = False
     diagnostic = f"no convergence within max_iters={opts.max_iters}"
     for _ in range(opts.max_iters):
-        jt_gamma = terms.scatter(gammas)
+        jt_gamma = problem.J.T @ gammas.ravel()
         grad = momentum - jt_gamma
         if not np.all(np.isfinite(grad)):
             raise SolverFailure("non-finite cost gradient")
@@ -236,7 +217,7 @@ def solve_step(problem: StepProblem, model: Optional[str] = None,
     cond = None
     if opts.compute_condition_number:
         cond = condition_number(problem, v, hessians=hessians)
-    return Solution(v=v, impulses=[gammas[i] for i in range(terms.n)],
+    return Solution(v=v, impulses=list(gammas),
                     iterations=len(step_lengths), converged=converged,
                     cost=cost, cost_history=history, condition_number=cond,
                     diagnostic=diagnostic, step_lengths=step_lengths,

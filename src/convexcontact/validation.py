@@ -10,6 +10,11 @@ Three checks run over a deterministic cloud of randomized contact states:
 * check_psd      -- the analytic Hessian is positive semi-definite (the
   potential is convex).
 
+The models are evaluated through `potentials.evaluate`, which runs the same
+array kernel (`batch.ContactBatch.evaluate`) as the solver, so the checks
+certify the code that steps the simulations.  Each check evaluates a
+state's whole stencil, the state and its 4 * dim offset points, in one call.
+
 Finite differences use 4th-order central stencils: the friction models have
 third derivatives of order 1/eps_s^2, and the tight stiction tolerances used
 in practice (1e-4 m/s) would swamp a 2nd-order stencil's truncation error.
@@ -33,8 +38,8 @@ from .potentials import (
     MODEL_IDS,
     ContactData,
     FrictionParams,
-    effective_stiction_tolerance,
     evaluate,
+    kernel_params,
     naive_impulse,
 )
 
@@ -136,7 +141,7 @@ def sample_states(data: ContactData, spec: SamplingSpec):
     """Yield (per-state ContactData, v_c) pairs, deterministic in the seed."""
     rng = np.random.default_rng(spec.seed)
     tdim = data.dim - 1
-    eps = effective_stiction_tolerance(data)
+    eps = data.friction.v_s
     for _ in range(spec.samples):
         x0 = rng.uniform(spec.x0_low, spec.x0_high)
         normal = DiscreteNormal.from_penetration(data.normal.law, x0, data.normal.dt)
@@ -167,63 +172,67 @@ def _fd_step(v_c, feature_scale):
     return min(1e-6 * max(1.0, float(np.linalg.norm(v_c))), max(cap, 1e-9))
 
 
-def _fd_point(f, v_c, i, h):
-    vals = []
-    for k in (-2, -1, 1, 2):
-        u = v_c.copy()
-        u[i] += k * h
-        vals.append(np.asarray(f(u), dtype=float))
-    fm2, fm1, fp1, fp2 = vals
+def _stencil(v_c, h):
+    """(1 + 4*dim, dim): v_c, then v_c + k*h*e_i for k = -2, -1, 1, 2 per axis i."""
+    dim = v_c.size
+    points = np.repeat(v_c[None, :], 1 + 4 * dim, axis=0)
+    for i in range(dim):
+        points[1 + 4 * i:5 + 4 * i, i] += np.array([-2.0, -1.0, 1.0, 2.0]) * h
+    return points
+
+
+def _fd(values, h):
+    """4th-order central derivative along each axis from values at _stencil
+    points; row i is the derivative along axis i."""
+    fm2, fm1, fp1, fp2 = np.moveaxis(values[1:].reshape(-1, 4, *values.shape[1:]), 1, 0)
     return ((fm2 - fp2) + 8.0 * (fp1 - fm1)) / (12.0 * h)
 
 
-def _fd_gradient(f, v_c, h):
-    return np.array([_fd_point(f, v_c, i, h) for i in range(v_c.size)])
+def _params(field_id: str, state: ContactData):
+    """Kernel parameters of one state; the naive field uses lagged's."""
+    return kernel_params("lagged" if field_id == "naive" else field_id, state)
 
 
-def _fd_jacobian(f, v_c, h):
-    return np.stack([_fd_point(f, v_c, i, h) for i in range(v_c.size)], axis=-1)
-
-
-def _hc_kinks(normal: DiscreteNormal):
-    kinks = [normal.x0 / normal.dt]
-    if isinstance(normal.law, HuntCrossley) and normal.law.dissipation > 0.0:
-        kinks.append(1.0 / normal.law.dissipation)
-    return kinks
+def _kink_distance(params, v_c) -> float:
+    """kink_distance from the kernel parameters of the state, by the kernel
+    they run."""
+    v_t, v_n = np.asarray(v_c[:-1]), float(v_c[-1])
+    # The impulse's roots x0/dt and 1/d; the smaller one is vhat.
+    kinks = [params.x0[0] / params.dt] + ([1.0 / params.d] if params.d > 0.0 else [])
+    if params.model == "lagged":
+        return min(abs(v_n - kink) for kink in kinks)
+    if params.model == "similar":
+        eps = params.eps[0]
+        z = v_n - params.mu * (np.sqrt(float(v_t @ v_t) + eps * eps) - eps)
+        scale = np.sqrt(1.0 + params.mu ** 2)
+        return min(abs(z - kink) for kink in kinks) / scale
+    r_t, r_n, mu, mu_hat = params.r_t[0], params.r_n, params.mu, params.mu_hat[0]
+    y_t, y_n = params.sap_y(np.asarray(v_c, dtype=float)[None, :])
+    ny_t = float(np.linalg.norm(y_t[0]))
+    g_stick = ny_t - mu * y_n[0]
+    g_sep = y_n[0] + mu_hat * ny_t
+    d_stick = abs(g_stick) / np.hypot(1.0 / r_t, mu / r_n)
+    d_sep = abs(g_sep) / np.hypot(mu_hat / r_t, 1.0 / r_n)
+    return min(d_stick, d_sep)
 
 
 def kink_distance(field_id: str, data: ContactData, v_c) -> float:
     """Velocity-space distance from v_c to the nearest Hessian discontinuity."""
-    v_t, v_n = np.asarray(v_c[:-1]), float(v_c[-1])
-    fp = data.friction
-    if field_id in ("lagged", "lagged_regularized", "naive"):
-        return min(abs(v_n - kink) for kink in _hc_kinks(data.normal))
-    if field_id == "similar":
-        eps = effective_stiction_tolerance(data)
-        z = v_n - fp.mu * (np.sqrt(float(v_t @ v_t) + eps * eps) - eps)
-        scale = np.sqrt(1.0 + fp.mu ** 2)
-        return min(abs(z - kink) for kink in _hc_kinks(data.normal)) / scale
-    if field_id == "sap":
-        law = data.normal.law
-        dt = data.normal.dt
-        r_t = fp.sigma * data.delassus_w
-        r_n = 1.0 / (dt * (dt + fp.tau_d) * law.stiffness)
-        y_t = -v_t / r_t
-        y_n = (data.normal.x0 / (dt + fp.tau_d) - v_n) / r_n
-        ny_t = float(np.linalg.norm(y_t))
-        mu_hat = fp.mu * r_t / r_n
-        g_stick = ny_t - fp.mu * y_n
-        g_sep = y_n + mu_hat * ny_t
-        d_stick = abs(g_stick) / np.hypot(1.0 / r_t, fp.mu / r_n)
-        d_sep = abs(g_sep) / np.hypot(mu_hat / r_t, 1.0 / r_n)
-        return min(d_stick, d_sep)
-    raise ValueError(f"unknown field id {field_id!r}")
+    if field_id not in FIELD_IDS:
+        raise ValueError(f"unknown field id {field_id!r}")
+    return _kink_distance(_params(field_id, data), v_c)
 
 
-def _impulse_fn(field_id: str, state: ContactData):
-    if field_id == "naive":
-        return lambda u: naive_impulse(state, u)
-    return lambda u: evaluate(field_id, state, u).gamma
+def _checked_states(field_id: str, data: ContactData, states: SamplingSpec, report):
+    """Yield (state, v_c, h) for the sampled states far enough from a kink;
+    the others are counted in report.skipped."""
+    for state, v_c in sample_states(data, states):
+        params = _params(field_id, state)
+        h = _fd_step(v_c, params.eps[0])
+        if _kink_distance(params, v_c) < 10.0 * h:
+            report.skipped += 1
+            continue
+        yield state, v_c, h
 
 
 def check_gradient(model: str, data: ContactData, states: SamplingSpec) -> ValidationReport:
@@ -232,14 +241,11 @@ def check_gradient(model: str, data: ContactData, states: SamplingSpec) -> Valid
         raise ValueError(f"unknown model id {model!r}")
     report = ValidationReport(seed=states.seed)
     floor = 1e-12
-    for state, v_c in sample_states(data, states):
-        h = _fd_step(v_c, effective_stiction_tolerance(state))
-        if kink_distance(model, state, v_c) < 10.0 * h:
-            report.skipped += 1
-            continue
-        out = evaluate(model, state, v_c)
-        grad = _fd_gradient(lambda u: evaluate(model, state, u).cost, v_c, h)
-        err = float(np.linalg.norm(grad + out.gamma)) / max(float(np.linalg.norm(out.gamma)), floor)
+    for state, v_c, h in _checked_states(model, data, states, report):
+        out = evaluate(model, state, _stencil(v_c, h))
+        gamma = out.gamma[0]
+        grad = _fd(out.cost, h)
+        err = float(np.linalg.norm(grad + gamma)) / max(float(np.linalg.norm(gamma)), floor)
         report.samples += 1
         if err > report.max_gradient_error:
             report.max_gradient_error = err
@@ -256,14 +262,15 @@ def check_curl(impulse_field: str, data: ContactData, states: SamplingSpec) -> V
     """
     if impulse_field not in FIELD_IDS:
         raise ValueError(f"unknown impulse field {impulse_field!r}")
-    has_hessian = impulse_field != "naive"
     report = ValidationReport(seed=states.seed)
-    for state, v_c in sample_states(data, states):
-        h = _fd_step(v_c, effective_stiction_tolerance(state))
-        if kink_distance(impulse_field, state, v_c) < 10.0 * h:
-            report.skipped += 1
-            continue
-        jac = _fd_jacobian(_impulse_fn(impulse_field, state), v_c, h)
+    for state, v_c, h in _checked_states(impulse_field, data, states, report):
+        hess = None
+        if impulse_field == "naive":
+            gammas = np.array([naive_impulse(state, u) for u in _stencil(v_c, h)])
+        else:
+            out = evaluate(impulse_field, state, _stencil(v_c, h))
+            gammas, hess = out.gamma, out.hessian[0]
+        jac = _fd(gammas, h).T
         njac = float(np.linalg.norm(jac))
         report.samples += 1
         if njac > 0.0:
@@ -271,8 +278,7 @@ def check_curl(impulse_field: str, data: ContactData, states: SamplingSpec) -> V
             if asym > report.max_curl_asymmetry:
                 report.max_curl_asymmetry = asym
                 report.worst_case_state = {"v_c": v_c, "x0": state.normal.x0}
-        if has_hessian:
-            hess = evaluate(impulse_field, state, v_c).hessian
+        if hess is not None:
             scale = max(float(np.linalg.norm(hess)), 1e-9)
             herr = float(np.linalg.norm(jac + hess)) / scale
             report.max_hessian_error = max(report.max_hessian_error, herr)

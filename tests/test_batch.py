@@ -1,77 +1,118 @@
-"""The batched contact evaluation must agree with the reference one exactly
-(same formulas, same regime conventions), over states spanning every regime."""
+"""The contact-model kernel in `batch` is the one implementation of every model.
+
+A batched call must equal the same velocities evaluated one row at a time,
+its regime-boundary conventions are pinned directly, and criterion 1's
+checks and the solver must reach the same kernel function.
+"""
 
 import numpy as np
 import pytest
 
-from convexcontact.batch import ContactBatch
-from convexcontact.collision import HalfSpace, Sphere
-from convexcontact.dynamics import Body, World, assemble_problem
-from convexcontact.normal_laws import DiscreteNormal, LogBarrier
-from convexcontact.potentials import evaluate
+from convexcontact import validation
+from convexcontact.batch import MODEL_IDS, ContactBatch
+from convexcontact.normal_laws import (
+    DiscreteNormal,
+    HuntCrossley,
+    LogBarrier,
+    UnsupportedLaw,
+    impulse_derivative,
+    transition_velocity,
+)
+from convexcontact.potentials import ContactData, FrictionParams, evaluate
 from convexcontact.scenarios import ScenarioSpec, Simulation
+from convexcontact.solver import solve_step
 
 
-def clutter_problem(model, steps=120):
-    sim = Simulation(ScenarioSpec("clutter", model=model, dt=2e-3, n_bodies=8))
-    for _ in range(steps):
-        sim.step()
-    return sim.assemble()
+def make_data(dim, k=1e4, d=2.0, x0=1e-3, dt=0.01, mu=0.5, sigma=1e-3, tau_d=1e-3,
+              gamma_n0=0.08, w=2.0):
+    return ContactData(
+        normal=DiscreteNormal.from_penetration(HuntCrossley(k, d), x0, dt),
+        friction=FrictionParams(mu=mu, v_s=1e-3, sigma=sigma, tau_d=tau_d),
+        gamma_n0=gamma_n0, delassus_w=w, dim=dim)
 
 
-@pytest.mark.parametrize("model", ["lagged", "lagged_regularized", "similar", "sap"])
+@pytest.mark.parametrize("model", MODEL_IDS)
 def test_batch_matches_reference_on_random_states(model):
-    problem = clutter_problem(model)
-    batch = ContactBatch.build(problem)
-    assert batch is not None
+    """evaluate on (m, dim) equals m single-row calls, bit for bit."""
     rng = np.random.default_rng(17)
-    n = len(problem.contacts)
-    for _ in range(25):
-        v_c = np.where(rng.uniform(size=(n, 3)) < 0.3,
-                       rng.normal(scale=1e-4, size=(n, 3)),
-                       rng.normal(scale=2.0, size=(n, 3)))
-        cost_b, gam_b, hess_b = batch.terms(v_c, need_hessian=True)
-        cost_r, gam_r, hess_r = 0.0, [], []
-        for i, (_, data) in enumerate(problem.contacts):
-            out = evaluate(model, data, v_c[i])
-            cost_r += out.cost
-            gam_r.append(out.gamma)
-            hess_r.append(out.hessian)
-        assert cost_b == pytest.approx(cost_r, rel=1e-12, abs=1e-14)
-        np.testing.assert_allclose(gam_b, np.array(gam_r), rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(hess_b, np.array(hess_r), rtol=1e-12, atol=1e-12)
+    for dim in (2, 3):
+        data = make_data(dim)
+        v_c = np.where(rng.uniform(size=(60, dim)) < 0.3,
+                       rng.normal(scale=1e-3, size=(60, dim)),
+                       rng.normal(scale=0.5, size=(60, dim)))
+        # Rows on the regime boundaries: the transition velocity, the
+        # stiction center and SAP's cone apex.
+        vhat = transition_velocity(data.normal)
+        vhat_n = data.normal.x0 / (data.normal.dt + data.friction.tau_d)
+        v_c[:3] = 0.0
+        v_c[0, -1], v_c[1, -1] = vhat, vhat_n
+        out = evaluate(model, data, v_c)
+        assert out.cost.shape == (60,) and out.hessian.shape == (60, dim, dim)
+        for i, row in enumerate(v_c):
+            one = evaluate(model, data, row)
+            assert out.cost[i] == one.cost
+            np.testing.assert_array_equal(out.gamma[i], one.gamma)
+            np.testing.assert_array_equal(out.hessian[i], one.hessian)
 
 
 @pytest.mark.parametrize("model", ["lagged", "similar", "sap"])
 def test_batch_matches_reference_at_regime_boundaries(model):
-    problem = clutter_problem(model, steps=40)
-    batch = ContactBatch.build(problem)
-    n = len(problem.contacts)
-    # Exactly at transition velocities and the stiction center.
-    for i, (_, data) in enumerate(problem.contacts):
-        from convexcontact.normal_laws import transition_velocity
+    """lagged/similar: at v_n = vhat the normal Hessian entry is the
+    active-side -n'(vhat).  SAP: on the stiction-cone boundary the Hessian
+    is the stiction one, diag(1/R_t, .., 1/R_n)."""
+    for dim in (2, 3):
+        if model != "sap":
+            data = make_data(dim)
+            vhat = transition_velocity(data.normal)
+            v_c = np.zeros(dim)
+            v_c[-1] = vhat
+            hess = evaluate(model, data, v_c).hessian
+            assert hess[-1, -1] == -impulse_derivative(data.normal, vhat) > 0.0
+            continue
+        # Powers of two make the boundary exact: R_t = 2^-10, R_n = 1,
+        # vhat_n = 1, so v_n = 0.5 gives y_n = 0.5 and |y_t| = mu*y_n = 0.25.
+        data = make_data(dim, k=8.0, d=0.0, x0=0.5, dt=0.25, tau_d=0.25, mu=0.5,
+                         sigma=2.0 ** -10, w=1.0)
+        v_c = np.zeros(dim)
+        v_c[0], v_c[-1] = 0.25 * 2.0 ** -10, 0.5
+        params = ContactBatch(
+            "sap", dim, 0.25, data.normal.law, data.friction, x0=np.array([0.5]),
+            f0=np.array([4.0]), gamma_n0=np.array([0.08]), w=np.array([1.0]))
+        y_t, y_n = params.sap_y(v_c[None, :])
+        assert np.linalg.norm(y_t[0]) == data.friction.mu * y_n[0] > 0.0
+        out = evaluate("sap", data, v_c)
+        np.testing.assert_array_equal(out.hessian, np.diag([1024.0] * (dim - 1) + [1.0]))
+        # Just inside the sliding region the Hessian differs.
+        v_c[0] *= 1.0 + 1e-12
+        assert not np.array_equal(evaluate("sap", data, v_c).hessian, out.hessian)
 
-        vhat = transition_velocity(data.normal)
-        for v_c_row in ([0.0, 0.0, vhat], [0.0, 0.0, 0.0], [1e-9, 0.0, vhat - 1e-9]):
-            v_c = np.zeros((n, 3))
-            v_c[i] = v_c_row
-            _, gam_b, hess_b = batch.terms(v_c, need_hessian=True)
-            out = evaluate(model, data, v_c[i])
-            np.testing.assert_allclose(gam_b[i], out.gamma, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(hess_b[i], out.hessian, rtol=1e-12, atol=1e-12)
+
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_non_hunt_crossley_law_is_unsupported(model):
+    data = ContactData(normal=DiscreteNormal(LogBarrier(1.0), -1e-3, 0.0, 0.01),
+                       friction=FrictionParams(mu=0.5))
+    with pytest.raises(UnsupportedLaw):
+        evaluate(model, data, np.zeros(3))
 
 
-def test_batch_requires_uniform_material():
-    ground = Body("ground", HalfSpace((0.0, 1.0), 0.0), np.zeros(2), motion="prescribed")
-    disk = Body("disk", Sphere(0.025), np.array([0.0, 0.0249]), 0.0,
-                mass=0.5, inertia=1e-4)
-    world = World(dim=2, bodies=[ground, disk], margin=1e-3)
-    problem = assemble_problem(world, 1e-3, "lagged")
-    assert ContactBatch.build(problem) is not None
-    # Non Hunt-Crossley law: no batch.
-    kin, data = problem.contacts[0]
-    from dataclasses import replace
+def test_criterion_1_checks_and_solver_reach_the_same_kernel(monkeypatch):
+    calls = []
+    kernel = ContactBatch.evaluate
 
-    weird = replace(data, normal=DiscreteNormal(LogBarrier(1.0), -1e-3, 0.0, 1e-3))
-    problem.contacts[0] = (kin, weird)
-    assert ContactBatch.build(problem) is None
+    def counted(self, v_c):
+        calls.append(len(v_c))
+        return kernel(self, v_c)
+
+    monkeypatch.setattr(ContactBatch, "evaluate", counted)
+    report = validation.check_gradient("similar", validation.canonical_data(),
+                                       validation.SamplingSpec(samples=20, seed=1))
+    assert report.samples > 0 and len(calls) == report.samples
+    assert set(calls) == {13}  # one call per state: the state and its 12 stencil points
+
+    sim = Simulation(ScenarioSpec("falling_sphere", model="similar", duration=0.2))
+    for _ in range(37):
+        sim.step()
+    problem = sim.assemble()
+    calls.clear()
+    sol = solve_step(problem)
+    assert sol.converged and len(calls) == sol.contact_evaluations > 0

@@ -144,12 +144,20 @@ def ref_assembly(world, dt, contacts):
             "delassus": np.array(delassus)}
 
 
-def ref_newton_matrix(problem, hessians):
+def jacobian_blocks(world, problem):
+    """Per contact, (dof offset, J block) of each free body in it, body a first."""
+    dim, nvb = world.dim, world.nv_per_body
+    offsets = {idx: slot * nvb for slot, idx in enumerate(world.free_bodies)}
+    return [[(offsets[idx], problem.J[i * dim:(i + 1) * dim, offsets[idx]:offsets[idx] + nvb])
+             for idx in key[:2] if idx in offsets] for i, key in enumerate(problem.keys)]
+
+
+def ref_newton_matrix(world, problem, hessians):
     hess = problem.A.copy()
-    for i, (kin, _) in enumerate(problem.contacts):
-        for off_r, jac_r in kin.blocks:
+    for i, blocks in enumerate(jacobian_blocks(world, problem)):
+        for off_r, jac_r in blocks:
             jt_g = jac_r.T @ hessians[i]
-            for off_c, jac_c in kin.blocks:
+            for off_c, jac_c in blocks:
                 hess[off_r:off_r + jac_r.shape[1], off_c:off_c + jac_c.shape[1]] += jt_g @ jac_c
     return hess
 
@@ -207,7 +215,7 @@ WORLDS = {
 def case(request):
     world, dt, memory = WORLDS[request.param]()
     problem = assemble_problem(world, dt, "lagged", prev_impulses=memory)
-    assert problem.contacts, "the reference comparison needs contacts"
+    assert problem.keys, "the reference comparison needs contacts"
     return world, dt, problem
 
 
@@ -225,14 +233,17 @@ def test_detection_keys_order_and_geometry(case):
 def test_frames_jacobians_and_bias(case):
     world, dt, problem = case
     ref = ref_assembly(world, dt, detect_contacts(world.bodies, world.margin))
-    for (kin, _), frame, blocks in zip(problem.contacts, ref["frames"], ref["blocks"]):
-        close(kin.frame, frame)
-        assert [off for off, _ in kin.blocks] == [off for off, _ in blocks]
-        for (_, got), (_, want) in zip(kin.blocks, blocks):
+    for key, got_blocks, frame, blocks in zip(problem.keys, jacobian_blocks(world, problem),
+                                              ref["frames"], ref["blocks"]):
+        # The translational columns of a body's block are +frame for body a,
+        # -frame for body b.
+        sign = 1.0 if world.bodies[key[0]].motion == "free" else -1.0
+        close(got_blocks[0][1][:, :world.dim], sign * frame)
+        assert [off for off, _ in got_blocks] == [off for off, _ in blocks]
+        for (_, got), (_, want) in zip(got_blocks, blocks):
             close(got, want)
     close(problem.J, ref["J"])
     close(problem.bias, ref["bias"])
-    close(np.array([kin.bias for kin, _ in problem.contacts]), ref["bias"])
     if world.dim == 2 and any(b.prescribed_velocity for b in world.bodies):
         assert np.abs(problem.bias).max() > 0.1  # the belt's surface speed is in it
 
@@ -243,13 +254,13 @@ def test_mass_matrix_free_motion_and_delassus(case):
     close(problem.A, ref["A"])
     close(problem.v_star, ref["v_star"])
     close(delassus_diagonal(problem), ref["delassus"])
-    close([data.delassus_w for _, data in problem.contacts], ref["delassus"])
+    close(problem.w, ref["delassus"])
 
 
 def test_newton_matrix(case):
-    _, _, problem = case
+    world, _, problem = case
     _, _, hessians = _Terms(problem).terms(problem.v0)
     rng = np.random.default_rng(3)
     spd = rng.normal(size=hessians.shape)
     for g in (hessians, spd @ spd.transpose(0, 2, 1)):
-        close(_newton_matrix(problem, g), ref_newton_matrix(problem, g))
+        close(_newton_matrix(problem, g), ref_newton_matrix(world, problem, g))

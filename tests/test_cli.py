@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from convexcontact.cli import main, read_config
@@ -90,6 +92,29 @@ def test_bad_spec_field_exits_2(args, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--scenario", "clutter", "--parameter", "stiffness", "--values", "-1",
+     "--duration", "0.01"],
+    ["study", "--scenario", "falling_sphere", "--dts", "-1"]], ids=lambda args: args[0])
+def test_bad_sweep_or_study_value_exits_2(args, capsys):
+    code = main(args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_extreme_stiffness_writes_only_finite_values(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = main(["run", "--scenario", "falling_sphere", "--stiffness", "1e300",
+                 "--out", str(out)])
+    if code == 1:
+        assert "solver failure: step " in capsys.readouterr().err
+        return
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows and all(math.isfinite(float(x)) for row in rows for x in row)
 
 
 def test_bad_flag_exits_2(capsys):

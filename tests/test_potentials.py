@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,23 +18,18 @@ from convexcontact.potentials import (
     PotentialEval,
     effective_stiction_tolerance,
     evaluate,
-    lagged_eval,
     naive_impulse,
-    sap_eval,
     sap_stiction_tolerance,
-    similar_eval,
 )
 
 from fd import fd_gradient, fd_jacobian
 
 
 def make_data(mu=0.5, v_s=0.05, sigma=1e-3, tau_d=1e-3, k=1e4, d=2.0,
-              x0=1e-3, dt=0.01, gamma_n0=0.08, w=1.0, dim=3,
-              regularize_impacts=False):
+              x0=1e-3, dt=0.01, gamma_n0=0.08, w=1.0, dim=3):
     return ContactData(
         normal=DiscreteNormal.from_penetration(HuntCrossley(k, d), x0, dt),
-        friction=FrictionParams(mu=mu, v_s=v_s, sigma=sigma, tau_d=tau_d,
-                                regularize_impacts=regularize_impacts),
+        friction=FrictionParams(mu=mu, v_s=v_s, sigma=sigma, tau_d=tau_d),
         gamma_n0=gamma_n0,
         delassus_w=w,
         dim=dim,
@@ -57,17 +53,15 @@ def random_state(rng, data, avoid_kinks=True):
 
 class TestEffectiveStictionTolerance:
     def test_plain_models_use_v_s(self):
-        assert effective_stiction_tolerance(make_data(gamma_n0=0.0)) == 0.05
-        assert effective_stiction_tolerance(make_data(gamma_n0=10.0)) == 0.05
+        assert effective_stiction_tolerance("lagged", make_data(gamma_n0=0.0)) == 0.05
+        assert effective_stiction_tolerance("lagged", make_data(gamma_n0=10.0)) == 0.05
 
     def test_impact_regularization(self):
-        data = make_data(v_s=1e-4, sigma=1e-3, mu=0.5, w=2.0,
-                         gamma_n0=0.0, regularize_impacts=True)
-        assert effective_stiction_tolerance(data) == 1e-4
+        data = make_data(v_s=1e-4, sigma=1e-3, mu=0.5, w=2.0, gamma_n0=0.0)
+        assert effective_stiction_tolerance("lagged_regularized", data) == 1e-4
         # sigma*w*mu*gamma_n0 = 1e-3 * 2 * 0.5 * 1.0 = 1e-3 = 10*v_s
-        data = make_data(v_s=1e-4, sigma=1e-3, mu=0.5, w=2.0,
-                         gamma_n0=1.0, regularize_impacts=True)
-        assert effective_stiction_tolerance(data) == pytest.approx(1e-3)
+        data = make_data(v_s=1e-4, sigma=1e-3, mu=0.5, w=2.0, gamma_n0=1.0)
+        assert effective_stiction_tolerance("lagged_regularized", data) == pytest.approx(1e-3)
 
     def test_sap_tolerance_tracks_current_impulse(self):
         data = make_data(v_s=1e-4, sigma=1e-3, mu=0.5, w=2.0)
@@ -78,25 +72,25 @@ class TestEffectiveStictionTolerance:
 class TestLagged:
     def test_stiction_center(self):
         data = make_data()
-        out = lagged_eval(data, [0.0, 0.0, -0.02])
+        out = evaluate("lagged", data, [0.0, 0.0, -0.02])
         np.testing.assert_array_equal(out.gamma[:2], 0.0)
         assert out.gamma[2] == pytest.approx(discrete_impulse(data.normal, -0.02))
 
     def test_tangential_impulse_at_eps(self):
         data = make_data(mu=0.5, gamma_n0=1.0)
-        eps = effective_stiction_tolerance(data)
-        out = lagged_eval(data, [eps, 0.0, 0.0])
+        eps = effective_stiction_tolerance("lagged", data)
+        out = evaluate("lagged", data, [eps, 0.0, 0.0])
         assert out.gamma[0] == pytest.approx(-0.5 / math.sqrt(2.0))
         assert out.gamma[1] == 0.0
 
     def test_coulomb_asymptote(self):
         data = make_data(mu=0.5, gamma_n0=1.0)
-        eps = effective_stiction_tolerance(data)
-        out = lagged_eval(data, [100.0 * eps, 0.0, 0.0])
+        eps = effective_stiction_tolerance("lagged", data)
+        out = evaluate("lagged", data, [100.0 * eps, 0.0, 0.0])
         assert np.linalg.norm(out.gamma[:2]) == pytest.approx(0.5, rel=5e-5)
 
     def test_block_diagonal_hessian(self):
-        out = lagged_eval(make_data(), [0.01, -0.02, 0.003])
+        out = evaluate("lagged", make_data(), [0.01, -0.02, 0.003])
         np.testing.assert_array_equal(out.hessian[:2, 2], 0.0)
         np.testing.assert_array_equal(out.hessian[2, :2], 0.0)
         assert out.hessian[2, 2] >= 0.0
@@ -105,14 +99,14 @@ class TestLagged:
 class TestSimilar:
     def test_frictionless_reduction_at_stiction_center(self):
         data = make_data()
-        out = similar_eval(data, [0.0, 0.0, -0.02])
-        lag = lagged_eval(data, [0.0, 0.0, -0.02])
+        out = evaluate("similar", data, [0.0, 0.0, -0.02])
+        lag = evaluate("lagged", data, [0.0, 0.0, -0.02])
         np.testing.assert_allclose(out.gamma, lag.gamma, atol=1e-15)
 
     def test_friction_inflates_normal_impulse(self):
         data = make_data()
         v_c = np.array([0.3, 0.0, 0.01])
-        out = similar_eval(data, v_c)
+        out = evaluate("similar", data, v_c)
         assert out.gamma[2] > discrete_impulse(data.normal, 0.01)
 
     def test_jacobian_symmetry_random_sweep(self):
@@ -120,7 +114,7 @@ class TestSimilar:
         rng = np.random.default_rng(42)
         for _ in range(100):
             v_c = random_state(rng, data)
-            jac = fd_jacobian(lambda u: similar_eval(data, u).gamma, v_c)
+            jac = fd_jacobian(lambda u: evaluate("similar", data, u).gamma, v_c)
             asym = np.linalg.norm(jac - jac.T)
             assert asym <= 1e-8 * max(np.linalg.norm(jac), 1e-12)
 
@@ -140,18 +134,18 @@ class TestSap:
             (data.normal.x0 / (data.normal.dt + fp.tau_d) - v_c[2]) / r_n,
         ])
         assert np.linalg.norm(y[:2]) <= fp.mu * y[2]
-        out = sap_eval(data, v_c)
+        out = evaluate("sap", data, v_c)
         np.testing.assert_allclose(out.gamma, y, rtol=1e-14)
 
     def test_fast_separation_gives_zero(self):
-        out = sap_eval(make_data(), [0.0, 0.0, 5.0])
+        out = evaluate("sap", make_data(), [0.0, 0.0, 5.0])
         np.testing.assert_array_equal(out.gamma, 0.0)
         np.testing.assert_array_equal(out.hessian, 0.0)
         assert out.cost == 0.0
 
     def test_sliding_impulse_on_cone_surface(self):
         data = make_data()
-        out = sap_eval(data, [0.5, 0.0, 1e-4])
+        out = evaluate("sap", data, [0.5, 0.0, 1e-4])
         mu = data.friction.mu
         assert np.linalg.norm(out.gamma[:2]) == pytest.approx(mu * out.gamma[2], rel=1e-12)
         assert out.gamma[2] > 0.0
@@ -159,7 +153,7 @@ class TestSap:
     def test_rejects_zero_stiffness(self):
         data = make_data(k=0.0)
         with pytest.raises(ValueError):
-            sap_eval(data, [0.0, 0.0, 0.0])
+            evaluate("sap", data, [0.0, 0.0, 0.0])
 
     def test_rejects_barrier_law(self):
         data = ContactData(
@@ -167,7 +161,7 @@ class TestSap:
             friction=FrictionParams(mu=0.5),
         )
         with pytest.raises(UnsupportedLaw):
-            sap_eval(data, [0.0, 0.0, 0.0])
+            evaluate("sap", data, [0.0, 0.0, 0.0])
 
 
 class TestNaive:
@@ -175,8 +169,8 @@ class TestNaive:
         data = make_data()
         v_c = np.array([0.0, 0.0, -0.015])
         gamma = naive_impulse(data, v_c)
-        np.testing.assert_allclose(gamma, similar_eval(data, v_c).gamma, atol=1e-15)
-        np.testing.assert_allclose(gamma[2], lagged_eval(data, v_c).gamma[2], atol=1e-15)
+        np.testing.assert_allclose(gamma, evaluate("similar", data, v_c).gamma, atol=1e-15)
+        np.testing.assert_allclose(gamma[2], evaluate("lagged", data, v_c).gamma[2], atol=1e-15)
 
     def test_asymmetric_jacobian_when_sliding(self):
         data = make_data()
@@ -192,11 +186,7 @@ class TestNaive:
         assert np.linalg.norm(jac - jac.T) <= 1e-10
 
 
-MODELS = {
-    "lagged": lagged_eval,
-    "similar": similar_eval,
-    "sap": sap_eval,
-}
+MODELS = {name: partial(evaluate, name) for name in ("lagged", "similar", "sap")}
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -245,9 +235,9 @@ def test_models_agree_in_pure_elastic_stiction():
     data = make_data(d=0.0, tau_d=0.0)
     for v_n in (-0.3, 0.0, 0.05, 0.2):
         v_c = np.array([0.0, 0.0, v_n])
-        g_lag = lagged_eval(data, v_c).gamma
-        g_sim = similar_eval(data, v_c).gamma
-        g_sap = sap_eval(data, v_c).gamma
+        g_lag = evaluate("lagged", data, v_c).gamma
+        g_sim = evaluate("similar", data, v_c).gamma
+        g_sap = evaluate("sap", data, v_c).gamma
         np.testing.assert_allclose(g_sim, g_lag, atol=1e-14)
         np.testing.assert_allclose(g_sap, g_lag, rtol=1e-12, atol=1e-14)
 
@@ -270,11 +260,11 @@ def test_friction_opposes_slip(name):
 
 def test_two_dimensional_worlds():
     data = make_data(dim=2)
-    out = lagged_eval(data, [0.02, -0.01])
+    out = evaluate("lagged", data, [0.02, -0.01])
     assert out.gamma.shape == (2,)
     assert out.hessian.shape == (2, 2)
-    grad = fd_gradient(lambda u: similar_eval(data, u).cost, np.array([0.02, -0.01]))
-    np.testing.assert_allclose(-grad, similar_eval(data, [0.02, -0.01]).gamma, rtol=1e-6)
+    grad = fd_gradient(lambda u: evaluate("similar", data, u).cost, np.array([0.02, -0.01]))
+    np.testing.assert_allclose(-grad, evaluate("similar", data, [0.02, -0.01]).gamma, rtol=1e-6)
 
 
 def test_evaluate_dispatch_and_regularized_id():

@@ -36,12 +36,12 @@ def test_belt_world_two_corner_contacts():
     spec = ScenarioSpec("belt", model="lagged").resolve()
     sim = Simulation(spec)
     problem = sim.assemble()
-    features = sorted(kin.feature for kin, _ in problem.contacts)
+    features = sorted(feature for _, _, feature in problem.keys)
     assert features == [0, 1]
     # Belt surface motion enters through the bias only.
-    for kin, _ in problem.contacts:
-        assert abs(kin.bias[0]) > 1.0
-        assert kin.bias[1] == 0.0
+    for bias in problem.bias:
+        assert abs(bias[0]) > 1.0
+        assert bias[1] == 0.0
 
 
 def test_belt_seeded_lag_matches_static_load():
@@ -117,6 +117,23 @@ def test_non_finite_state_aborts_with_step_index():
         sim.step()
     assert isinstance(err.value.__cause__, SolverFailure)
     assert sim.step_index == 2
+
+
+def test_non_finite_contact_channel_aborts_with_step_index(monkeypatch):
+    from convexcontact import scenarios
+
+    solve = scenarios.solve_step
+
+    def overflowing(problem, opts):
+        sol = solve(problem, opts=opts)
+        sol.impulses = [np.full(problem.dim, np.inf) for _ in sol.impulses]
+        return sol
+
+    sim = Simulation(ScenarioSpec("belt", model="lagged", duration=0.1))
+    monkeypatch.setattr(scenarios, "solve_step", overflowing)
+    with pytest.raises(ScenarioError, match=r"^step 0 .*non-finite contact channel"):
+        sim.step()
+    assert sim.step_index == 0 and not sim._records
 
 
 def test_trajectory_kinetic_energy_matches_hand_value():

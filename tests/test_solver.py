@@ -5,7 +5,8 @@ from convexcontact import solver as solver_module
 from convexcontact.batch import ContactBatch
 from convexcontact.collision import HalfSpace, Sphere
 from convexcontact.dynamics import Body, World, advance_state, assemble_problem
-from convexcontact.potentials import FrictionParams, evaluate
+from convexcontact.normal_laws import DiscreteNormal
+from convexcontact.potentials import ContactData, FrictionParams, evaluate
 from convexcontact.scenarios import ScenarioSpec, Simulation
 from convexcontact.solver import (SolveOptions, Solution, SolverFailure, condition_number,
                                   solve_step)
@@ -40,7 +41,7 @@ def test_resting_disk_supports_weight(model):
         problem = assemble_problem(world, dt, model, prev_impulses=memory)
         sol = solve_step(problem)
         assert sol.converged
-        memory = {kin.key: g[-1] for (kin, _), g in zip(problem.contacts, sol.impulses)}
+        memory = {key: g[-1] for key, g in zip(problem.keys, sol.impulses)}
         advance_state(world.bodies[1], sol.v, dt)
     force = sol.impulses[0][-1] / dt
     assert force == pytest.approx(0.5 * 9.81, rel=1e-5)
@@ -66,10 +67,7 @@ def test_momentum_residual_at_convergence():
     sol = solve_step(problem, opts=opts)
     assert sol.converged
     momentum = problem.apply_A(sol.v - problem.v_star)
-    jt_gamma = np.zeros(problem.n_v)
-    for (kin, _), gamma in zip(problem.contacts, sol.impulses):
-        for off, jac in kin.blocks:
-            jt_gamma[off:off + jac.shape[1]] += jac.T @ gamma
+    jt_gamma = problem.J.T @ np.ravel(sol.impulses)
     residual = np.linalg.norm(momentum - jt_gamma)
     scale = max(np.linalg.norm(momentum), np.linalg.norm(jt_gamma))
     assert residual <= 10.0 * opts.rel_tol * scale
@@ -134,6 +132,13 @@ def test_option_validation():
         SolveOptions(max_iters=0)
 
 
+def contact_data(problem):
+    """One ContactData per contact of a StepProblem."""
+    return [ContactData(normal=DiscreteNormal.from_penetration(problem.law, x0, problem.dt),
+                        friction=problem.friction, gamma_n0=g0, delassus_w=w, dim=problem.dim)
+            for x0, g0, w in zip(problem.x0, problem.gamma_n0, problem.w)]
+
+
 def impact_problem(scenario, model, steps):
     sim = Simulation(ScenarioSpec(scenario, model=model, dt=2e-3, duration=0.2))
     for _ in range(steps):
@@ -167,8 +172,8 @@ def test_line_search_accepts_exact_section_minimizer(scenario, model, steps, par
     def dphi(v, step, alpha):
         """phi'(alpha) = grad l_p(v + alpha*step) . step, recomputed from scratch."""
         trial = v + alpha * step
-        gammas = np.array([evaluate(problem.model, data, vc).gamma for (_, data), vc
-                           in zip(problem.contacts, problem.contact_velocities(trial))])
+        gammas = np.array([evaluate(problem.model, data, vc).gamma for data, vc
+                           in zip(contact_data(problem), problem.contact_velocities(trial))])
         grad = problem.A @ (trial - problem.v_star) - problem.J.T @ gammas.ravel()
         return float(grad @ step)
 
@@ -188,8 +193,8 @@ def test_solution_cost_is_the_step_cost_at_v(model):
     problem = impact_problem("falling_sphere", model, 37)
     sol = solve_step(problem)
     dv = sol.v - problem.v_star
-    contact = sum(evaluate(model, data, vc).cost for (_, data), vc
-                  in zip(problem.contacts, problem.contact_velocities(sol.v)))
+    contact = sum(evaluate(model, data, vc).cost for data, vc
+                  in zip(contact_data(problem), problem.contact_velocities(sol.v)))
     assert sol.cost == pytest.approx(0.5 * dv @ problem.A @ dv + contact, rel=1e-12)
 
 
@@ -203,7 +208,7 @@ def test_stiff_resting_disk_converges_without_diagnostic(model):
         sol = solve_step(problem)
         assert sol.converged
         assert sol.diagnostic == ""
-        memory = {kin.key: g[-1] for (kin, _), g in zip(problem.contacts, sol.impulses)}
+        memory = {key: g[-1] for key, g in zip(problem.keys, sol.impulses)}
         advance_state(world.bodies[1], sol.v, dt)
 
 
