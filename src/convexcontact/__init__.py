@@ -19,21 +19,15 @@ from .normal_laws import (  # noqa: E402
     UnsupportedLaw,
     convexity_margin,
     discrete_impulse,
-    impulse_antiderivative,
-    impulse_derivative,
     normal_force,
-    transition_velocity,
 )
 from .potentials import (  # noqa: E402
     MODEL_IDS,
     ContactData,
     FrictionParams,
     PotentialEval,
-    effective_stiction_tolerance,
     evaluate,
     naive_impulse,
-    sap_stiction_tolerance,
 )
-from .softmath import soft_norm, soft_norm_hessian, soft_unit  # noqa: E402
 
 __version__ = "0.1.0"

@@ -4,7 +4,11 @@
 Hunt & Crossley material, as (n,) arrays, and `ContactBatch.evaluate` maps
 their contact velocities v_c (n, dim) to per-contact costs (n,), impulses
 (n, dim) and Hessian blocks (n, dim, dim).  It is the only implementation of
-the lagged, similar and SAP models.  Two entry points reach it:
+the lagged, similar and SAP models, and of the pieces they share: the
+discrete Hunt & Crossley impulse n(v_n) with its transition velocity vhat,
+derivative n' and antiderivative N, and the soft norm of the regularized
+friction.  `naive_impulse` pastes the same pieces into the non-integrable
+negative control.  Two entry points reach the models:
 `ContactBatch.terms`, the solver's, which sums the costs; and
 `potentials.evaluate`, which runs one contact's data on one or many
 velocities (criterion 1's finite-difference checks go through it).
@@ -27,14 +31,13 @@ MODEL_IDS = ("sap", "lagged", "lagged_regularized", "similar")
 
 
 class ContactBatch:
-    """Kernel parameters of n contacts; x0, f0, gamma_n0 and w are (n,) arrays.
+    """Kernel parameters of n contacts; x0, gamma_n0 and w are (n,) arrays.
 
-    x0 is the previous-step penetration, f0 the previous-step elastic force,
-    gamma_n0 the previous-step normal impulse and w the Delassus diagonal.
-    `friction` is a FrictionParams.
+    x0 is the previous-step penetration, gamma_n0 the previous-step normal
+    impulse and w the Delassus diagonal.  `friction` is a FrictionParams.
     """
 
-    def __init__(self, model, dim, dt, law, friction, x0, f0, gamma_n0, w):
+    def __init__(self, model, dim, dt, law, friction, x0, gamma_n0, w):
         if model not in MODEL_IDS:
             raise ValueError(f"unknown model id {model!r}; expected one of {MODEL_IDS}")
         if not isinstance(law, HuntCrossley):
@@ -46,8 +49,10 @@ class ContactBatch:
         self.d = law.dissipation
         self.mu = friction.mu
         self.x0 = x0
-        self.f0 = f0
+        self.f0 = self.k * x0  # previous-step elastic force
         self.gamma_n0 = gamma_n0
+        # Transition velocity vhat = min(x0/dt, 1/d): the discrete impulse
+        # vanishes at and beyond it (the 1/d bound drops out for d = 0).
         self.vhat = x0 / dt
         if self.d > 0.0:
             self.vhat = np.minimum(self.vhat, 1.0 / self.d)
@@ -70,8 +75,7 @@ class ContactBatch:
     def build(cls, problem) -> "ContactBatch":
         """Kernel parameters of every contact of a StepProblem."""
         return cls(problem.model, problem.dim, problem.dt, problem.law, problem.friction,
-                   x0=problem.x0, f0=problem.law.stiffness * problem.x0,
-                   gamma_n0=problem.gamma_n0, w=problem.w)
+                   x0=problem.x0, gamma_n0=problem.gamma_n0, w=problem.w)
 
     def terms(self, v_c):
         """(total cost, gammas (n, dim), hessians (n, dim, dim)) at v_c (n, dim)."""
@@ -102,6 +106,21 @@ class ContactBatch:
         return np.where(v_n < self.vhat,
                         self.dt * (self.f0 - self.dt * self.k * v_n) * (1.0 - self.d * v_n),
                         0.0)
+
+    def naive_impulse(self, v_c):
+        """Impulses (n, dim) of the naive field at v_c (n, dim); no cost.
+
+        gamma = (-mu * n(v_n) * v_t / sqrt(|v_t|^2 + eps^2), n(v_n)): the
+        compliant normal impulse pasted into regularized Coulomb friction.
+        Not the gradient of any potential: the tangential block depends on
+        v_n through n(v_n) while the normal impulse ignores v_t.
+        """
+        n_v = self.normal_impulse(v_c[:, -1])
+        _, unit, _ = self._soft(v_c[:, :-1])
+        gam = np.empty_like(v_c)
+        gam[:, :-1] = (-self.mu * n_v)[:, None] * unit
+        gam[:, -1] = n_v
+        return gam
 
     def sap_y(self, v_c):
         """SAP's unconstrained impulse y = (-v_t / R_t, (vhat_n - v_n) / R_n)."""

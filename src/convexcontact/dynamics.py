@@ -43,7 +43,6 @@ __all__ = [
     "World",
     "StepProblem",
     "assemble_problem",
-    "delassus_diagonal",
     "advance_state",
 ]
 
@@ -269,11 +268,6 @@ def _delassus(J: np.ndarray, a_inv: np.ndarray, dim: int) -> np.ndarray:
     if not (w > 0.0).all():
         raise ValueError("contact with no effective mass; check free-body pairing")
     return w
-
-
-def delassus_diagonal(problem: StepProblem) -> np.ndarray:
-    """Per-contact scalar w_i = trace(J_i A^-1 J_i^T) / dim."""
-    return _delassus(problem.J, problem.a_inv, problem.dim)
 
 
 def _quat_mul(p, q):

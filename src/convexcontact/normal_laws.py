@@ -1,4 +1,4 @@
-"""Compliant normal-force laws and their discrete impulses.
+"""Compliant normal-force laws and the discrete impulse they define.
 
 A normal law gives the contact force f_n(x, xdot) as a function of the
 penetration distance x (positive when bodies overlap) and its rate xdot.
@@ -16,8 +16,10 @@ law into a discrete impulse
     n(v_n) = dt * f_n(x0 - dt * v_n, -v_n)
 
 whose antiderivative N (with N' = n) supplies the normal part of the
-per-contact cost.  For Hunt & Crossley both n and N have closed forms; the
-impulse vanishes for v_n >= vhat = min(x0/dt, 1/d) and N is constant there.
+per-contact cost.  `discrete_impulse` is that definition, for every law.
+For Hunt & Crossley the contact-model kernel (`batch.ContactBatch`)
+evaluates n, n' and N in closed form; the impulse vanishes for
+v_n >= vhat = min(x0/dt, 1/d) and N is constant there.
 
 The cost -N(v_n) is convex wherever df/dx >= 0 and df/dxdot >= 0, since its
 curvature is dt^2 * df/dx + dt * df/dxdot.  `convexity_margin` returns those
@@ -41,10 +43,7 @@ __all__ = [
     "UnsupportedLaw",
     "normal_force",
     "convexity_margin",
-    "transition_velocity",
     "discrete_impulse",
-    "impulse_derivative",
-    "impulse_antiderivative",
 ]
 
 
@@ -145,82 +144,18 @@ def convexity_margin(law: NormalLaw, x: float, xdot: float) -> tuple[float, floa
 
 @dataclass(frozen=True)
 class DiscreteNormal:
-    """Frozen per-step data for the discrete impulse n(v_n; x0).
-
-    f0 is the previous-step elastic force; storing it instead of deriving it
-    from x0 every time keeps the antiderivative well behaved when k -> 0 with
-    k * x0 finite.  x0 is kept for kinematic quantities such as vhat.
-    """
+    """Frozen per-step data for the discrete impulse n(v_n; x0): the law,
+    the previous-step penetration x0 and the time step dt."""
 
     law: NormalLaw
     x0: float
-    f0: float
     dt: float
 
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
-    @classmethod
-    def from_penetration(cls, law: NormalLaw, x0: float, dt: float) -> "DiscreteNormal":
-        f0 = law.stiffness * x0 if isinstance(law, HuntCrossley) else 0.0
-        return cls(law=law, x0=x0, f0=f0, dt=dt)
-
-
-def transition_velocity(dn: DiscreteNormal) -> float:
-    """Separation velocity vhat beyond which the discrete impulse is zero.
-
-    vhat = min(x0/dt, 1/d); for d = 0 the dissipation bound drops out.
-    """
-    law = dn.law
-    if not isinstance(law, HuntCrossley):
-        raise UnsupportedLaw("transition velocity is defined for HuntCrossley only")
-    vhat = dn.x0 / dn.dt
-    if law.dissipation > 0.0:
-        vhat = min(vhat, 1.0 / law.dissipation)
-    return vhat
-
 
 def discrete_impulse(dn: DiscreteNormal, v_n: float) -> float:
     """Discrete normal impulse n(v_n) = dt * f_n(x0 - dt*v_n, -v_n), in N s."""
-    law = dn.law
-    if isinstance(law, HuntCrossley):
-        if v_n >= transition_velocity(dn):
-            return 0.0
-        df = -dn.dt * law.stiffness * v_n
-        return dn.dt * (dn.f0 + df) * (1.0 - law.dissipation * v_n)
-    return dn.dt * normal_force(law, dn.x0 - dn.dt * v_n, -v_n)
-
-
-def impulse_derivative(dn: DiscreteNormal, v_n: float) -> float:
-    """dn/dv_n for Hunt & Crossley; <= 0 everywhere.
-
-    At the kink v_n = vhat the left (active side) value is returned so that
-    Newton Hessians built from -n' stay positive semi-definite.
-    """
-    law = dn.law
-    if not isinstance(law, HuntCrossley):
-        raise UnsupportedLaw("impulse derivative implemented for HuntCrossley only")
-    if v_n > transition_velocity(dn):
-        return 0.0
-    dt, k, d = dn.dt, law.stiffness, law.dissipation
-    return -dt * (dt * k * (1.0 - d * v_n) + d * (dn.f0 - dt * k * v_n))
-
-
-def impulse_antiderivative(dn: DiscreteNormal, v_n: float) -> float:
-    """Antiderivative N(v_n) of the discrete impulse, constant past vhat.
-
-    On the active side, with df = -dt*k*w,
-
-        N(w) = dt * [w*(f0 + df/2) - d * w^2/2 * (f0 + 2*df/3)]
-
-    which is cubic in w for d > 0 and a plain downward parabola for d = 0.
-    N is continuous across the kink by construction.
-    """
-    law = dn.law
-    if not isinstance(law, HuntCrossley):
-        raise UnsupportedLaw("closed-form antiderivative exists for HuntCrossley only")
-    w = min(v_n, transition_velocity(dn))
-    dt, d = dn.dt, law.dissipation
-    df = -dt * law.stiffness * w
-    return dt * (w * (dn.f0 + 0.5 * df) - d * 0.5 * w * w * (dn.f0 + (2.0 / 3.0) * df))
+    return dn.dt * normal_force(dn.law, dn.x0 - dn.dt * v_n, -v_n)

@@ -30,12 +30,13 @@ sap
     R-norm of the projected impulse, 0.5 * gamma' R gamma.
 
 naive_impulse
-    gamma_t = -mu * n(v_n) * soft_unit(v_t): compliant normal force pasted
-    into regularized Coulomb friction.  Its velocity Jacobian is not
-    symmetric whenever n'(v_n) != 0, so no potential generates it.
+    gamma_t = -mu * n(v_n) * v_t / sqrt(|v_t|^2 + v_s^2): compliant normal
+    force pasted into regularized Coulomb friction.  Its velocity Jacobian
+    is not symmetric whenever n'(v_n) != 0, so no potential generates it.
 
-The three models are implemented once, by the array kernel in `batch`;
-`evaluate` runs it on one contact's data.
+The three models and the naive field are implemented once, by the array
+kernel in `batch`; `evaluate` and `naive_impulse` run it on one contact's
+data, for one velocity or a stack of them.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import MODEL_IDS, ContactBatch
-from .normal_laws import DiscreteNormal, discrete_impulse
-from .softmath import soft_unit
+from .normal_laws import DiscreteNormal
 
 __all__ = [
     "FrictionParams",
@@ -54,8 +54,6 @@ __all__ = [
     "PotentialEval",
     "MODEL_IDS",
     "kernel_params",
-    "effective_stiction_tolerance",
-    "sap_stiction_tolerance",
     "naive_impulse",
     "evaluate",
 ]
@@ -129,43 +127,28 @@ def kernel_params(model: str, data: ContactData, rows: int = 1) -> ContactBatch:
 
     normal = data.normal
     return ContactBatch(model, data.dim, normal.dt, normal.law, data.friction,
-                        x0=full(normal.x0), f0=full(normal.f0),
-                        gamma_n0=full(data.gamma_n0), w=full(data.delassus_w))
+                        x0=full(normal.x0), gamma_n0=full(data.gamma_n0),
+                        w=full(data.delassus_w))
 
 
-def effective_stiction_tolerance(model: str, data: ContactData) -> float:
-    """Stiction tolerance the lagged/similar kernels use for this contact.
-
-    v_s, softened to max(v_s, sigma * w * mu * gamma_n0) under the
-    regularized lagged model so strong impacts solve a better conditioned
-    problem.
-    """
-    return float(kernel_params(model, data).eps[0])
-
-
-def sap_stiction_tolerance(data: ContactData, gamma_n: float) -> float:
-    """SAP's implied stick-slip transition speed, sigma * w * mu * gamma_n.
-
-    Diagnostic only: SAP does not expose a stiction tolerance, but its
-    regularization makes the transition happen at this slip speed for the
-    current-step normal impulse.
-    """
-    return float(kernel_params("sap", data).stiction_tolerance(np.array([gamma_n]))[0])
+def _rows(data: ContactData, v_c):
+    """(v_c as floats, its rows as (m, dim)); v_c must be (dim,) or (m, dim)."""
+    v_c = np.asarray(v_c, dtype=float)
+    if v_c.shape[-1:] != (data.dim,) or v_c.ndim > 2:
+        raise ValueError(f"expected contact velocities of shape ({data.dim},) or "
+                         f"(m, {data.dim}), got {v_c.shape}")
+    return v_c, np.atleast_2d(v_c)
 
 
 def naive_impulse(data: ContactData, v_c) -> np.ndarray:
-    """Coupled compliant-contact/regularized-friction field; impulse only.
+    """Impulse of the naive coupled field (it has no cost) through the kernel.
 
-    Not the gradient of any potential: the tangential block depends on v_n
-    through n(v_n) while the normal impulse ignores v_t, so the velocity
-    Jacobian is asymmetric on sliding states with n' != 0.  Takes one
-    velocity of shape (dim,).
+    Runs with the plain stiction tolerance v_s.  v_c has shape (dim,) or
+    (m, dim); the result has the same shape.
     """
-    v_c = np.asarray(v_c, dtype=float)
-    if v_c.shape != (data.dim,):
-        raise ValueError(f"expected a contact velocity of shape ({data.dim},), got {v_c.shape}")
-    n_v = discrete_impulse(data.normal, float(v_c[-1]))
-    return np.append(-data.friction.mu * n_v * soft_unit(v_c[:-1], data.friction.v_s), n_v)
+    v_c, rows = _rows(data, v_c)
+    gamma = kernel_params("lagged", data, len(rows)).naive_impulse(rows)
+    return gamma[0] if v_c.ndim == 1 else gamma
 
 
 def evaluate(model: str, data: ContactData, v_c) -> PotentialEval:
@@ -175,11 +158,7 @@ def evaluate(model: str, data: ContactData, v_c) -> PotentialEval:
     result gains a leading axis of m, and row i equals the call on v_c[i].
     Raises UnsupportedLaw for a law other than Hunt & Crossley.
     """
-    v_c = np.asarray(v_c, dtype=float)
-    if v_c.shape[-1:] != (data.dim,) or v_c.ndim > 2:
-        raise ValueError(f"expected contact velocities of shape ({data.dim},) or "
-                         f"(m, {data.dim}), got {v_c.shape}")
-    rows = np.atleast_2d(v_c)
+    v_c, rows = _rows(data, v_c)
     costs, gamma, hessian = kernel_params(model, data, len(rows)).evaluate(rows)
     if v_c.ndim == 1:
         return PotentialEval(float(costs[0]), gamma[0], hessian[0])

@@ -41,7 +41,7 @@ from .batch import ContactBatch
 from .collision import Box, HalfSpace, Rod, Sphere
 from .dynamics import Body, World, advance_state, assemble_problem
 from .potentials import MODEL_IDS, FrictionParams
-from .solver import SolveOptions, SolverFailure, solve_step
+from .solver import SolveOptions, SolverFailure, safe_norm, solve_step
 
 __all__ = [
     "SCENARIO_IDS",
@@ -216,7 +216,7 @@ def _sliding_equilibrium_penetration(spec: ScenarioSpec, load: float,
     target = spec.dt * load
 
     def impulse(x0):
-        data = ContactData(normal=DiscreteNormal.from_penetration(law, x0, spec.dt),
+        data = ContactData(normal=DiscreteNormal(law, x0, spec.dt),
                            friction=_friction(spec), gamma_n0=target,
                            delassus_w=w, dim=2)
         return evaluate(spec.model, data, v_c).gamma[-1] - target
@@ -344,14 +344,6 @@ class Trajectory:
         return ke
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of x; rows whose squares would overflow
-    are scaled by their largest entry first (the others by exactly 1)."""
-    peak = np.abs(x).max(axis=1, initial=0.0)
-    scale = np.where(peak > 1e150, peak, 1.0)
-    return scale * np.linalg.norm(x / scale[:, None], axis=1)
-
-
 class Simulation:
     """Owns the world, the contact-impulse memory and the recorders."""
 
@@ -408,9 +400,9 @@ class Simulation:
         gamma_n = gammas[:, -1]
         rows = np.column_stack([
             v_c[:, -1],
-            _row_norms(v_c[:, :-1]),
+            safe_norm(v_c[:, :-1], axis=1),
             gamma_n / dt,
-            _row_norms(gammas[:, :-1]) / dt,
+            safe_norm(gammas[:, :-1], axis=1) / dt,
             problem.x0,
             ContactBatch.build(problem).stiction_tolerance(gamma_n),
         ])

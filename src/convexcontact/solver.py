@@ -24,7 +24,9 @@ The stopping criterion is the momentum-balance residual in relative form:
                               + 1e-14 * |A v*|
 
 recorded in Solution.stop_criterion for traceability, since tolerance
-semantics otherwise tend to drift between implementations.
+semantics otherwise tend to drift between implementations.  The norms are
+taken by `safe_norm`, so impulses too large to square still compare as
+finite numbers instead of reading inf <= inf.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .batch import ContactBatch
 from .dynamics import StepProblem
 
-__all__ = ["SolveOptions", "Solution", "SolverFailure", "solve_step", "condition_number"]
+__all__ = ["SolveOptions", "Solution", "SolverFailure", "solve_step", "condition_number",
+           "safe_norm"]
 
 STOP_CRITERION = "momentum_residual <= rel_tol*max(|A(v-v*)|,|J'gamma|) + 1e-14*|A v*|"
 
@@ -73,6 +76,22 @@ class Solution:
     diagnostic: str = ""
     step_lengths: list = field(default_factory=list)  # line-search alpha per iteration
     contact_evaluations: int = 0  # contact-term evaluations, line-search probes included
+
+
+def safe_norm(x: np.ndarray, axis: Optional[int] = None):
+    """np.linalg.norm(x, axis=axis), bitwise wherever that is finite.
+
+    A vector (a row, for axis=1) whose squares overflow is scaled by its
+    largest entry first; one holding inf gets inf.  Emits no warnings.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x, axis=axis)
+        if (norm < np.inf).all():
+            return norm
+        peak = np.abs(x).max(axis=axis, keepdims=True)
+        scale = np.where((peak > 0.0) & (peak < np.inf), peak, 1.0)
+        scaled = np.squeeze(scale, axis) * np.linalg.norm(x / scale, axis=axis)
+    return np.where(norm < np.inf, norm, scaled)
 
 
 class _Terms:
@@ -155,11 +174,8 @@ def _line_search(terms: _Terms, v, step, momentum, slope):
     return alpha, trial, out, probes
 
 
-def solve_step(problem: StepProblem, model: Optional[str] = None,
-               opts: SolveOptions = SolveOptions()) -> Solution:
+def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Solution:
     """Solve one implicit step; warm starts at the previous velocities v0."""
-    if model is not None and model != problem.model:
-        raise ValueError(f"problem was assembled for {problem.model!r}, not {model!r}")
     if not np.all(np.isfinite(problem.v0)):
         raise SolverFailure("non-finite warm start v0")
 
@@ -182,8 +198,8 @@ def solve_step(problem: StepProblem, model: Optional[str] = None,
         grad = momentum - jt_gamma
         if not np.all(np.isfinite(grad)):
             raise SolverFailure("non-finite cost gradient")
-        scale = max(np.linalg.norm(momentum), np.linalg.norm(jt_gamma))
-        if np.linalg.norm(grad) <= opts.rel_tol * scale + abs_floor:
+        scale = max(safe_norm(momentum), safe_norm(jt_gamma))
+        if safe_norm(grad) <= opts.rel_tol * scale + abs_floor:
             converged = True
             diagnostic = ""
             break

@@ -12,8 +12,11 @@ Three checks run over a deterministic cloud of randomized contact states:
 
 The models are evaluated through `potentials.evaluate`, which runs the same
 array kernel (`batch.ContactBatch.evaluate`) as the solver, so the checks
-certify the code that steps the simulations.  Each check evaluates a
-state's whole stencil, the state and its 4 * dim offset points, in one call.
+certify the code that steps the simulations; the naive field runs through
+`potentials.naive_impulse` on the same kernel's impulse and soft norm.  Each
+check evaluates a state's whole stencil, the state and its 4 * dim offset
+points, in one call.  The regime boundaries that states are kept away from
+are computed from the kernel parameters and soft norm of the state as well.
 
 Finite differences use 4th-order central stencils: the friction models have
 third derivatives of order 1/eps_s^2, and the tight stiction tolerances used
@@ -33,7 +36,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .normal_laws import DiscreteNormal, HuntCrossley, discrete_impulse, transition_velocity
+from .normal_laws import DiscreteNormal, HuntCrossley, discrete_impulse
 from .potentials import (
     MODEL_IDS,
     ContactData,
@@ -119,7 +122,7 @@ class ValidationReport:
 def canonical_data(dim: int = 3, dt: float = 0.01) -> ContactData:
     """Reference contact data for the released validation suite."""
     law = HuntCrossley(stiffness=1e7, dissipation=50.0)
-    normal = DiscreteNormal.from_penetration(law, x0=5e-4, dt=dt)
+    normal = DiscreteNormal(law, x0=5e-4, dt=dt)
     friction = FrictionParams(mu=0.5, v_s=1e-4, sigma=1e-3, tau_d=1e-3)
     # Previous normal impulse at the midpoint penetration scale.
     return ContactData(normal=normal, friction=friction,
@@ -144,12 +147,11 @@ def sample_states(data: ContactData, spec: SamplingSpec):
     eps = data.friction.v_s
     for _ in range(spec.samples):
         x0 = rng.uniform(spec.x0_low, spec.x0_high)
-        normal = DiscreteNormal.from_penetration(data.normal.law, x0, data.normal.dt)
+        normal = DiscreteNormal(data.normal.law, x0, data.normal.dt)
         state = replace(data, normal=normal)
-        vhat = transition_velocity(normal)
         if spec.regime == "sliding":
             vt_mag = _loguniform(rng, max(100.0 * eps, 1e-3), spec.speed_high)
-            v_n = vhat - _loguniform(rng, 1e-2, 1.0)
+            v_n = kernel_params("lagged", state).vhat[0] - _loguniform(rng, 1e-2, 1.0)
         else:
             if rng.uniform() < 0.25:
                 vt_mag = rng.uniform(0.0, eps)
@@ -196,18 +198,18 @@ def _params(field_id: str, state: ContactData):
 def _kink_distance(params, v_c) -> float:
     """kink_distance from the kernel parameters of the state, by the kernel
     they run."""
-    v_t, v_n = np.asarray(v_c[:-1]), float(v_c[-1])
+    v_c = np.asarray(v_c, dtype=float)
+    v_n = float(v_c[-1])
     # The impulse's roots x0/dt and 1/d; the smaller one is vhat.
     kinks = [params.x0[0] / params.dt] + ([1.0 / params.d] if params.d > 0.0 else [])
     if params.model == "lagged":
         return min(abs(v_n - kink) for kink in kinks)
     if params.model == "similar":
-        eps = params.eps[0]
-        z = v_n - params.mu * (np.sqrt(float(v_t @ v_t) + eps * eps) - eps)
+        z = v_n - params.mu * float(params._soft(v_c[None, :-1])[0][0])
         scale = np.sqrt(1.0 + params.mu ** 2)
         return min(abs(z - kink) for kink in kinks) / scale
     r_t, r_n, mu, mu_hat = params.r_t[0], params.r_n, params.mu, params.mu_hat[0]
-    y_t, y_n = params.sap_y(np.asarray(v_c, dtype=float)[None, :])
+    y_t, y_n = params.sap_y(v_c[None, :])
     ny_t = float(np.linalg.norm(y_t[0]))
     g_stick = ny_t - mu * y_n[0]
     g_sep = y_n[0] + mu_hat * ny_t
@@ -266,7 +268,7 @@ def check_curl(impulse_field: str, data: ContactData, states: SamplingSpec) -> V
     for state, v_c, h in _checked_states(impulse_field, data, states, report):
         hess = None
         if impulse_field == "naive":
-            gammas = np.array([naive_impulse(state, u) for u in _stencil(v_c, h)])
+            gammas = naive_impulse(state, _stencil(v_c, h))
         else:
             out = evaluate(impulse_field, state, _stencil(v_c, h))
             gammas, hess = out.gamma, out.hessian[0]

@@ -2,7 +2,8 @@
 
 A batched call must equal the same velocities evaluated one row at a time,
 its regime-boundary conventions are pinned directly, and criterion 1's
-checks and the solver must reach the same kernel function.
+checks and the solver must reach the same kernel function; so must the
+naive negative control, which is checked against its written-out formula.
 """
 
 import numpy as np
@@ -15,10 +16,10 @@ from convexcontact.normal_laws import (
     HuntCrossley,
     LogBarrier,
     UnsupportedLaw,
-    impulse_derivative,
-    transition_velocity,
+    discrete_impulse,
 )
-from convexcontact.potentials import ContactData, FrictionParams, evaluate
+from convexcontact.potentials import (ContactData, FrictionParams, evaluate, kernel_params,
+                                      naive_impulse)
 from convexcontact.scenarios import ScenarioSpec, Simulation
 from convexcontact.solver import solve_step
 
@@ -26,7 +27,7 @@ from convexcontact.solver import solve_step
 def make_data(dim, k=1e4, d=2.0, x0=1e-3, dt=0.01, mu=0.5, sigma=1e-3, tau_d=1e-3,
               gamma_n0=0.08, w=2.0):
     return ContactData(
-        normal=DiscreteNormal.from_penetration(HuntCrossley(k, d), x0, dt),
+        normal=DiscreteNormal(HuntCrossley(k, d), x0, dt),
         friction=FrictionParams(mu=mu, v_s=1e-3, sigma=sigma, tau_d=tau_d),
         gamma_n0=gamma_n0, delassus_w=w, dim=dim)
 
@@ -42,7 +43,7 @@ def test_batch_matches_reference_on_random_states(model):
                        rng.normal(scale=0.5, size=(60, dim)))
         # Rows on the regime boundaries: the transition velocity, the
         # stiction center and SAP's cone apex.
-        vhat = transition_velocity(data.normal)
+        vhat = kernel_params(model, data).vhat[0]
         vhat_n = data.normal.x0 / (data.normal.dt + data.friction.tau_d)
         v_c[:3] = 0.0
         v_c[0, -1], v_c[1, -1] = vhat, vhat_n
@@ -58,16 +59,19 @@ def test_batch_matches_reference_on_random_states(model):
 @pytest.mark.parametrize("model", ["lagged", "similar", "sap"])
 def test_batch_matches_reference_at_regime_boundaries(model):
     """lagged/similar: at v_n = vhat the normal Hessian entry is the
-    active-side -n'(vhat).  SAP: on the stiction-cone boundary the Hessian
+    active-side -n'(vhat), written out below.  SAP: on the stiction-cone boundary the Hessian
     is the stiction one, diag(1/R_t, .., 1/R_n)."""
     for dim in (2, 3):
         if model != "sap":
-            data = make_data(dim)
-            vhat = transition_velocity(data.normal)
+            k, d, x0, dt = 1e4, 2.0, 1e-3, 0.01
+            data = make_data(dim, k=k, d=d, x0=x0, dt=dt)
+            vhat = kernel_params(model, data).vhat[0]
             v_c = np.zeros(dim)
             v_c[-1] = vhat
             hess = evaluate(model, data, v_c).hessian
-            assert hess[-1, -1] == -impulse_derivative(data.normal, vhat) > 0.0
+            active = dt * (dt * k * (1.0 - d * vhat) + d * k * (x0 - dt * vhat))
+            assert hess[-1, -1] == pytest.approx(active, rel=1e-12)
+            assert active > 0.0
             continue
         # Powers of two make the boundary exact: R_t = 2^-10, R_n = 1,
         # vhat_n = 1, so v_n = 0.5 gives y_n = 0.5 and |y_t| = mu*y_n = 0.25.
@@ -77,7 +81,7 @@ def test_batch_matches_reference_at_regime_boundaries(model):
         v_c[0], v_c[-1] = 0.25 * 2.0 ** -10, 0.5
         params = ContactBatch(
             "sap", dim, 0.25, data.normal.law, data.friction, x0=np.array([0.5]),
-            f0=np.array([4.0]), gamma_n0=np.array([0.08]), w=np.array([1.0]))
+            gamma_n0=np.array([0.08]), w=np.array([1.0]))
         y_t, y_n = params.sap_y(v_c[None, :])
         assert np.linalg.norm(y_t[0]) == data.friction.mu * y_n[0] > 0.0
         out = evaluate("sap", data, v_c)
@@ -89,7 +93,7 @@ def test_batch_matches_reference_at_regime_boundaries(model):
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_non_hunt_crossley_law_is_unsupported(model):
-    data = ContactData(normal=DiscreteNormal(LogBarrier(1.0), -1e-3, 0.0, 0.01),
+    data = ContactData(normal=DiscreteNormal(LogBarrier(1.0), -1e-3, 0.01),
                        friction=FrictionParams(mu=0.5))
     with pytest.raises(UnsupportedLaw):
         evaluate(model, data, np.zeros(3))
@@ -116,3 +120,32 @@ def test_criterion_1_checks_and_solver_reach_the_same_kernel(monkeypatch):
     calls.clear()
     sol = solve_step(problem)
     assert sol.converged and len(calls) == sol.contact_evaluations > 0
+
+
+def test_naive_curl_check_makes_one_kernel_call_per_state(monkeypatch):
+    calls = []
+    kernel = ContactBatch.naive_impulse
+
+    def counted(self, v_c):
+        calls.append(len(v_c))
+        return kernel(self, v_c)
+
+    monkeypatch.setattr(ContactBatch, "naive_impulse", counted)
+    report = validation.check_curl("naive", validation.canonical_data(),
+                                   validation.SamplingSpec(samples=20, seed=1, regime="sliding"))
+    assert report.samples > 0 and len(calls) == report.samples
+    assert set(calls) == {13}
+
+
+def test_naive_impulse_matches_written_out_field():
+    """-mu * n(v_n) * v_t / sqrt(|v_t|^2 + v_s^2), with n the defining
+    discrete impulse, on the sliding states criterion 1 checks."""
+    data = validation.canonical_data()
+    mu, v_s = data.friction.mu, data.friction.v_s
+    spec = validation.SamplingSpec(samples=200, seed=4, regime="sliding")
+    for state, v_c in validation.sample_states(data, spec):
+        n_v = discrete_impulse(state.normal, v_c[-1])
+        v_t = v_c[:-1]
+        want = np.append(-mu * n_v * v_t / np.sqrt(v_t @ v_t + v_s * v_s), n_v)
+        assert n_v > 0.0
+        np.testing.assert_allclose(naive_impulse(state, v_c), want, rtol=1e-14, atol=0.0)

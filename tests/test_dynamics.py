@@ -7,7 +7,6 @@ from convexcontact.dynamics import (
     World,
     advance_state,
     assemble_problem,
-    delassus_diagonal,
     mass_matrix,
 )
 from convexcontact.potentials import FrictionParams
@@ -112,12 +111,11 @@ class TestDelassus:
         # Contact at the lowest point, normal through the COM: the rotational
         # entry is r x n = r_x*n_y - r_y*n_x with r = (0, -r): normal row has
         # no rotation, tangential row does (rolling).  The trace mixes them.
-        w = delassus_diagonal(problem)[0]
+        w = problem.w[0]
         m, radius, inertia = 0.5, 0.025, 0.5 * 0.5 * 0.025 ** 2
         w_t = 1.0 / m + radius ** 2 / inertia
         w_n = 1.0 / m
         assert w == pytest.approx((w_t + w_n) / 2.0)
-        assert problem.w[0] == pytest.approx(w)
 
     def test_two_identical_bodies_double_the_weight(self):
         # Exactly touching so both lever arms match the single-body case.
@@ -128,8 +126,8 @@ class TestDelassus:
         ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
         pair = assemble_problem(World(dim=3, bodies=[a, b], margin=1e-3), 1e-3, "lagged")
         single = assemble_problem(World(dim=3, bodies=[ground, b], margin=0.06), 1e-3, "lagged")
-        w_pair = delassus_diagonal(pair)[0]
-        w_single = delassus_diagonal(single)[0]
+        w_pair = pair.w[0]
+        w_single = single.w[0]
         assert w_pair == pytest.approx(2.0 * w_single, rel=1e-12)
 
 

@@ -1,8 +1,12 @@
+"""Force laws, the defining discrete impulse, and the contact-model kernel's
+closed-form Hunt & Crossley normal: vhat, n, n' and N."""
+
 import math
 
 import numpy as np
 import pytest
 
+from convexcontact.batch import ContactBatch
 from convexcontact.normal_laws import (
     BarrierBreach,
     DiscreteNormal,
@@ -12,17 +16,35 @@ from convexcontact.normal_laws import (
     UnsupportedLaw,
     convexity_margin,
     discrete_impulse,
-    impulse_antiderivative,
-    impulse_derivative,
     normal_force,
-    transition_velocity,
 )
+from convexcontact.potentials import FrictionParams
 
 from fd import fd_derivative
 
 
-def hc(k=1e4, d=50.0, x0=1e-3, dt=0.01):
-    return DiscreteNormal.from_penetration(HuntCrossley(k, d), x0, dt)
+class HcNormal:
+    """The kernel's Hunt & Crossley normal of one contact, on scalars."""
+
+    def __init__(self, k=1e4, d=50.0, x0=1e-3, dt=0.01, law=None):
+        self.law = HuntCrossley(k, d) if law is None else law
+        self.x0, self.dt = x0, dt
+        self.kernel = ContactBatch("lagged", 3, dt, self.law, FrictionParams(mu=0.5),
+                                   x0=np.array([x0]), gamma_n0=np.zeros(1), w=np.ones(1))
+        self.vhat = float(self.kernel.vhat[0])
+
+    def n(self, v_n):
+        return float(self.kernel.normal_impulse(np.array([v_n]))[0])
+
+    def slope(self, v_n):
+        return float(self.kernel._impulse_derivative(np.array([v_n]))[0])
+
+    def N(self, v_n):
+        return float(self.kernel._antiderivative(np.array([v_n]))[0])
+
+    def reference(self, v_n):
+        """The defining n(v_n) = dt * f_n(x0 - dt*v_n, -v_n)."""
+        return discrete_impulse(DiscreteNormal(self.law, self.x0, self.dt), v_n)
 
 
 class TestNormalForce:
@@ -126,84 +148,90 @@ class TestConvexityMargin:
 
 class TestTransitionVelocity:
     def test_geometric_bound(self):
-        assert transition_velocity(hc(d=0.0)) == pytest.approx(0.1)
+        assert HcNormal(d=0.0).vhat == pytest.approx(0.1)
 
     def test_dissipation_bound(self):
-        assert transition_velocity(hc(d=50.0)) == pytest.approx(0.02)
+        assert HcNormal(d=50.0).vhat == pytest.approx(0.02)
 
     def test_touching_contact(self):
-        assert transition_velocity(hc(x0=0.0, d=0.0)) == 0.0
+        assert HcNormal(x0=0.0, d=0.0).vhat == 0.0
 
     def test_unsupported_law(self):
-        dn = DiscreteNormal(LogBarrier(1.0), -1e-3, 0.0, 0.01)
         with pytest.raises(UnsupportedLaw):
-            transition_velocity(dn)
+            HcNormal(x0=-1e-3, law=LogBarrier(1.0))
 
 
 class TestDiscreteImpulse:
     def test_elastic_value_at_rest(self):
-        assert discrete_impulse(hc(d=0.0), 0.0) == pytest.approx(0.1)
+        assert HcNormal(d=0.0).n(0.0) == pytest.approx(0.1)
+        assert HcNormal(d=0.0).reference(0.0) == pytest.approx(0.1)
 
     def test_zero_at_transition(self):
-        dn = hc()
-        assert discrete_impulse(dn, transition_velocity(dn)) == 0.0
-        assert discrete_impulse(dn, transition_velocity(dn) + 1.0) == 0.0
+        dn = HcNormal()
+        assert dn.n(dn.vhat) == 0.0
+        assert dn.n(dn.vhat + 1.0) == 0.0
+        assert dn.reference(dn.vhat + 1.0) == 0.0
 
     def test_dissipative_value(self):
         # dt*k*(x0 - dt*v)*(1 - d*v) = 0.01 * 1e4 * 9e-4 * 0.5
-        assert discrete_impulse(hc(), 0.01) == pytest.approx(0.045)
+        assert HcNormal().n(0.01) == pytest.approx(0.045)
+        assert HcNormal().reference(0.01) == pytest.approx(0.045)
 
     def test_nonnegative_and_nonincreasing(self):
+        # The kernel's closed form also matches the defining substitution,
+        # up to the round-off of the cancellation x0 - dt*v_n near vhat.
         rng = np.random.default_rng(5)
         for _ in range(200):
-            dn = hc(k=10.0 ** rng.uniform(3, 7), d=10.0 ** rng.uniform(-3, 2),
+            dn = HcNormal(k=10.0 ** rng.uniform(3, 7), d=10.0 ** rng.uniform(-3, 2),
                     x0=rng.uniform(0.0, 1e-3))
-            vhat = transition_velocity(dn)
-            vs = np.sort(rng.uniform(vhat - 2.0, vhat + 1.0, size=32))
-            ns = [discrete_impulse(dn, v) for v in vs]
-            assert min(ns) >= 0.0
-            below = [n for v, n in zip(vs, ns) if v < vhat]
+            vs = np.sort(rng.uniform(dn.vhat - 2.0, dn.vhat + 1.0, size=32))
+            ns = dn.kernel.normal_impulse(vs)
+            assert ns.min() >= 0.0
+            below = ns[vs < dn.vhat]
             assert all(a >= b - 1e-12 for a, b in zip(below, below[1:]))
+            ref = np.array([dn.reference(v) for v in vs])
+            k, d = dn.law.stiffness, dn.law.dissipation
+            tol = 1e-12 * dn.dt * k * (dn.x0 + dn.dt * np.abs(vs)) * (1.0 + d * np.abs(vs))
+            assert (np.abs(ns - ref) <= tol).all()
 
     def test_barrier_laws_direct_substitution(self):
-        dn = DiscreteNormal(LogBarrier(2.0), -0.5, 0.0, 0.01)
+        dn = DiscreteNormal(LogBarrier(2.0), -0.5, 0.01)
         assert discrete_impulse(dn, -1.0) == pytest.approx(0.01 * 2.0 / 0.49)
 
 
 class TestAntiderivative:
     def test_plateau_past_transition(self):
-        dn = hc()
-        vhat = transition_velocity(dn)
-        plateau = impulse_antiderivative(dn, vhat)
-        assert impulse_antiderivative(dn, vhat + 0.7) == plateau
-        assert impulse_antiderivative(dn, vhat + 123.0) == plateau
+        dn = HcNormal()
+        plateau = dn.N(dn.vhat)
+        assert dn.N(dn.vhat + 0.7) == plateau
+        assert dn.N(dn.vhat + 123.0) == plateau
 
     def test_derivative_matches_impulse(self):
-        dn = hc()
-        fd = fd_derivative(lambda v: impulse_antiderivative(dn, v), 0.005)
-        assert fd == pytest.approx(discrete_impulse(dn, 0.005), rel=1e-6)
+        dn = HcNormal()
+        fd = fd_derivative(dn.N, 0.005)
+        assert fd == pytest.approx(dn.n(0.005), rel=1e-6)
+        assert fd == pytest.approx(dn.reference(0.005), rel=1e-6)
 
     def test_derivative_matches_impulse_random_sweep(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            dn = hc(k=10.0 ** rng.uniform(3, 7), d=10.0 ** rng.uniform(-2, 2),
+            dn = HcNormal(k=10.0 ** rng.uniform(3, 7), d=10.0 ** rng.uniform(-2, 2),
                     x0=rng.uniform(1e-5, 1e-3), dt=10.0 ** rng.uniform(-3, -1.5))
-            vhat = transition_velocity(dn)
-            for v in rng.uniform(vhat - 1.0, vhat + 0.5, size=100):
-                if abs(v - vhat) < 1e-4:
+            for v in rng.uniform(dn.vhat - 1.0, dn.vhat + 0.5, size=100):
+                if abs(v - dn.vhat) < 1e-4:
                     continue
-                fd = fd_derivative(lambda u: impulse_antiderivative(dn, u), v)
-                n = discrete_impulse(dn, v)
-                assert fd == pytest.approx(n, rel=1e-6, abs=1e-9)
+                fd = fd_derivative(dn.N, v)
+                assert fd == pytest.approx(dn.n(v), rel=1e-6, abs=1e-9)
 
     def test_elastic_case_is_parabola(self):
-        dn = hc(d=0.0)
+        dn = HcNormal(d=0.0)
+        k = dn.law.stiffness
         for v in (-0.3, 0.0, 0.05):
-            expected = dn.dt * v * (dn.f0 - dn.dt * dn.law.stiffness * v / 2.0)
-            assert impulse_antiderivative(dn, v) == pytest.approx(expected, rel=1e-12)
+            expected = dn.dt * v * (k * dn.x0 - dn.dt * k * v / 2.0)
+            assert dn.N(v) == pytest.approx(expected, rel=1e-12)
 
     def test_force_form_matches_penetration_form(self):
-        # With f0 = k*x0 the stored-force form must agree with
+        # The kernel's elastic-force form, with f0 = k*x0, must agree with
         # dt*k*[v*(x0 - dt*v/2) - d*v^2/2*(x0 - 2*dt*v/3)] to round-off.
         rng = np.random.default_rng(23)
         for _ in range(100):
@@ -211,36 +239,32 @@ class TestAntiderivative:
             d = 10.0 ** rng.uniform(-2, 2)
             x0 = rng.uniform(1e-6, 1e-3)
             dt = 10.0 ** rng.uniform(-3, -1.5)
-            dn = DiscreteNormal.from_penetration(HuntCrossley(k, d), x0, dt)
-            v = rng.uniform(-1.0, transition_velocity(dn))
+            dn = HcNormal(k=k, d=d, x0=x0, dt=dt)
+            v = rng.uniform(-1.0, dn.vhat)
             direct = dt * k * (v * (x0 - 0.5 * dt * v) - d * 0.5 * v * v * (x0 - (2.0 / 3.0) * dt * v))
-            assert impulse_antiderivative(dn, v) == pytest.approx(direct, rel=1e-12)
+            assert dn.N(v) == pytest.approx(direct, rel=1e-12)
 
     def test_unsupported_law(self):
-        dn = DiscreteNormal(IpcBarrier(1.0, 1e-3), -5e-4, 0.0, 0.01)
         with pytest.raises(UnsupportedLaw):
-            impulse_antiderivative(dn, 0.0)
+            HcNormal(x0=-5e-4, law=IpcBarrier(1.0, 1e-3))
 
 
 class TestImpulseDerivative:
     def test_matches_fd(self):
-        dn = hc()
+        dn = HcNormal()
         for v in (-0.5, -0.01, 0.0, 0.015):
-            fd = fd_derivative(lambda u: discrete_impulse(dn, u), v)
-            assert impulse_derivative(dn, v) == pytest.approx(fd, rel=1e-6)
+            assert dn.slope(v) == pytest.approx(fd_derivative(dn.n, v), rel=1e-6)
+            assert dn.slope(v) == pytest.approx(fd_derivative(dn.reference, v), rel=1e-6)
 
     def test_left_value_at_kink(self):
-        dn = hc()
-        vhat = transition_velocity(dn)
-        assert impulse_derivative(dn, vhat) == pytest.approx(
-            impulse_derivative(dn, vhat - 1e-9), rel=1e-6
-        )
-        assert impulse_derivative(dn, vhat + 1e-9) == 0.0
+        dn = HcNormal()
+        assert dn.slope(dn.vhat) == pytest.approx(dn.slope(dn.vhat - 1e-9), rel=1e-6)
+        assert dn.slope(dn.vhat + 1e-9) == 0.0
 
     def test_nonpositive_on_active_side(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            dn = hc(k=10.0 ** rng.uniform(3, 7), d=10.0 ** rng.uniform(-3, 2),
+            dn = HcNormal(k=10.0 ** rng.uniform(3, 7), d=10.0 ** rng.uniform(-3, 2),
                     x0=rng.uniform(0.0, 1e-3))
-            v = rng.uniform(-2.0, transition_velocity(dn))
-            assert impulse_derivative(dn, v) <= 0.0
+            v = rng.uniform(-2.0, dn.vhat)
+            assert dn.slope(v) <= 0.0

@@ -10,16 +10,14 @@ from convexcontact.normal_laws import (
     LogBarrier,
     UnsupportedLaw,
     discrete_impulse,
-    transition_velocity,
 )
 from convexcontact.potentials import (
     ContactData,
     FrictionParams,
     PotentialEval,
-    effective_stiction_tolerance,
     evaluate,
+    kernel_params,
     naive_impulse,
-    sap_stiction_tolerance,
 )
 
 from fd import fd_gradient, fd_jacobian
@@ -28,7 +26,7 @@ from fd import fd_gradient, fd_jacobian
 def make_data(mu=0.5, v_s=0.05, sigma=1e-3, tau_d=1e-3, k=1e4, d=2.0,
               x0=1e-3, dt=0.01, gamma_n0=0.08, w=1.0, dim=3):
     return ContactData(
-        normal=DiscreteNormal.from_penetration(HuntCrossley(k, d), x0, dt),
+        normal=DiscreteNormal(HuntCrossley(k, d), x0, dt),
         friction=FrictionParams(mu=mu, v_s=v_s, sigma=sigma, tau_d=tau_d),
         gamma_n0=gamma_n0,
         delassus_w=w,
@@ -38,7 +36,7 @@ def make_data(mu=0.5, v_s=0.05, sigma=1e-3, tau_d=1e-3, k=1e4, d=2.0,
 
 def random_state(rng, data, avoid_kinks=True):
     """A contact velocity spanning stiction/sliding/approach/separation."""
-    vhat = transition_velocity(data.normal)
+    vhat = kernel_params("lagged", data).vhat[0]
     while True:
         v_t = rng.normal(scale=10.0 ** rng.uniform(-3, 0), size=data.dim - 1)
         v_n = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 0)
@@ -53,20 +51,21 @@ def random_state(rng, data, avoid_kinks=True):
 
 class TestEffectiveStictionTolerance:
     def test_plain_models_use_v_s(self):
-        assert effective_stiction_tolerance("lagged", make_data(gamma_n0=0.0)) == 0.05
-        assert effective_stiction_tolerance("lagged", make_data(gamma_n0=10.0)) == 0.05
+        assert kernel_params("lagged", make_data(gamma_n0=0.0)).eps[0] == 0.05
+        assert kernel_params("lagged", make_data(gamma_n0=10.0)).eps[0] == 0.05
 
     def test_impact_regularization(self):
         data = make_data(v_s=1e-4, sigma=1e-3, mu=0.5, w=2.0, gamma_n0=0.0)
-        assert effective_stiction_tolerance("lagged_regularized", data) == 1e-4
+        assert kernel_params("lagged_regularized", data).eps[0] == 1e-4
         # sigma*w*mu*gamma_n0 = 1e-3 * 2 * 0.5 * 1.0 = 1e-3 = 10*v_s
         data = make_data(v_s=1e-4, sigma=1e-3, mu=0.5, w=2.0, gamma_n0=1.0)
-        assert effective_stiction_tolerance("lagged_regularized", data) == pytest.approx(1e-3)
+        assert kernel_params("lagged_regularized", data).eps[0] == pytest.approx(1e-3)
 
     def test_sap_tolerance_tracks_current_impulse(self):
         data = make_data(v_s=1e-4, sigma=1e-3, mu=0.5, w=2.0)
-        assert sap_stiction_tolerance(data, 3.0) == pytest.approx(3e-3)
-        assert sap_stiction_tolerance(data, 0.0) == 0.0
+        sap = kernel_params("sap", data)
+        assert sap.stiction_tolerance(np.array([3.0]))[0] == pytest.approx(3e-3)
+        assert sap.stiction_tolerance(np.array([0.0]))[0] == 0.0
 
 
 class TestLagged:
@@ -78,14 +77,14 @@ class TestLagged:
 
     def test_tangential_impulse_at_eps(self):
         data = make_data(mu=0.5, gamma_n0=1.0)
-        eps = effective_stiction_tolerance("lagged", data)
+        eps = kernel_params("lagged", data).eps[0]
         out = evaluate("lagged", data, [eps, 0.0, 0.0])
         assert out.gamma[0] == pytest.approx(-0.5 / math.sqrt(2.0))
         assert out.gamma[1] == 0.0
 
     def test_coulomb_asymptote(self):
         data = make_data(mu=0.5, gamma_n0=1.0)
-        eps = effective_stiction_tolerance("lagged", data)
+        eps = kernel_params("lagged", data).eps[0]
         out = evaluate("lagged", data, [100.0 * eps, 0.0, 0.0])
         assert np.linalg.norm(out.gamma[:2]) == pytest.approx(0.5, rel=5e-5)
 
@@ -157,7 +156,7 @@ class TestSap:
 
     def test_rejects_barrier_law(self):
         data = ContactData(
-            normal=DiscreteNormal(LogBarrier(1.0), -1e-3, 0.0, 0.01),
+            normal=DiscreteNormal(LogBarrier(1.0), -1e-3, 0.01),
             friction=FrictionParams(mu=0.5),
         )
         with pytest.raises(UnsupportedLaw):
@@ -180,7 +179,7 @@ class TestNaive:
 
     def test_symmetric_on_plateau(self):
         data = make_data()
-        vhat = transition_velocity(data.normal)
+        vhat = kernel_params("lagged", data).vhat[0]
         v_c = np.array([0.5, 0.1, vhat + 0.5])  # n constant (zero) here
         jac = fd_jacobian(lambda u: naive_impulse(data, u), v_c)
         assert np.linalg.norm(jac - jac.T) <= 1e-10

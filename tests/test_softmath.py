@@ -1,11 +1,39 @@
+"""The contact-model kernel's soft norm sqrt(|x|^2 + eps^2) - eps, its
+gradient (the soft unit vector) and its Hessian, for tangential vectors of
+dimension 1 or 2 and eps the kernel's stiction tolerance."""
+
 import math
 
 import numpy as np
 import pytest
 
-from convexcontact.softmath import soft_norm, soft_norm_hessian, soft_unit
+from convexcontact.batch import ContactBatch
+from convexcontact.normal_laws import DiscreteNormal, HuntCrossley
+from convexcontact.potentials import ContactData, FrictionParams, evaluate
 
 from fd import fd_gradient, fd_jacobian, fd_step
+
+
+def _kernel(x, eps):
+    x = np.asarray(x, dtype=float)
+    batch = ContactBatch("lagged", x.size + 1, 0.01, HuntCrossley(1e4),
+                         FrictionParams(mu=0.5, v_s=eps),
+                         x0=np.zeros(1), gamma_n0=np.zeros(1), w=np.ones(1))
+    soft, unit, den = batch._soft(x[None, :])
+    return batch, soft, unit, den
+
+
+def soft_norm(x, eps):
+    return float(_kernel(x, eps)[1][0])
+
+
+def soft_unit(x, eps):
+    return _kernel(x, eps)[2][0]
+
+
+def soft_norm_hessian(x, eps):
+    batch, _, unit, den = _kernel(x, eps)
+    return batch._soft_hessian_block(unit, den)[0]
 
 
 def test_zero_vector_is_exactly_zero():
@@ -88,9 +116,13 @@ def test_norm_bounds_and_convexity():
 
 
 def test_rejects_bad_eps_and_shapes():
+    # eps reaches the kernel as the friction's v_s, v_t as part of the
+    # contact velocities that evaluate checks.
     with pytest.raises(ValueError):
         soft_norm([1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
         soft_unit([1.0, 2.0], -1.0)
+    data = ContactData(normal=DiscreteNormal(HuntCrossley(1e4), 1e-3, 0.01),
+                       friction=FrictionParams(mu=0.5, v_s=1.0))
     with pytest.raises(ValueError):
-        soft_norm(np.ones(3), 1.0)
+        evaluate("lagged", data, np.ones(4))

@@ -70,7 +70,7 @@ def test_invalid_dissipation_breaks_psd():
     object.__setattr__(law, "stiffness", 1e5)
     object.__setattr__(law, "dissipation", -5.0)
     data = ContactData(
-        normal=DiscreteNormal(law, 5e-4, 50.0, 0.01),
+        normal=DiscreteNormal(law, 5e-4, 0.01),
         friction=FrictionParams(mu=0.5, v_s=1e-4),
         gamma_n0=0.5,
         dim=3,
@@ -118,7 +118,7 @@ def test_barrier_antiderivative_quadrature():
         (IpcBarrier(5.0, 1e-3), -5e-4, (-0.02, 0.0, 0.2)),  # breach below v = -0.05
     )
     for law, x0, points in cases:
-        dn = DiscreteNormal(law, x0, 0.0, 0.01)
+        dn = DiscreteNormal(law, x0, 0.01)
         v_ref = 1.0
         for v in points:
             fd = fd_derivative(lambda u: barrier_antiderivative(dn, u, v_ref), v, h=1e-7)
