@@ -10,6 +10,12 @@ emitted while x0 > -margin so an approaching pair enters the implicit step
 one step early; force laws clamp to zero until actual overlap.  Contact
 normals point from body b towards body a.
 
+`detect_contacts` returns a `ContactSet`: n contacts as arrays, pair (n, 2)
+(body a, body b), point (n, dim), normal (n, dim), x0 (n,) and feature (n,),
+built without a Python object per contact.  Sphere pairs and sphere/plane
+pairs come from one broadcast over all pairs; box corners and rod endpoints
+are tested against a half-space in one pass over the vertices.
+
 Feature ids are stable while the contact topology is unchanged: spheres
 have a single feature 0, box corners and rod endpoints use their local
 vertex index.  The stepping layer keys previous-step impulses on
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,10 +36,8 @@ __all__ = [
     "Box",
     "Rod",
     "Shape",
-    "Contact",
+    "ContactSet",
     "DEFAULT_MARGIN",
-    "sphere_halfspace",
-    "sphere_sphere",
     "box_halfspace_corners",
     "rod_endpoint_halfspace",
 ]
@@ -101,52 +105,33 @@ Shape = Union[Sphere, HalfSpace, Box, Rod]
 
 
 @dataclass(frozen=True)
-class Contact:
-    """One contact point between bodies a and b, normal from b to a."""
+class ContactSet:
+    """n contacts as arrays; the normal of contact i points from body
+    pair[i, 1] (b) towards body pair[i, 0] (a)."""
 
-    body_a: int
-    body_b: int
-    point: np.ndarray
-    normal: np.ndarray
-    x0: float
-    feature: int = 0
+    pair: np.ndarray  # (n, 2) body indices a, b
+    point: np.ndarray  # (n, dim)
+    normal: np.ndarray  # (n, dim)
+    x0: np.ndarray  # (n,)
+    feature: np.ndarray  # (n,)
+
+    def __len__(self) -> int:
+        return len(self.x0)
 
     @property
-    def key(self) -> tuple:
-        return (self.body_a, self.body_b, self.feature)
+    def keys(self) -> list:
+        """(body a, body b, feature) per contact, as tuples of ints."""
+        return list(zip(*self.pair.T.tolist(), self.feature.tolist()))
 
 
-def sphere_halfspace(center, radius: float, hs: HalfSpace,
-                     margin: float = DEFAULT_MARGIN) -> Optional[Contact]:
-    """Contact of a sphere/disk against a half-space, or None if separated."""
-    center = np.asarray(center, dtype=float)
-    n = hs.n
-    x0 = radius + hs.offset - float(n @ center)
-    if x0 <= -margin:
-        return None
-    point = center - radius * n
-    return Contact(body_a=-1, body_b=-1, point=point, normal=n, x0=x0)
-
-
-def sphere_sphere(center_a, radius_a: float, center_b, radius_b: float,
-                  margin: float = DEFAULT_MARGIN) -> Optional[Contact]:
-    """Contact between two spheres; the normal runs from b to a."""
-    ca = np.asarray(center_a, dtype=float)
-    cb = np.asarray(center_b, dtype=float)
-    delta = ca - cb
-    dist = float(np.linalg.norm(delta))
-    x0 = radius_a + radius_b - dist
-    if x0 <= -margin:
-        return None
-    if dist < 1e-12:
-        n = np.zeros(ca.size)
-        n[-1] = 1.0
-        log.warning("coincident sphere centers at %s; using fallback normal %s", ca, n)
-    else:
-        n = delta / dist
-    # Midpoint of the overlap segment between the two surface points.
-    point = 0.5 * ((cb + radius_b * n) + (ca - radius_a * n))
-    return Contact(body_a=-1, body_b=-1, point=point, normal=n, x0=x0)
+def _halfspace_vertices(vertices: np.ndarray, hs: HalfSpace, margin: float):
+    """(point, x0, feature) of the vertices (m, dim) within margin of the
+    half-space; a vertex's feature id is its row index."""
+    # One dot per vertex, bitwise n @ vertex (a matrix-vector product may
+    # round differently).
+    x0 = hs.offset - np.matmul(vertices[:, None, :], hs.n)[:, 0]
+    feature = np.flatnonzero(x0 > -margin)
+    return vertices[feature], x0[feature], feature
 
 
 def _box_corners(position, orientation, half_extents) -> np.ndarray:
@@ -164,62 +149,52 @@ def _box_corners(position, orientation, half_extents) -> np.ndarray:
 
 
 def box_halfspace_corners(position, orientation, box: Box, hs: HalfSpace,
-                          margin: float = DEFAULT_MARGIN) -> list[Contact]:
-    """One contact per box corner within margin of the half-space surface."""
-    n = hs.n
-    contacts = []
-    for idx, corner in enumerate(_box_corners(position, orientation, box.half_extents)):
-        x0 = hs.offset - float(n @ corner)
-        if x0 > -margin:
-            contacts.append(Contact(body_a=-1, body_b=-1, point=corner,
-                                    normal=n, x0=x0, feature=idx))
-    return contacts
+                          margin: float = DEFAULT_MARGIN):
+    """(point, x0, feature) of the box corners within margin of the half-space."""
+    return _halfspace_vertices(_box_corners(position, orientation, box.half_extents), hs, margin)
 
 
 def rod_endpoint_halfspace(position, angle: float, rod: Rod, hs: HalfSpace,
-                           margin: float = DEFAULT_MARGIN) -> list[Contact]:
-    """Point contacts at rod endpoints within margin of the half-space."""
+                           margin: float = DEFAULT_MARGIN):
+    """(point, x0, feature) of the rod endpoints within margin of the half-space."""
     position = np.asarray(position, dtype=float)
-    axis = np.array([np.cos(angle), np.sin(angle)])
-    n = hs.n
-    contacts = []
-    for idx, end in enumerate((position - 0.5 * rod.length * axis,
-                               position + 0.5 * rod.length * axis)):
-        x0 = hs.offset - float(n @ end)
-        if x0 > -margin:
-            contacts.append(Contact(body_a=-1, body_b=-1, point=end,
-                                    normal=n, x0=x0, feature=idx))
-    return contacts
+    half = 0.5 * rod.length * np.array([np.cos(angle), np.sin(angle)])
+    return _halfspace_vertices(np.array([position - half, position + half]), hs, margin)
 
 
-def _sphere_contacts(bodies, margin: float) -> list[Contact]:
+def _sphere_contacts(bodies, margin: float) -> list:
     """Sphere/sphere and sphere/half-space contacts by broadcasting over pairs.
 
-    Same formulas as `sphere_sphere` and `sphere_halfspace`, over every
-    sphere pair and every sphere/half-space pair with a free body.
+    Every sphere pair and every sphere/half-space pair with a free body;
+    returns (pair, point, normal, x0, feature) array parts, half-space
+    contacts first.
     """
     spheres = [i for i, b in enumerate(bodies) if isinstance(b.shape, Sphere)]
     planes = [i for i, b in enumerate(bodies) if isinstance(b.shape, HalfSpace)]
     if not spheres:
         return []
     free = np.array([b.motion == "free" for b in bodies])
+    spheres = np.array(spheres)
     sphere_free = free[spheres]
     center = np.array([bodies[i].position for i in spheres], dtype=float)
     radius = np.array([bodies[i].shape.radius for i in spheres])
-    up = np.eye(center.shape[1])[-1]
-    found = []
+    parts = []
 
     if planes:
+        planes = np.array(planes)
         normal = np.array([bodies[h].shape.normal for h in planes])
         offset = np.array([bodies[h].shape.offset for h in planes])
         x0 = radius[:, None] + offset[None, :] - center @ normal.T
         keep = ~(x0 <= -margin) & (sphere_free[:, None] | free[planes][None, :])
-        for s, h in zip(*np.nonzero(keep)):
-            found.append(Contact(body_a=spheres[s], body_b=planes[h],
-                                 point=center[s] - radius[s] * normal[h],
-                                 normal=normal[h], x0=float(x0[s, h])))
+        s, h = np.nonzero(keep)
+        parts.append((np.array([spheres[s], planes[h]]).T,
+                      center[s] - radius[s, None] * normal[h], normal[h], x0[s, h],
+                      np.zeros(len(s), dtype=int)))
 
-    a, b = np.triu_indices(len(spheres), k=1)
+    # Every pair a < b, in row-major order (np.triu_indices, without its
+    # fixed cost).
+    index = np.arange(len(spheres))
+    a, b = np.nonzero(index[:, None] < index)
     delta = center[a] - center[b]
     dist = np.linalg.norm(delta, axis=1)
     x0 = radius[a] + radius[b] - dist
@@ -227,18 +202,18 @@ def _sphere_contacts(bodies, margin: float) -> list[Contact]:
     a, b, delta, dist, x0 = a[keep], b[keep], delta[keep], dist[keep], x0[keep]
     coincident = dist < 1e-12
     normal = delta / np.where(coincident, 1.0, dist)[:, None]
+    up = np.eye(center.shape[1])[-1]
     normal[coincident] = up
     for ca in center[a[coincident]]:
         log.warning("coincident sphere centers at %s; using fallback normal %s", ca, up)
     # Midpoint of the overlap segment between the two surface points.
     point = 0.5 * ((center[b] + radius[b, None] * normal) + (center[a] - radius[a, None] * normal))
-    for k in range(len(a)):
-        found.append(Contact(body_a=spheres[a[k]], body_b=spheres[b[k]], point=point[k],
-                             normal=normal[k], x0=float(x0[k])))
-    return found
+    parts.append((np.array([spheres[a], spheres[b]]).T, point, normal, x0,
+                  np.zeros(len(a), dtype=int)))
+    return parts
 
 
-def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> list[Contact]:
+def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> ContactSet:
     """All contacts of a body list, in (lower, higher) body-index pair order.
 
     Bodies expose shape/position/orientation/motion attributes; pairs of two
@@ -251,7 +226,8 @@ def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> list[Contact]:
     planes = [b for b in bodies if isinstance(b.shape, HalfSpace)]
     if len(planes) > 1 and any(b.motion == "free" for b in planes):
         raise NotImplementedError("no narrow phase for HalfSpace/HalfSpace")
-    contacts = _sphere_contacts(bodies, margin)
+    dim = bodies[0].position.size
+    parts = _sphere_contacts(bodies, margin)
     for i, a in enumerate(bodies):
         if isinstance(a.shape, (Sphere, HalfSpace)):
             continue
@@ -259,25 +235,35 @@ def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> list[Contact]:
             if j == i or (a.motion != "free" and b.motion != "free"):
                 continue
             if isinstance(a.shape, Box) and isinstance(b.shape, HalfSpace):
-                found = box_halfspace_corners(a.position, a.orientation, a.shape, b.shape, margin)
+                point, x0, feature = box_halfspace_corners(a.position, a.orientation, a.shape,
+                                                           b.shape, margin)
             elif isinstance(a.shape, Rod) and isinstance(b.shape, HalfSpace):
-                found = rod_endpoint_halfspace(a.position, a.orientation, a.shape, b.shape, margin)
+                point, x0, feature = rod_endpoint_halfspace(a.position, a.orientation, a.shape,
+                                                            b.shape, margin)
             else:
                 raise NotImplementedError(
                     f"no narrow phase for {type(a.shape).__name__}/{type(b.shape).__name__}"
                 )
-            contacts.extend(Contact(body_a=i, body_b=j, point=c.point, normal=c.normal,
-                                    x0=c.x0, feature=c.feature) for c in found)
+            parts.append((np.full((len(x0), 2), (i, j)), point,
+                          np.full((len(x0), dim), b.shape.n), x0, feature))
+    if not parts:
+        return ContactSet(np.zeros((0, 2), dtype=int), np.zeros((0, dim)), np.zeros((0, dim)),
+                          np.zeros(0), np.zeros(0, dtype=int))
+    pair, point, normal, x0, feature = (np.concatenate(column) for column in zip(*parts))
     # Stable: each pair's contacts keep their feature order.
-    contacts.sort(key=lambda c: (min(c.body_a, c.body_b), max(c.body_a, c.body_b)))
-    return contacts
+    order = np.lexsort((pair.max(axis=1), pair.min(axis=1)))
+    return ContactSet(pair[order], point[order], normal[order], x0[order], feature[order])
 
 
 def quaternion_matrix(q) -> np.ndarray:
-    """Rotation matrix from a unit quaternion (w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    """Rotation matrices (..., 3, 3) from unit quaternions (..., 4), (w, x, y, z)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.reshape(-1, 4).T
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
+    entries = np.array([
+        1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
+        2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
+        2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
     ])
+    return entries.T.reshape(q.shape[:-1] + (3, 3))

@@ -6,19 +6,21 @@ velocity, orientation as a unit quaternion w-first).  Prescribed bodies
 carry no degrees of freedom; their surface motion enters contact constraints
 through the bias term only.
 
-`assemble_problem` runs the collision pass and freezes one StepProblem in
-array form, built in one vectorized pass over all contacts:
+`assemble_problem` runs the collision pass, which returns the contacts as
+arrays (`collision.ContactSet`), and freezes one StepProblem in array form,
+built in one vectorized pass over all bodies and all contacts:
 
 - A, the dense block-diagonal mass matrix (n_v, n_v), and a_inv, its
-  inverse blocks (n_free, nv_body, nv_body), one per free body;
+  inverse blocks (n_free, nv_body, nv_body), one per free body; every mass
+  block comes from one batched R I R' (`mass_blocks`);
 - the free-motion velocity v* = v0 + dt * A^-1 * f_ext;
 - J (n * dim, n_v), the contact frame Jacobians stacked row-wise: rows
   i*dim .. i*dim + dim - 1 hold contact i's tangent row(s), then its
   normal row, as blocks [F, r x F] at each free body's columns;
 - bias (n, dim), the frame velocity from prescribed body motion, so that
   the contact velocities are (J v).reshape(n, dim) + bias;
-- the Delassus diagonal w (n,), w_i = trace(J_i A^-1 J_i') / dim, from J
-  and a_inv;
+- the Delassus diagonal w (n,), w_i = trace(J_i A^-1 J_i') / dim, from the
+  two body blocks of each contact and their inverse mass blocks;
 - per contact, its key (body a, body b, feature), the penetration x0 (n,)
   and the previous-step normal impulse gamma_n0 (n,), matched by key and
   zero for fresh contacts;
@@ -44,6 +46,7 @@ __all__ = [
     "StepProblem",
     "assemble_problem",
     "advance_state",
+    "mass_blocks",
 ]
 
 
@@ -141,6 +144,18 @@ class StepProblem:
         return (self.J @ v).reshape(self.bias.shape) + self.bias
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis of (..., 3) arrays, in np.cross's arithmetic."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    first = a1 * b2 - a2 * b1
+    out = np.empty(first.shape + (3,))
+    out[..., 0] = first
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def _contact_frames(normals: np.ndarray) -> np.ndarray:
     """Orthonormal frames (n, dim, dim), tangent rows first, normal last.
 
@@ -152,9 +167,12 @@ def _contact_frames(normals: np.ndarray) -> np.ndarray:
         return np.stack([tangent, normals], axis=1)
     ref = np.zeros_like(normals)
     ref[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
-    t1 = np.cross(normals, ref)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    return np.stack([t1, np.cross(normals, t1), normals], axis=1)
+    frames = np.empty((len(normals), 3, 3))
+    t1 = _cross(normals, ref)
+    frames[:, 0] = t1 / np.linalg.norm(t1, axis=1, keepdims=True)
+    frames[:, 1] = _cross(normals, frames[:, 0])
+    frames[:, 2] = normals
+    return frames
 
 
 def _frame_jacobians(frames: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -163,7 +181,7 @@ def _frame_jacobians(frames: np.ndarray, r: np.ndarray) -> np.ndarray:
     if r.shape[-1] == 2:
         ang = r[..., None, 0] * frames[..., 1] - r[..., None, 1] * frames[..., 0]
         return np.concatenate([frames, ang[..., None]], axis=-1)
-    return np.concatenate([frames, np.cross(r[..., None, :], frames)], axis=-1)
+    return np.concatenate([frames, _cross(r[..., None, :], frames)], axis=-1)
 
 
 def _inertia_spd(inertia) -> bool:
@@ -175,16 +193,28 @@ def _inertia_spd(inertia) -> bool:
     return np.linalg.eigvalsh(inertia)[0] > 0.0
 
 
-def mass_matrix(body: Body, dim: int) -> np.ndarray:
+def mass_blocks(bodies: list, dim: int) -> np.ndarray:
+    """Mass matrices (n, nv_body, nv_body) of free bodies, all in one pass.
+
+    diag(m, m, I) in 2D; in 3D diag(m * I_3, R I R') with R the rotation of
+    the body's quaternion and I its body-frame inertia, a scalar standing
+    for I * I_3 or a 3x3 matrix.
+    """
+    n = len(bodies)
+    mass = np.array([b.mass for b in bodies], dtype=float)
     if dim == 2:
-        return np.diag([body.mass, body.mass, float(body.inertia)])
-    rot = quaternion_matrix(body.orientation)
-    inertia = body.inertia
-    i_body = float(inertia) * np.eye(3) if np.isscalar(inertia) else np.asarray(inertia, dtype=float)
-    m = np.zeros((6, 6))
-    m[:3, :3] = body.mass * np.eye(3)
-    m[3:, 3:] = rot @ i_body @ rot.T
-    return m
+        blocks = np.zeros((n, 3, 3))
+        blocks[:, 0, 0] = blocks[:, 1, 1] = mass
+        blocks[:, 2, 2] = [float(b.inertia) for b in bodies]
+        return blocks
+    eye = np.eye(3)
+    inertia = np.array([b.inertia * eye if np.isscalar(b.inertia) else b.inertia
+                        for b in bodies], dtype=float).reshape(n, 3, 3)
+    rot = quaternion_matrix(np.array([b.orientation for b in bodies], dtype=float).reshape(n, 4))
+    blocks = np.zeros((n, 6, 6))
+    blocks[:, :3, :3] = mass[:, None, None] * eye
+    blocks[:, 3:, 3:] = rot @ inertia @ rot.transpose(0, 2, 1)
+    return blocks
 
 
 def assemble_problem(world: World, dt: float, model: str,
@@ -204,13 +234,14 @@ def assemble_problem(world: World, dt: float, model: str,
     dim, nvb = world.dim, world.nv_per_body
     bodies = world.bodies
     free = world.free_bodies
+    free_bodies = [bodies[idx] for idx in free]
     n_free = len(free)
     n_v = nvb * n_free
 
-    blocks = np.array([mass_matrix(bodies[idx], dim) for idx in free]).reshape(n_free, nvb, nvb)
-    for idx, finite in zip(free, np.isfinite(blocks).all(axis=(1, 2))):
-        if not (finite and _inertia_spd(bodies[idx].inertia)):
-            raise ValueError(f"mass matrix of body {bodies[idx].name!r} is not SPD")
+    blocks = mass_blocks(free_bodies, dim)
+    for body, finite in zip(free_bodies, np.isfinite(blocks).all(axis=(1, 2))):
+        if not (finite and _inertia_spd(body.inertia)):
+            raise ValueError(f"mass matrix of body {body.name!r} is not SPD")
     a_inv = np.linalg.inv(blocks)
     a4 = np.zeros((n_free, nvb, n_free, nvb))
     a4[np.arange(n_free), :, np.arange(n_free), :] = blocks
@@ -219,11 +250,11 @@ def assemble_problem(world: World, dt: float, model: str,
     slot = np.full(len(bodies), n_free)
     slot[free] = np.arange(n_free)
     force = np.zeros((n_free, nvb))
-    force[:, :dim] = np.array([bodies[idx].mass for idx in free])[:, None] * world.gravity
+    force[:, :dim] = np.array([b.mass for b in free_bodies])[:, None] * world.gravity
     for idx, f in (external or {}).items():
         if slot[idx] < n_free:
             force[slot[idx]] += np.asarray(f, dtype=float)
-    v0 = np.array([bodies[idx].velocity for idx in free]).reshape(n_free, nvb)
+    v0 = np.array([b.velocity for b in free_bodies]).reshape(n_free, nvb)
     v_star = v0 + dt * np.einsum("sij,sj->si", a_inv, force)
 
     found = detect_contacts(bodies, world.margin)
@@ -237,62 +268,80 @@ def assemble_problem(world: World, dt: float, model: str,
             spatial[idx] = body.prescribed_velocity(t_mid)
 
     # Both sides of every contact at once: pair (n, 2) holds body a, body b.
-    pair = np.array([(c.body_a, c.body_b) for c in found], dtype=int).reshape(n, 2)
-    frames = _contact_frames(np.array([c.normal for c in found], dtype=float).reshape(n, dim))
-    points = np.array([c.point for c in found], dtype=float).reshape(n, dim)
+    pair = found.pair
+    frames = _contact_frames(found.normal)
     jac = _frame_jacobians(np.repeat(frames[:, None], 2, axis=1),
-                           points[:, None, :] - position[pair])
+                           found.point[:, None, :] - position[pair])
     jac[:, 1] *= -1.0
     bias = np.einsum("isdk,isk->id", jac, spatial[pair])
     j5 = np.zeros((n, dim, n_free + 1, nvb))
     j5[np.arange(n)[:, None], :, slot[pair]] = jac
     J = j5[:, :, :n_free].reshape(n * dim, n_v)
+    # The scratch block's zero inverse mass drops the prescribed side.
+    a_pair = np.concatenate([a_inv, np.zeros((1, nvb, nvb))])[slot[pair]]
 
-    gamma_n0 = np.array([prev_impulses.get(c.key, 0.0) for c in found], dtype=float)
+    keys = found.keys
+    gamma_n0 = np.array([prev_impulses.get(key, 0.0) for key in keys], dtype=float)
     if (gamma_n0 < 0.0).any():
         raise ValueError("previous-step normal impulses must be >= 0")
     return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=a4.reshape(n_v, n_v),
                        a_inv=a_inv, v0=v0.ravel(), v_star=v_star.ravel(), J=J, bias=bias,
-                       keys=[c.key for c in found],
-                       x0=np.array([c.x0 for c in found], dtype=float),
-                       gamma_n0=gamma_n0, w=_delassus(J, a_inv, dim),
+                       keys=keys, x0=found.x0, gamma_n0=gamma_n0,
+                       w=_delassus(jac, a_pair, dim),
                        law=HuntCrossley(world.stiffness, world.dissipation),
                        friction=world.friction)
 
 
-def _delassus(J: np.ndarray, a_inv: np.ndarray, dim: int) -> np.ndarray:
-    """Per-contact trace(J_i A^-1 J_i') / dim from the inverse mass blocks."""
-    n_free, nvb = a_inv.shape[:2]
-    j4 = J.reshape(J.shape[0] // dim, dim, n_free, nvb)
-    w = np.einsum("idsk,skl,idsl->i", j4, a_inv, j4) / dim
+def _delassus(jac: np.ndarray, a_pair: np.ndarray, dim: int) -> np.ndarray:
+    """Per-contact trace(J_i A^-1 J_i') / dim from the body blocks jac
+    (n, 2, dim, nv_body) and their inverse mass blocks (n, 2, nv_body, nv_body).
+
+    The blocks are laid out (n, dim, 2, nv_body) in memory, so that einsum
+    sums in the row, body, column order of the dense trace over all bodies
+    and w matches it bitwise.
+    """
+    j4 = np.ascontiguousarray(jac.transpose(0, 2, 1, 3))
+    w = np.einsum("idsk,iskl,idsl->i", j4, a_pair, j4) / dim
     if not (w > 0.0).all():
         raise ValueError("contact with no effective mass; check free-body pairing")
     return w
 
 
-def _quat_mul(p, q):
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
+def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton products of quaternion rows (n, 4), w first."""
+    pw, px, py, pz = p.T
+    qw, qx, qy, qz = q.T
     return np.array([
         pw * qw - px * qx - py * qy - pz * qz,
         pw * qx + px * qw + py * qz - pz * qy,
         pw * qy - px * qz + py * qw + pz * qx,
         pw * qz + px * qy - py * qx + pz * qw,
-    ])
+    ]).T
 
 
-def advance_state(body: Body, v_next: np.ndarray, dt: float) -> Body:
-    """First-order state advance: explicit position update from the new velocity."""
-    if body.motion != "free":
-        return body
-    v_next = np.asarray(v_next, dtype=float)
-    dim = body.position.size
-    body.velocity = v_next.copy()
-    body.position = body.position + dt * v_next[:dim]
+def advance_state(bodies, v_next: np.ndarray, dt: float) -> None:
+    """First-order state advance of many bodies in one pass: explicit
+    position update from the new velocities.
+
+    bodies is a list of bodies, or one body; v_next holds one generalized
+    velocity per body, in order ((n * nv_body,) or (n, nv_body)).
+    Prescribed bodies keep their state.
+    """
+    bodies = [bodies] if isinstance(bodies, Body) else bodies
+    free = [body.motion == "free" for body in bodies]
+    v_next = np.array(v_next, dtype=float).reshape(len(bodies), -1)[free]
+    bodies = [body for body, moving in zip(bodies, free) if moving]
+    if not bodies:
+        return
+    dim = bodies[0].position.size
+    position = np.array([b.position for b in bodies]) + dt * v_next[:, :dim]
     if dim == 2:
-        body.orientation = float(body.orientation) + dt * v_next[2]
+        orientation = np.array([float(b.orientation) for b in bodies]) + dt * v_next[:, 2]
     else:
-        omega = np.append(0.0, v_next[3:])
-        q = body.orientation + dt * 0.5 * _quat_mul(omega, body.orientation)
-        body.orientation = q / np.linalg.norm(q)
-    return body
+        q = np.array([b.orientation for b in bodies])
+        omega = np.column_stack([np.zeros(len(bodies)), v_next[:, 3:]])
+        q = q + dt * 0.5 * _quat_mul(omega, q)
+        # Row norms as np.linalg.norm takes them, through one dot per row.
+        orientation = q / np.sqrt(np.matmul(q[:, None, :], q[:, :, None])[:, 0])
+    for body, p, o, v in zip(bodies, position, orientation, v_next):
+        body.position, body.orientation, body.velocity = p, o, v

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -344,6 +345,10 @@ class Trajectory:
         return ke
 
 
+# Contact channels recorded per step, in record column order.
+_CHANNELS = ("v_n", "v_t", "f_n", "f_t", "x0", "eps_s")
+
+
 class Simulation:
     """Owns the world, the contact-impulse memory and the recorders."""
 
@@ -354,6 +359,8 @@ class Simulation:
         self.memory = self._seed_memory()
         self.step_index = 0
         self._free = [self.world.bodies[i] for i in self.world.free_bodies]
+        # Per step: contact keys (a list of n tuples), channels (n, 6) in
+        # _CHANNELS order, iterations, condition number and cost.
         self._records: list = []
         self._states = [self._state_row()]
 
@@ -372,12 +379,13 @@ class Simulation:
         return dict(zip(problem.keys, impulses.tolist()))
 
     def _state_row(self):
-        qs, vs = [], []
-        for body in self._free:
-            qs.extend(np.atleast_1d(body.position))
-            qs.extend(np.atleast_1d(body.orientation))
-            vs.extend(body.velocity)
-        return np.array(qs), np.array(vs)
+        """(q, v) of the free bodies, one row per body: position then
+        orientation, and generalized velocity."""
+        n = len(self._free)
+        position = np.array([b.position for b in self._free]).reshape(n, -1)
+        orientation = np.array([b.orientation for b in self._free], dtype=float).reshape(n, -1)
+        return (np.concatenate([position, orientation], axis=1),
+                np.array([b.velocity for b in self._free]))
 
     def assemble(self):
         return assemble_problem(self.world, self.spec.dt, self.spec.model,
@@ -396,7 +404,7 @@ class Simulation:
 
         dt = self.spec.dt
         v_c = problem.contact_velocities(sol.v)
-        gammas = np.reshape(sol.impulses, v_c.shape)
+        gammas = sol.impulses
         gamma_n = gammas[:, -1]
         rows = np.column_stack([
             v_c[:, -1],
@@ -404,20 +412,17 @@ class Simulation:
             gamma_n / dt,
             safe_norm(gammas[:, :-1], axis=1) / dt,
             problem.x0,
-            ContactBatch.build(problem).stiction_tolerance(gamma_n),
+            sol.stiction_tolerance,
         ])
         if not np.isfinite(rows).all():
             raise ScenarioError(f"{where}: non-finite contact channel (v_n, v_t, f_n, f_t, "
                                 f"x0, eps_s); config {self.spec.as_dict()}")
-        record = dict(zip(problem.keys, map(tuple, rows.tolist())))
         self.memory = dict(zip(problem.keys, gamma_n.tolist()))
-        nvb = self.world.nv_per_body
-        for slot, idx in enumerate(self.world.free_bodies):
-            advance_state(self.world.bodies[idx], sol.v[slot * nvb:(slot + 1) * nvb],
-                          self.spec.dt)
-        self.world.time += self.spec.dt
+        advance_state(self._free, sol.v, dt)
+        self.world.time += dt
         self.step_index += 1
-        self._records.append((record, sol.iterations, sol.condition_number, sol.cost))
+        self._records.append((problem.keys, rows, sol.iterations, sol.condition_number,
+                              sol.cost))
         self._states.append(self._state_row())
         return sol
 
@@ -431,8 +436,8 @@ class Simulation:
         spec = self.spec
         n = len(self._records)
         times = spec.dt * np.arange(n + 1)
-        q = np.array([row[0] for row in self._states])
-        v = np.array([row[1] for row in self._states])
+        q = np.array([row[0] for row in self._states]).reshape(n + 1, -1)
+        v = np.array([row[1] for row in self._states]).reshape(n + 1, -1)
 
         layout, col = [], 0
         masses, inertias = [], []
@@ -443,21 +448,21 @@ class Simulation:
             masses.append(body.mass)
             inertias.append(body.inertia)
 
-        keys = sorted({k for record, *_ in self._records for k in record})
-        index = {k: i for i, k in enumerate(keys)}
-        chan = {name: np.full((n, len(keys)), np.nan) for name in
-                ("v_n", "v_t", "f_n", "f_t", "x0", "eps_s")}
-        iters = np.zeros(n, dtype=int)
-        cond = np.full(n, np.nan)
-        cost = np.zeros(n)
-        for i, (record, it, cn, c) in enumerate(self._records):
-            iters[i] = it
-            cond[i] = np.nan if cn is None else cn
-            cost[i] = c
-            for key, vals in record.items():
-                j = index[key]
-                for name, val in zip(("v_n", "v_t", "f_n", "f_t", "x0", "eps_s"), vals):
-                    chan[name][i, j] = val
+        records = self._records
+        # Sorted unique keys (lexicographic, as for tuples) and the column of
+        # every recorded contact among them.
+        every_key = np.array(list(chain.from_iterable(r[0] for r in records)),
+                             dtype=int).reshape(-1, 3)
+        keys, column = np.unique(every_key, axis=0, return_inverse=True)
+        step = np.repeat(np.arange(n), [len(r[0]) for r in records])
+        chan = np.full((len(_CHANNELS), n, len(keys)), np.nan)
+        chan[:, step, column.ravel()] = np.concatenate(
+            [r[1] for r in records] + [np.zeros((0, len(_CHANNELS)))]).T
+        chan = dict(zip(_CHANNELS, chan))
+        keys = list(map(tuple, keys.tolist()))
+        iters = np.array([r[2] for r in records], dtype=int)
+        cond = np.array([np.nan if r[3] is None else r[3] for r in records], dtype=float)
+        cost = np.array([r[4] for r in records], dtype=float)
 
         return Trajectory(
             spec=spec, times=times, q=q, v=v, q_layout=layout,

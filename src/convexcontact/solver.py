@@ -9,8 +9,12 @@ Newton system (A + J' G J) dv = -grad uses the per-contact model Hessians G,
 so the system matrix is symmetric positive definite and a Cholesky solve
 applies.  The matrix is built in one shot from the problem's stacked J:
 one batched product G_i @ J_i over the (n, dim, dim) Hessian blocks, then
-one GEMM J' (G J) added to the cached dense A.  The per-step condition
-number reuses the Hessians the solver holds at its final iterate.
+one GEMM J' (G J) added to the cached dense A.  The solver checks that
+matrix for non-finite entries itself (a `SolverFailure`), so scipy's own
+finiteness checks of the Cholesky calls are off.  The per-step condition
+number reuses the Hessians the solver holds at its final iterate, and the
+per-contact stiction tolerances of `Solution` come from the same kernel
+build, the one of the step.
 
 Line search: exact, on the convex section phi(a) = l_p(v + a*step), and
 driven by phi'(a) alone (see _line_search).  The per-contact potentials sit
@@ -66,10 +70,13 @@ class SolveOptions:
 @dataclass
 class Solution:
     v: np.ndarray
-    impulses: list
+    impulses: np.ndarray  # (n_contacts, dim)
     iterations: int
     converged: bool
     cost: float
+    # Per-contact stick-slip transition speed at the solution, from the
+    # solver's own kernel (`ContactBatch.stiction_tolerance`).
+    stiction_tolerance: np.ndarray
     cost_history: list = field(default_factory=list)
     condition_number: Optional[float] = None
     stop_criterion: str = STOP_CRITERION
@@ -84,6 +91,13 @@ def safe_norm(x: np.ndarray, axis: Optional[int] = None):
     A vector (a row, for axis=1) whose squares overflow is scaled by its
     largest entry first; one holding inf gets inf.  Emits no warnings.
     """
+    if axis is None:
+        # np.linalg.norm takes sqrt(x.dot(x)); np.vdot is that same dot
+        # but raises no floating-point warnings, so the finite case needs
+        # no errstate.
+        sq = np.vdot(x, x)
+        if sq < np.inf:
+            return np.sqrt(sq)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(x, axis=axis)
         if (norm < np.inf).all():
@@ -176,7 +190,7 @@ def _line_search(terms: _Terms, v, step, momentum, slope):
 
 def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Solution:
     """Solve one implicit step; warm starts at the previous velocities v0."""
-    if not np.all(np.isfinite(problem.v0)):
+    if not np.isfinite(problem.v0).all():
         raise SolverFailure("non-finite warm start v0")
 
     terms = _Terms(problem)
@@ -196,7 +210,7 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
     for _ in range(opts.max_iters):
         jt_gamma = problem.J.T @ gammas.ravel()
         grad = momentum - jt_gamma
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise SolverFailure("non-finite cost gradient")
         scale = max(safe_norm(momentum), safe_norm(jt_gamma))
         if safe_norm(grad) <= opts.rel_tol * scale + abs_floor:
@@ -205,9 +219,14 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
             break
 
         hess = _newton_matrix(problem, hessians)
+        # The one finiteness check of the Newton system; scipy's own checks
+        # are off.
+        if not np.isfinite(hess).all():
+            raise SolverFailure("non-finite Newton matrix")
         try:
-            step = cho_solve(cho_factor(hess, lower=True), -grad)
-        except (np.linalg.LinAlgError, ValueError) as err:
+            step = cho_solve(cho_factor(hess, lower=True, check_finite=False), -grad,
+                             check_finite=False)
+        except np.linalg.LinAlgError as err:
             raise SolverFailure(f"Newton system not SPD: {err}") from err
 
         slope = float(grad @ step)
@@ -233,9 +252,10 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
     cond = None
     if opts.compute_condition_number:
         cond = condition_number(problem, v, hessians=hessians)
-    return Solution(v=v, impulses=list(gammas),
-                    iterations=len(step_lengths), converged=converged,
-                    cost=cost, cost_history=history, condition_number=cond,
+    return Solution(v=v, impulses=gammas,
+                    iterations=len(step_lengths), converged=converged, cost=cost,
+                    stiction_tolerance=terms.batch.stiction_tolerance(gammas[:, -1]),
+                    cost_history=history, condition_number=cond,
                     diagnostic=diagnostic, step_lengths=step_lengths,
                     contact_evaluations=evaluations)
 

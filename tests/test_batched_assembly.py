@@ -1,33 +1,33 @@
 """The batched step assembly must reproduce the per-contact loops it replaced.
 
-The loops below are the reference: contact frames and point Jacobians built
-one contact at a time, the Delassus diagonal and the Newton matrix summed
-block by block, and the all-pairs narrow-phase detection.  They are compared
-with the array code on a mid-run 3D clutter pile, the 2D belt (prescribed
-surface velocity in the bias), the sliding rod's endpoints and a tilted 3D
-box's corners.
+The loops below are the reference: per-body mass matrices, contact frames
+and point Jacobians built one contact at a time, the Delassus diagonal and
+the Newton matrix summed block by block, and an all-pairs narrow-phase
+detection with the sphere formulas written out per pair.  They are compared
+with the array code on a 3D clutter pile at release and mid-run, the 2D belt
+(prescribed surface velocity in the bias), the sliding rod's endpoints and a
+tilted 3D box's corners.
 """
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from convexcontact.collision import (
     Box,
-    Contact,
     HalfSpace,
     Rod,
     Sphere,
     box_halfspace_corners,
     detect_contacts,
     rod_endpoint_halfspace,
-    sphere_halfspace,
-    sphere_sphere,
 )
 from convexcontact.dynamics import (
     Body,
     World,
     assemble_problem,
-    mass_matrix,
+    mass_blocks,
 )
 from convexcontact.potentials import FrictionParams
 from convexcontact.scenarios import ScenarioSpec, Simulation
@@ -67,6 +67,30 @@ def ref_point_velocity(dim, spatial, r):
     return spatial[:3] + np.cross(spatial[3:], r)
 
 
+RefContact = namedtuple("RefContact", "body_a body_b point normal x0 feature")
+
+
+def as_ref_contacts(found):
+    """A ContactSet as one RefContact per contact."""
+    return [RefContact(a, b, p, nrm, x, f) for (a, b), p, nrm, x, f in
+            zip(found.pair.tolist(), found.point, found.normal, found.x0, found.feature)]
+
+
+def ref_sphere_halfspace(center, radius, hs, margin):
+    x0 = radius + hs.offset - float(hs.n @ center)
+    return [] if x0 <= -margin else [(center - radius * hs.n, hs.n, x0, 0)]
+
+
+def ref_sphere_sphere(ca, ra, cb, rb, margin):
+    delta = ca - cb
+    dist = float(np.linalg.norm(delta))
+    x0 = ra + rb - dist
+    if x0 <= -margin:
+        return []
+    normal = np.eye(ca.size)[-1] if dist < 1e-12 else delta / dist
+    return [(0.5 * ((cb + rb * normal) + (ca - ra * normal)), normal, x0, 0)]
+
+
 def ref_detect(bodies, margin):
     """All-pairs loop with axis-aligned pruning of sphere pairs."""
     contacts = []
@@ -81,24 +105,43 @@ def ref_detect(bodies, margin):
                 a, b = b, a
                 ia, ib = j, i
             if isinstance(a.shape, Sphere) and isinstance(b.shape, HalfSpace):
-                c = sphere_halfspace(a.position, a.shape.radius, b.shape, margin)
-                found = [c] if c else []
+                found = ref_sphere_halfspace(a.position, a.shape.radius, b.shape, margin)
             elif isinstance(a.shape, Sphere) and isinstance(b.shape, Sphere):
                 pa, pb = np.asarray(a.position), np.asarray(b.position)
                 ra, rb = a.shape.radius, b.shape.radius
                 if (pa - ra - margin > pb + rb).any() or (pb - rb - margin > pa + ra).any():
                     continue
-                c = sphere_sphere(pa, ra, pb, rb, margin)
-                found = [c] if c else []
-            elif isinstance(a.shape, Box) and isinstance(b.shape, HalfSpace):
-                found = box_halfspace_corners(a.position, a.orientation, a.shape, b.shape, margin)
-            elif isinstance(a.shape, Rod) and isinstance(b.shape, HalfSpace):
-                found = rod_endpoint_halfspace(a.position, a.orientation, a.shape, b.shape, margin)
+                found = ref_sphere_sphere(pa, ra, pb, rb, margin)
+            elif isinstance(a.shape, (Box, Rod)) and isinstance(b.shape, HalfSpace):
+                narrow = (box_halfspace_corners if isinstance(a.shape, Box)
+                          else rod_endpoint_halfspace)
+                points, x0, feature = narrow(a.position, a.orientation, a.shape, b.shape, margin)
+                found = [(p, b.shape.n, x, f) for p, x, f in zip(points, x0, feature)]
             else:
                 raise NotImplementedError
-            contacts += [Contact(body_a=ia, body_b=ib, point=c.point, normal=c.normal,
-                                 x0=c.x0, feature=c.feature) for c in found]
+            contacts += [RefContact(ia, ib, *c) for c in found]
     return contacts
+
+
+def ref_rotation(q):
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def ref_mass_matrix(body, dim):
+    if dim == 2:
+        return np.diag([body.mass, body.mass, float(body.inertia)])
+    rot = ref_rotation(body.orientation)
+    inertia = body.inertia
+    i_body = float(inertia) * np.eye(3) if np.isscalar(inertia) else np.asarray(inertia, dtype=float)
+    m = np.zeros((6, 6))
+    m[:3, :3] = body.mass * np.eye(3)
+    m[3:, 3:] = rot @ i_body @ rot.T
+    return m
 
 
 def ref_assembly(world, dt, contacts):
@@ -111,7 +154,7 @@ def ref_assembly(world, dt, contacts):
     inv = {}
     for idx, off in offsets.items():
         body = world.bodies[idx]
-        m = mass_matrix(body, dim)
+        m = ref_mass_matrix(body, dim)
         a[off:off + nvb, off:off + nvb] = m
         inv[off] = np.linalg.inv(m)
         force = np.zeros(nvb)
@@ -203,6 +246,7 @@ def _interleaved_spheres():
 
 WORLDS = {
     "clutter": lambda: _mid_run("clutter", 30, seed=5),
+    "clutter_release": lambda: _mid_run("clutter", 0, seed=2),
     "spheres": _interleaved_spheres,
     "belt": lambda: _mid_run("belt", 5),
     "rod": lambda: _mid_run("sliding_rod", 20),
@@ -224,14 +268,14 @@ def test_detection_keys_order_and_geometry(case):
     world, _, _ = case
     got = detect_contacts(world.bodies, world.margin)
     want = ref_detect(world.bodies, world.margin)
-    assert [c.key for c in got] == [c.key for c in want]
+    assert got.keys == [(c.body_a, c.body_b, c.feature) for c in want]
     for field in ("point", "normal", "x0"):
-        close([getattr(c, field) for c in got], [getattr(c, field) for c in want])
+        close(getattr(got, field), [getattr(c, field) for c in want])
 
 
 def test_frames_jacobians_and_bias(case):
     world, dt, problem = case
-    ref = ref_assembly(world, dt, detect_contacts(world.bodies, world.margin))
+    ref = ref_assembly(world, dt, as_ref_contacts(detect_contacts(world.bodies, world.margin)))
     for key, got_blocks, frame, blocks in zip(problem.keys, jacobian_blocks(world, problem),
                                               ref["frames"], ref["blocks"]):
         # The translational columns of a body's block are +frame for body a,
@@ -249,7 +293,7 @@ def test_frames_jacobians_and_bias(case):
 
 def test_mass_matrix_free_motion_and_delassus(case):
     world, dt, problem = case
-    ref = ref_assembly(world, dt, detect_contacts(world.bodies, world.margin))
+    ref = ref_assembly(world, dt, as_ref_contacts(detect_contacts(world.bodies, world.margin)))
     close(problem.A, ref["A"])
     close(problem.v_star, ref["v_star"])
     close(problem.w, ref["delassus"])
@@ -262,3 +306,34 @@ def test_newton_matrix(case):
     spd = rng.normal(size=hessians.shape)
     for g in (hessians, spd @ spd.transpose(0, 2, 1)):
         close(_newton_matrix(problem, g), ref_newton_matrix(world, problem, g))
+
+
+def test_delassus_diagonal_from_dense_inverse(case):
+    # w_i = trace(J_i A^-1 J_i') / dim with A^-1 the inverse of the whole
+    # dense mass matrix, not of its blocks.
+    _, _, problem = case
+    dim = problem.dim
+    a_inv = np.linalg.inv(problem.A)
+    for i, w in enumerate(problem.w):
+        j_i = problem.J[i * dim:(i + 1) * dim]
+        assert w == pytest.approx(np.trace(j_i @ a_inv @ j_i.T) / dim, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mass_blocks_equal_per_body_matrices_bitwise(dim):
+    rng = np.random.default_rng(11)
+    bodies = []
+    for i in range(9):
+        if dim == 2:
+            orientation, inertia = rng.uniform(-np.pi, np.pi), rng.uniform(1e-4, 1.0)
+        else:
+            orientation = rng.normal(size=4)
+            orientation /= np.linalg.norm(orientation)
+            root = rng.normal(size=(3, 3))
+            # Scalar and anisotropic 3x3 inertias in one batch.
+            inertia = rng.uniform(1e-4, 1.0) if i % 2 else root @ root.T + 1e-3 * np.eye(3)
+        bodies.append(Body(f"b{i}", Sphere(0.1), np.zeros(dim), orientation,
+                           mass=rng.uniform(0.1, 5.0), inertia=inertia))
+    blocks = mass_blocks(bodies, dim)
+    for body, block in zip(bodies, blocks):
+        np.testing.assert_array_equal(block, ref_mass_matrix(body, dim))

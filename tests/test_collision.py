@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convexcontact.collision import (
+    DEFAULT_MARGIN,
     Box,
     HalfSpace,
     Rod,
@@ -10,76 +11,93 @@ from convexcontact.collision import (
     detect_contacts,
     quaternion_matrix,
     rod_endpoint_halfspace,
-    sphere_halfspace,
-    sphere_sphere,
 )
 from convexcontact.dynamics import Body
 
 GROUND2D = HalfSpace((0.0, 1.0), 0.0)
 
 
+def _ball(center, radius):
+    center = np.asarray(center, dtype=float)
+    orientation = 0.0 if center.size == 2 else np.array([1.0, 0.0, 0.0, 0.0])
+    return Body("ball", Sphere(radius), center, orientation, mass=1.0, inertia=1e-3)
+
+
+def sphere_halfspace(center, radius, hs, margin=DEFAULT_MARGIN):
+    """The contact set of a free ball (body 0) and a prescribed half-space."""
+    plane = Body("plane", hs, np.zeros(len(hs.normal)), motion="prescribed")
+    return detect_contacts([_ball(center, radius), plane], margin)
+
+
+def sphere_sphere(center_a, radius_a, center_b, radius_b, margin=DEFAULT_MARGIN):
+    """The contact set of two free balls a (body 0) and b (body 1)."""
+    return detect_contacts([_ball(center_a, radius_a), _ball(center_b, radius_b)], margin)
+
+
 class TestSphereHalfspace:
     def test_touching_is_emitted(self):
         c = sphere_halfspace([0.0, 0.05], 0.05, GROUND2D)
-        assert c is not None
-        assert c.x0 == pytest.approx(0.0)
+        assert len(c) == 1 and c.keys == [(0, 1, 0)]
+        assert c.x0[0] == pytest.approx(0.0)
 
     def test_penetration_depth(self):
         c = sphere_halfspace([0.0, 0.05 - 1e-4], 0.05, GROUND2D)
-        assert c.x0 == pytest.approx(1e-4)
-        np.testing.assert_allclose(c.normal, [0.0, 1.0])
-        np.testing.assert_allclose(c.point, [0.0, -1e-4])
+        assert c.x0[0] == pytest.approx(1e-4)
+        np.testing.assert_allclose(c.normal[0], [0.0, 1.0])
+        np.testing.assert_allclose(c.point[0], [0.0, -1e-4])
 
     def test_separated_beyond_margin(self):
-        assert sphere_halfspace([0.0, 0.06], 0.05, GROUND2D, margin=1e-3) is None
-        assert sphere_halfspace([0.0, 0.06], 0.05, GROUND2D, margin=0.02) is not None
+        assert len(sphere_halfspace([0.0, 0.06], 0.05, GROUND2D, margin=1e-3)) == 0
+        assert len(sphere_halfspace([0.0, 0.06], 0.05, GROUND2D, margin=0.02)) == 1
 
     def test_offset_plane_3d(self):
         hs = HalfSpace((0.0, 0.0, 1.0), 0.1)
         c = sphere_halfspace([0.0, 0.0, 0.12], 0.05, hs)
-        assert c.x0 == pytest.approx(0.03)
+        assert c.x0[0] == pytest.approx(0.03)
 
 
 class TestSphereSphere:
     def test_touching(self):
         c = sphere_sphere([0.1, 0.0], 0.05, [0.0, 0.0], 0.05)
-        assert c.x0 == pytest.approx(0.0)
+        assert len(c) == 1 and c.keys == [(0, 1, 0)]
+        assert c.x0[0] == pytest.approx(0.0)
 
     def test_overlap_and_midpoint(self):
         c = sphere_sphere([0.099, 0.0], 0.05, [0.0, 0.0], 0.05)
-        assert c.x0 == pytest.approx(1e-3)
-        np.testing.assert_allclose(c.normal, [1.0, 0.0])
-        np.testing.assert_allclose(c.point, [0.0495, 0.0])
+        assert c.x0[0] == pytest.approx(1e-3)
+        np.testing.assert_allclose(c.normal[0], [1.0, 0.0])
+        np.testing.assert_allclose(c.point[0], [0.0495, 0.0])
 
     def test_separated(self):
-        assert sphere_sphere([0.2, 0.0], 0.05, [0.0, 0.0], 0.05) is None
+        assert len(sphere_sphere([0.2, 0.0], 0.05, [0.0, 0.0], 0.05)) == 0
 
     def test_coincident_fallback_normal(self, caplog):
         with caplog.at_level("WARNING"):
             c = sphere_sphere([0.0, 0.0, 0.0], 0.05, [0.0, 0.0, 0.0], 0.05)
-        np.testing.assert_allclose(c.normal, [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(c.normal[0], [0.0, 0.0, 1.0])
         assert "coincident" in caplog.text
 
 
 class TestBoxCorners:
     def test_flat_resting_box_has_two_corner_contacts(self):
         box = Box((0.025, 0.025))
-        cs = box_halfspace_corners([0.0, 0.025], 0.0, box, GROUND2D, margin=1e-3)
-        assert len(cs) == 2
-        assert {c.feature for c in cs} == {0, 1}
-        for c in cs:
-            assert c.x0 == pytest.approx(0.0, abs=1e-15)
+        _, x0, feature = box_halfspace_corners([0.0, 0.025], 0.0, box, GROUND2D, margin=1e-3)
+        assert len(x0) == 2
+        assert set(feature.tolist()) == {0, 1}
+        for x in x0:
+            assert x == pytest.approx(0.0, abs=1e-15)
 
     def test_tilted_box_single_corner(self):
         box = Box((0.025, 0.025))
         # Lowest corner of the 0.3 rad tilted box sits 0.025*(cos+sin) below
         # the center; drop the center just past that.
-        cs = box_halfspace_corners([0.0, 0.0312], 0.3, box, GROUND2D, margin=1e-3)
-        assert len(cs) == 1
+        _, x0, _ = box_halfspace_corners([0.0, 0.0312], 0.3, box, GROUND2D, margin=1e-3)
+        assert len(x0) == 1
 
     def test_lifted_box_empty(self):
         box = Box((0.025, 0.025))
-        assert box_halfspace_corners([0.0, 0.1], 0.0, box, GROUND2D, margin=1e-3) == []
+        _, x0, _ = box_halfspace_corners([0.0, 0.1], 0.0, box, GROUND2D, margin=1e-3)
+        assert len(x0) == 0
 
 
 class TestRodEndpoints:
@@ -87,13 +105,14 @@ class TestRodEndpoints:
         rod = Rod(0.5)
         phi = np.pi / 6.0
         center = np.array([0.0, 0.25 * np.sin(phi)])
-        cs = rod_endpoint_halfspace(center, -phi, rod, GROUND2D, margin=1e-6)
-        assert len(cs) == 1
-        assert cs[0].x0 == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(cs[0].point, [0.25 * np.cos(phi), 0.0], atol=1e-12)
+        point, x0, _ = rod_endpoint_halfspace(center, -phi, rod, GROUND2D, margin=1e-6)
+        assert len(x0) == 1
+        assert x0[0] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(point[0], [0.25 * np.cos(phi), 0.0], atol=1e-12)
 
     def test_both_endpoints_above(self):
-        assert rod_endpoint_halfspace([0.0, 1.0], 0.1, Rod(0.5), GROUND2D) == []
+        _, x0, _ = rod_endpoint_halfspace([0.0, 1.0], 0.1, Rod(0.5), GROUND2D)
+        assert len(x0) == 0
 
 
 def test_query_self_consistency():
@@ -102,18 +121,18 @@ def test_query_self_consistency():
     for _ in range(100):
         center = np.array([rng.normal(), rng.uniform(0.0, 0.06)])
         c = sphere_halfspace(center, 0.05, GROUND2D, margin=0.05)
-        if c is None:
+        if len(c) == 0:
             continue
-        moved = sphere_halfspace(center + c.x0 * c.normal, 0.05, GROUND2D, margin=1.0)
-        assert abs(moved.x0) <= 1e-12
+        moved = sphere_halfspace(center + c.x0[0] * c.normal[0], 0.05, GROUND2D, margin=1.0)
+        assert abs(moved.x0[0]) <= 1e-12
     for _ in range(100):
         ca = rng.normal(size=3) * 0.05
         cb = rng.normal(size=3) * 0.05
         c = sphere_sphere(ca, 0.05, cb, 0.05, margin=0.2)
-        if c is None:
+        if len(c) == 0:
             continue
-        moved = sphere_sphere(ca + c.x0 * c.normal, 0.05, cb, 0.05, margin=1.0)
-        assert abs(moved.x0) <= 1e-12
+        moved = sphere_sphere(ca + c.x0[0] * c.normal[0], 0.05, cb, 0.05, margin=1.0)
+        assert abs(moved.x0[0]) <= 1e-12
 
 
 def test_detect_contacts_dispatch_and_feature_stability():
@@ -123,20 +142,20 @@ def test_detect_contacts_dispatch_and_feature_stability():
         Body("b0", Sphere(0.05), np.array([0.4, 0.05]), 0.0, mass=0.5, inertia=1e-4),
         Body("b1", Sphere(0.05), np.array([0.4, 0.149]), 0.0, mass=0.5, inertia=1e-4),
     ]
-    keys = {c.key for c in detect_contacts([ground, box], margin=1e-3)}
+    keys = set(detect_contacts([ground, box], margin=1e-3).keys)
     assert keys == {(1, 0, 0), (1, 0, 1)}  # two box corners
-    keys_b = {c.key for c in detect_contacts([ground] + balls, margin=1e-3)}
+    keys_b = set(detect_contacts([ground] + balls, margin=1e-3).keys)
     assert keys_b == {(1, 0, 0), (1, 2, 0)}  # lower ball on ground + pair
     # Same topology, slightly moved: identical keys.
     box.position = box.position + np.array([1e-5, -1e-6])
-    keys2 = {c.key for c in detect_contacts([ground, box], margin=1e-3)}
+    keys2 = set(detect_contacts([ground, box], margin=1e-3).keys)
     assert keys == keys2
 
 
 def test_prescribed_pairs_skipped_and_unsupported_raises():
     g1 = Body("g1", GROUND2D, np.zeros(2), motion="prescribed")
     g2 = Body("g2", HalfSpace((1.0, 0.0), 0.0), np.zeros(2), motion="prescribed")
-    assert detect_contacts([g1, g2]) == []
+    assert len(detect_contacts([g1, g2])) == 0
     b1 = Body("b1", Box((0.1, 0.1)), np.zeros(2), 0.0, mass=1.0, inertia=1.0)
     b2 = Body("b2", Box((0.1, 0.1)), np.array([0.05, 0.0]), 0.0, mass=1.0, inertia=1.0)
     with pytest.raises(NotImplementedError):

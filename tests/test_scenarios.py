@@ -126,7 +126,7 @@ def test_non_finite_contact_channel_aborts_with_step_index(monkeypatch):
 
     def overflowing(problem, opts):
         sol = solve(problem, opts=opts)
-        sol.impulses = [np.full(problem.dim, np.inf) for _ in sol.impulses]
+        sol.impulses = np.full_like(sol.impulses, np.inf)
         return sol
 
     sim = Simulation(ScenarioSpec("belt", model="lagged", duration=0.1))

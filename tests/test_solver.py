@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from convexcontact.normal_laws import DiscreteNormal
 from convexcontact.potentials import ContactData, FrictionParams, evaluate
 from convexcontact.scenarios import ScenarioSpec, Simulation
 from convexcontact.solver import (SolveOptions, Solution, SolverFailure, condition_number,
-                                  solve_step)
+                                  safe_norm, solve_step)
 
 
 def resting_disk_world(k=1e7, d=500.0, mu=0.5, x0=None):
@@ -215,6 +217,46 @@ def test_non_finite_input_raises_solver_failure():
     problem.v_star = np.array([0.0, np.nan, 0.0])
     with pytest.raises(SolverFailure, match="non-finite"):
         solve_step(problem)
+
+
+@pytest.mark.parametrize("inject", ["hessians", "J"])
+def test_non_finite_newton_matrix_raises_solver_failure(inject, monkeypatch):
+    """scipy's finiteness checks are off in the Cholesky calls; the solver's
+    own check still stops a non-finite Newton system."""
+    problem = assemble_problem(resting_disk_world(), 1e-3, "lagged")
+    problem.v0 = np.array([0.0, -0.1, 0.0])  # far from the resting solution
+    if inject == "hessians":
+        terms = ContactBatch.terms
+
+        def nan_hessians(self, v_c):
+            cost, gammas, hessians = terms(self, v_c)
+            return cost, gammas, np.full_like(hessians, np.nan)
+
+        monkeypatch.setattr(ContactBatch, "terms", nan_hessians)
+        match = "non-finite Newton matrix"
+    else:
+        problem.J[-1, 0] = np.inf
+        match = "non-finite"
+    # inf * 0 in J v and J' gamma is expected here; only the failure matters.
+    with pytest.raises(SolverFailure, match=match), np.errstate(invalid="ignore"):
+        solve_step(problem)
+
+
+def test_safe_norm_matches_numpy_and_survives_overflow():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 7, 72, 240):
+        x = rng.normal(size=size) * 10.0 ** rng.uniform(-100.0, 100.0)
+        assert np.array_equal(safe_norm(x), np.linalg.norm(x))
+        rows = rng.normal(size=(size, 2)) * 10.0 ** rng.uniform(-100.0, 100.0)
+        assert np.array_equal(safe_norm(rows, axis=1), np.linalg.norm(rows, axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert safe_norm(np.full(4, 1e200)) == pytest.approx(2e200, rel=1e-15)
+        np.testing.assert_allclose(safe_norm(np.array([[1e200, 1e200], [3.0, 4.0]]), axis=1),
+                                   [np.sqrt(2.0) * 1e200, 5.0], rtol=1e-15)
+        assert safe_norm(np.array([1.0, np.inf, -2.0])) == np.inf
+        np.testing.assert_array_equal(safe_norm(np.array([[1.0, -np.inf], [3.0, 4.0]]), axis=1),
+                                      [np.inf, 5.0])
 
 
 @pytest.mark.parametrize("model", ["lagged", "similar", "sap"])
