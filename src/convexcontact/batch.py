@@ -10,8 +10,8 @@ derivative n' and antiderivative N, and the soft norm of the regularized
 friction.  `naive_impulse` pastes the same pieces into the non-integrable
 negative control.  Two entry points reach the models:
 `ContactBatch.terms`, the solver's, which sums the costs; and
-`potentials.evaluate`, which runs one contact's data on one or many
-velocities (criterion 1's finite-difference checks go through it).
+`potentials.evaluate`, which runs one contact's data, x0 per row if need
+be, on many velocities (criterion 1's finite-difference checks use it).
 
 The model id is resolved once, in the constructor: "lagged_regularized"
 runs the lagged kernel with the impact-softened stiction tolerance.

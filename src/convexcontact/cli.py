@@ -89,18 +89,20 @@ def _spec_from(args, file_cfg: dict) -> ScenarioSpec:
     if "scenario" not in merged:
         raise ConfigError("missing required parameter: scenario")
     kwargs = {k: _coerce(k, v) for k, v in merged.items() if k in _SPEC_KEYS}
+    return _checked(ScenarioSpec, **kwargs)
+
+
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs); a rejected value is a config error."""
     try:
-        return ScenarioSpec(**kwargs)
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
 
 def _variant(spec: ScenarioSpec, **fields) -> ScenarioSpec:
-    """The resolved spec with fields replaced; a rejected value is a config error."""
-    try:
-        return replace(spec.resolve(), **fields)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    """The resolved spec with fields replaced."""
+    return _checked(replace, spec.resolve(), **fields)
 
 
 def _floats(flag: str, text: str) -> list:
@@ -206,6 +208,8 @@ def cmd_study(args) -> int:
     dts = _floats("--dts", args.dts)
     for dt in dts:  # reject a bad step size before any run
         _variant(spec, dt=dt)
+    if args.horizon is not None and not args.horizon >= max(dts):
+        raise ConfigError(f"--horizon {args.horizon} is shorter than the step {max(dts)}")
     ref = analysis.get_reference(spec, dts)
 
     rows = []
@@ -242,8 +246,12 @@ def cmd_sweep(args) -> int:
 
     jobs = [(_variant(spec, model=model, **{args.parameter: value}).as_dict(), args.tail)
             for model in models for value in values]
-
-    workers = int(os.environ.get("IRC_THREADS", "0")) or (os.cpu_count() or 1)
+    if not 0.0 <= args.tail <= spec.resolve().duration:
+        raise ConfigError(f"--tail {args.tail} must lie within the run's duration")
+    try:
+        workers = int(os.environ.get("IRC_THREADS", "0")) or (os.cpu_count() or 1)
+    except ValueError as err:
+        raise ConfigError(f"IRC_THREADS: {err}") from err
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(_sweep_entry, jobs))
@@ -269,11 +277,10 @@ def cmd_validate(args) -> int:
     if args.model not in validation.FIELD_IDS:
         raise ConfigError(f"unknown model/field {args.model!r}")
     data = validation.canonical_data(dim=args.dim)
-    spec = validation.SamplingSpec(samples=args.samples, seed=args.seed)
+    spec = _checked(validation.SamplingSpec, samples=args.samples, seed=args.seed)
     results = {}
     if args.model == "naive":
-        sliding = validation.SamplingSpec(samples=args.samples, seed=args.seed, regime="sliding")
-        report = validation.check_curl("naive", data, sliding)
+        report = validation.check_curl("naive", data, replace(spec, regime="sliding"))
         results.update({f"curl.{k}": v for k, v in report.as_dict().items()})
     else:
         for name, check in (("gradient", validation.check_gradient),

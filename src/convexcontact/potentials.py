@@ -121,9 +121,9 @@ class PotentialEval:
 
 
 def kernel_params(model: str, data: ContactData, rows: int = 1) -> ContactBatch:
-    """Kernel parameters of `rows` copies of one contact."""
+    """Kernel parameters of `rows` copies of one contact; x0 may differ per row."""
     def full(value):
-        return np.full(rows, float(value))
+        return value + np.zeros(rows)  # value broadcast over the rows
 
     normal = data.normal
     return ContactBatch(model, data.dim, normal.dt, normal.law, data.friction,
@@ -137,7 +137,7 @@ def _rows(data: ContactData, v_c):
     if v_c.shape[-1:] != (data.dim,) or v_c.ndim > 2:
         raise ValueError(f"expected contact velocities of shape ({data.dim},) or "
                          f"(m, {data.dim}), got {v_c.shape}")
-    return v_c, np.atleast_2d(v_c)
+    return v_c, v_c.reshape(-1, data.dim)
 
 
 def naive_impulse(data: ContactData, v_c) -> np.ndarray:

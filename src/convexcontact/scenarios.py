@@ -102,7 +102,7 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name in ("mu", "dissipation", "tau_d", "margin"):
+        for name in ("mu", "dissipation", "tau_d", "margin", "seed"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")

@@ -75,7 +75,7 @@ def test_missing_scenario_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--dt", "-1"), ("--n-bodies", "0"),
-                                        ("--duration", "0")])
+                                        ("--duration", "0"), ("--seed", "-1")])
 def test_bad_config_value_exits_2(flag, value, capsys):
     code = main(["run", "--scenario", "clutter", flag, value])
     assert code == 2
@@ -94,11 +94,22 @@ def test_bad_spec_field_exits_2(args, capsys):
     assert "config error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("args", [
-    ["sweep", "--scenario", "clutter", "--parameter", "stiffness", "--values", "-1",
-     "--duration", "0.01"],
-    ["study", "--scenario", "falling_sphere", "--dts", "-1"]], ids=lambda args: args[0])
-def test_bad_sweep_or_study_value_exits_2(args, capsys):
+@pytest.mark.parametrize("args,threads", [
+    (["sweep", "--scenario", "clutter", "--parameter", "stiffness", "--values", "-1",
+      "--duration", "0.01"], None),
+    (["study", "--scenario", "falling_sphere", "--dts", "-1"], None),
+    (["study", "--scenario", "falling_sphere", "--dts", "0.01,0.02", "--horizon", "0.01"], None),
+    (["sweep", "--scenario", "clutter", "--parameter", "dt", "--values", "0.005",
+      "--duration", "0.02", "--tail", "0.1"], None),
+    (["sweep", "--scenario", "clutter", "--parameter", "dt", "--values", "0.005",
+      "--duration", "0.02", "--tail", "0.01"], "x"),
+    (["validate", "--model", "lagged", "--samples", "0"], None),
+    (["validate", "--model", "naive", "--seed", "-1"], None)],
+    ids=["sweep", "study", "study-horizon", "sweep-tail", "sweep-threads",
+         "validate-samples", "validate-seed"])
+def test_bad_sweep_or_study_value_exits_2(args, threads, capsys, monkeypatch):
+    if threads is not None:
+        monkeypatch.setenv("IRC_THREADS", threads)
     code = main(args)
     assert code == 2
     err = capsys.readouterr().err
