@@ -10,6 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
+from .batch import MODEL_IDS, ContactBatch, FrictionParams  # noqa: E402
 from .normal_laws import (  # noqa: E402
     BarrierBreach,
     DiscreteNormal,
@@ -20,14 +21,6 @@ from .normal_laws import (  # noqa: E402
     convexity_margin,
     discrete_impulse,
     normal_force,
-)
-from .potentials import (  # noqa: E402
-    MODEL_IDS,
-    ContactData,
-    FrictionParams,
-    PotentialEval,
-    evaluate,
-    naive_impulse,
 )
 
 __version__ = "0.1.0"

@@ -105,12 +105,6 @@ class StudyResult:
     pair_orders: list  # slopes between consecutive ladder points, fine to coarse
     ref_dt: float
 
-    def error_at(self, dt: float) -> float:
-        for d, e in self.rows:
-            if math.isclose(d, dt):
-                return e
-        raise KeyError(dt)
-
 
 def convergence_study(spec: ScenarioSpec, dts, horizon=None, ref=None) -> StudyResult:
     """Run the ladder of step sizes and fit the convergence order."""

@@ -1,17 +1,45 @@
 """The contact-model kernel: cost, impulse and Hessian of every model.
 
 `ContactBatch` holds the kernel parameters of n contacts that share one
-Hunt & Crossley material, as (n,) arrays, and `ContactBatch.evaluate` maps
-their contact velocities v_c (n, dim) to per-contact costs (n,), impulses
-(n, dim) and Hessian blocks (n, dim, dim).  It is the only implementation of
-the lagged, similar and SAP models, and of the pieces they share: the
-discrete Hunt & Crossley impulse n(v_n) with its transition velocity vhat,
-derivative n' and antiderivative N, and the soft norm of the regularized
-friction.  `naive_impulse` pastes the same pieces into the non-integrable
-negative control.  Two entry points reach the models:
-`ContactBatch.terms`, the solver's, which sums the costs; and
-`potentials.evaluate`, which runs one contact's data, x0 per row if need
-be, on many velocities (criterion 1's finite-difference checks use it).
+Hunt & Crossley material and one `FrictionParams`, as (n,) arrays.
+`ContactBatch.evaluate` maps their contact velocities v_c (n, dim), each row
+[v_t..., v_n] (tangential components first, separation velocity last), to
+
+* costs    (n,)          -- the per-contact convex costs
+* impulses (n, dim)      -- minus the cost gradients
+* Hessians (n, dim, dim) -- symmetric positive semi-definite
+
+It is the only implementation of the models, and of the pieces they share:
+the discrete Hunt & Crossley impulse n(v_n) with its transition velocity
+vhat, derivative n' and antiderivative N, and the soft norm of the
+regularized friction.  The solver builds one per step from its StepProblem
+(`ContactBatch.build`); criterion 1's checks build theirs from sampled
+states.  Three convex models are provided, plus one deliberately
+non-integrable impulse field used as a negative control:
+
+lagged
+    Friction sees the previous-step normal impulse gamma_n0; the normal
+    impulse stays implicit.  Cost is -N(v_n) + mu*gamma_n0*|v_t|_soft and
+    separates into normal and tangential parts, so the Hessian is block
+    diagonal with no coupling artifacts.  "lagged_regularized" softens the
+    stiction tolerance during impacts to max(v_s, sigma * w * mu * gamma_n0).
+
+similar
+    Normal and friction components are coupled through the single variable
+    z = v_n - mu*|v_t|_soft, with cost -N(z).  Friction then inflates the
+    normal impulse during slip, which buys strong coupling at the price of
+    a slip-dependent effective compliance.
+
+sap
+    Linear spring with linear (relaxation time tau_d) dissipation; the
+    impulse is the projection of the unconstrained impulse y onto the
+    friction cone in the metric R = diag(R_t, R_t, R_n).  Cost is the
+    R-norm of the projected impulse, 0.5 * gamma' R gamma.
+
+naive_impulse
+    gamma_t = -mu * n(v_n) * v_t / sqrt(|v_t|^2 + v_s^2): compliant normal
+    force pasted into regularized Coulomb friction.  Its velocity Jacobian
+    is not symmetric whenever n'(v_n) != 0, so no potential generates it.
 
 The model id is resolved once, in the constructor: "lagged_regularized"
 runs the lagged kernel with the impact-softened stiction tolerance.
@@ -19,22 +47,54 @@ runs the lagged kernel with the impact-softened stiction tolerance.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from .normal_laws import HuntCrossley, UnsupportedLaw
 
-__all__ = ["ContactBatch", "MODEL_IDS"]
+__all__ = ["ContactBatch", "FrictionParams", "MODEL_IDS"]
 
 # Model ids accepted by the stepping pipeline.  "lagged_regularized" is the
 # lagged model with the impact-softened stiction tolerance switched on.
 MODEL_IDS = ("sap", "lagged", "lagged_regularized", "similar")
 
 
+@dataclass(frozen=True)
+class FrictionParams:
+    """Friction coefficient and regularization knobs, all finite.
+
+    v_s is the stiction tolerance used by the lagged/similar models; sigma
+    scales SAP's tangential regularization R_t = sigma * w and the impact
+    softening of the regularized lagged model; tau_d is SAP's linear
+    dissipation relaxation time.
+    """
+
+    mu: float
+    v_s: float = 1e-4
+    sigma: float = 1e-3
+    tau_d: float = 0.0
+
+    def __post_init__(self):
+        values = (self.mu, self.v_s, self.sigma, self.tau_d)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"friction parameters must be finite, got {values}")
+        if self.mu < 0.0:
+            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not self.v_s > 0.0:
+            raise ValueError(f"v_s must be positive, got {self.v_s}")
+        if not self.sigma > 0.0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.tau_d < 0.0:
+            raise ValueError(f"tau_d must be >= 0, got {self.tau_d}")
+
+
 class ContactBatch:
     """Kernel parameters of n contacts; x0, gamma_n0 and w are (n,) arrays.
 
     x0 is the previous-step penetration, gamma_n0 the previous-step normal
-    impulse and w the Delassus diagonal.  `friction` is a FrictionParams.
+    impulse and w the Delassus diagonal.
     """
 
     def __init__(self, model, dim, dt, law, friction, x0, gamma_n0, w):
@@ -84,6 +144,9 @@ class ContactBatch:
 
     def evaluate(self, v_c):
         """(costs (n,), gammas (n, dim), hessians (n, dim, dim)) at v_c (n, dim)."""
+        if v_c.shape != (len(self.x0), self.dim):
+            raise ValueError(f"expected contact velocities of shape ({len(self.x0)}, {self.dim}), "
+                             f"got {v_c.shape}")
         if self.model == "lagged":
             return self._lagged(v_c)
         if self.model == "similar":

@@ -54,19 +54,23 @@ def _fmt(x) -> str:
 
 def read_config(path: str) -> dict:
     """Parse a flat key=value file; blank lines and # comments allowed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: {err}") from err
     allowed = set(_SPEC_KEYS) | {"out", "summary"}
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in allowed:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in allowed:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -75,9 +79,10 @@ def _coerce(key: str, value):
         return value
     if key in _STR_KEYS:
         return value
-    if key in _INT_KEYS:
-        return int(value)
-    return float(value)
+    try:
+        return int(value) if key in _INT_KEYS else float(value)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from err
 
 
 def _spec_from(args, file_cfg: dict) -> ScenarioSpec:

@@ -10,9 +10,9 @@ through the bias term only.
 arrays (`collision.ContactSet`), and freezes one StepProblem in array form,
 built in one vectorized pass over all bodies and all contacts:
 
-- A, the dense block-diagonal mass matrix (n_v, n_v), and a_inv, its
-  inverse blocks (n_free, nv_body, nv_body), one per free body; every mass
-  block comes from one batched R I R' (`mass_blocks`);
+- A, the dense block-diagonal mass matrix (n_v, n_v); every mass block
+  comes from one batched R I R' (`mass_blocks`), and their inverses give v*
+  and the Delassus diagonal;
 - the free-motion velocity v* = v0 + dt * A^-1 * f_ext;
 - J (n * dim, n_v), the contact frame Jacobians stacked row-wise: rows
   i*dim .. i*dim + dim - 1 hold contact i's tangent row(s), then its
@@ -37,8 +37,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .collision import Shape, detect_contacts, quaternion_matrix
+from .batch import FrictionParams
 from .normal_laws import HuntCrossley
-from .potentials import FrictionParams
 
 __all__ = [
     "Body",
@@ -124,7 +124,6 @@ class StepProblem:
     model: str
     n_v: int
     A: np.ndarray  # (n_v, n_v)
-    a_inv: np.ndarray  # (n_free, nv_body, nv_body)
     v0: np.ndarray
     v_star: np.ndarray
     J: np.ndarray  # (n_contacts * dim, n_v)
@@ -218,15 +217,13 @@ def mass_blocks(bodies: list, dim: int) -> np.ndarray:
 
 
 def assemble_problem(world: World, dt: float, model: str,
-                     prev_impulses: Optional[dict] = None,
-                     external: Optional[dict] = None) -> StepProblem:
+                     prev_impulses: Optional[dict] = None) -> StepProblem:
     """Collision pass plus momentum/contact assembly for one implicit step.
 
-    prev_impulses maps contact keys to the previous-step normal impulse;
-    external maps body index to an extra generalized force.  Prescribed
-    surface velocities are sampled at the step midpoint (the mean surface
-    velocity over the step): one-sided sampling would add a tracking error
-    during stiction that dominates every model's convergence constant.
+    prev_impulses maps contact keys to the previous-step normal impulse.
+    Prescribed surface velocities are sampled at the step midpoint (the mean
+    surface velocity over the step): one-sided sampling would add a tracking
+    error during stiction that dominates every model's convergence constant.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -251,9 +248,6 @@ def assemble_problem(world: World, dt: float, model: str,
     slot[free] = np.arange(n_free)
     force = np.zeros((n_free, nvb))
     force[:, :dim] = np.array([b.mass for b in free_bodies])[:, None] * world.gravity
-    for idx, f in (external or {}).items():
-        if slot[idx] < n_free:
-            force[slot[idx]] += np.asarray(f, dtype=float)
     v0 = np.array([b.velocity for b in free_bodies]).reshape(n_free, nvb)
     v_star = v0 + dt * np.einsum("sij,sj->si", a_inv, force)
 
@@ -285,7 +279,7 @@ def assemble_problem(world: World, dt: float, model: str,
     if (gamma_n0 < 0.0).any():
         raise ValueError("previous-step normal impulses must be >= 0")
     return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=a4.reshape(n_v, n_v),
-                       a_inv=a_inv, v0=v0.ravel(), v_star=v_star.ravel(), J=J, bias=bias,
+                       v0=v0.ravel(), v_star=v_star.ravel(), J=J, bias=bias,
                        keys=keys, x0=found.x0, gamma_n0=gamma_n0,
                        w=_delassus(jac, a_pair, dim),
                        law=HuntCrossley(world.stiffness, world.dissipation),

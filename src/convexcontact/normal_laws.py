@@ -28,6 +28,7 @@ two partial derivatives so the condition can be checked pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -59,13 +60,16 @@ class UnsupportedLaw(TypeError):
 class HuntCrossley:
     """Linear elastic contact with Hunt & Crossley dissipation.
 
-    stiffness k in N/m, dissipation d in s/m.
+    stiffness k in N/m, dissipation d in s/m, both finite.
     """
 
     stiffness: float
     dissipation: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.stiffness) and math.isfinite(self.dissipation)):
+            raise ValueError(f"stiffness and dissipation must be finite, "
+                             f"got {self.stiffness}, {self.dissipation}")
         if self.stiffness < 0.0:
             raise ValueError(f"stiffness must be >= 0, got {self.stiffness}")
         if self.dissipation < 0.0:

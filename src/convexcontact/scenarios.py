@@ -38,10 +38,10 @@ from typing import Optional
 
 import numpy as np
 
-from .batch import ContactBatch
+from .batch import MODEL_IDS, ContactBatch, FrictionParams
 from .collision import Box, HalfSpace, Rod, Sphere
 from .dynamics import Body, World, advance_state, assemble_problem
-from .potentials import MODEL_IDS, FrictionParams
+from .normal_laws import HuntCrossley
 from .solver import SolveOptions, SolverFailure, safe_norm, solve_step
 
 __all__ = [
@@ -209,18 +209,14 @@ def _sliding_equilibrium_penetration(spec: ScenarioSpec, load: float,
     body at zero gap would put it far off its own equilibrium branch and
     fire it ballistic.  Solved by bisection on the monotone impulse.
     """
-    from .normal_laws import DiscreteNormal, HuntCrossley
-    from .potentials import ContactData, evaluate
-
-    law = HuntCrossley(spec.stiffness, spec.dissipation)
-    v_c = np.array([-slip, 0.0])
+    law, friction = HuntCrossley(spec.stiffness, spec.dissipation), _friction(spec)
+    v_c = np.array([[-slip, 0.0]])
     target = spec.dt * load
 
     def impulse(x0):
-        data = ContactData(normal=DiscreteNormal(law, x0, spec.dt),
-                           friction=_friction(spec), gamma_n0=target,
-                           delassus_w=w, dim=2)
-        return evaluate(spec.model, data, v_c).gamma[-1] - target
+        kernel = ContactBatch(spec.model, 2, spec.dt, law, friction, x0=np.full(1, x0),
+                              gamma_n0=np.full(1, target), w=np.full(1, w))
+        return kernel.evaluate(v_c)[1][0, -1] - target
 
     lo, hi = -0.5, 0.02
     for _ in range(200):

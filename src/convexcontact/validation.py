@@ -10,13 +10,14 @@ Three checks run over a deterministic cloud of randomized contact states:
 * check_psd      -- the analytic Hessian is positive semi-definite (the
   potential is convex).
 
-Each check runs on arrays of states: one build of the kernel parameters
-gives every state's finite-difference step and regime-boundary distance,
-and one call of `potentials.evaluate` (or `potentials.naive_impulse`)
-evaluates the stencils of all kept states, each state and its 4 * dim
-offset points.  That call runs the solver's array kernel
-(`batch.ContactBatch.evaluate`), so the checks certify the code that steps
-the simulations.  NaN-propagating reductions make a non-finite error fail.
+Each check runs on arrays of states.  `CheckData` holds what a check keeps
+fixed, and `CheckData.kernel` builds the solver's array kernel
+(`batch.ContactBatch`) over the sampled previous-step penetrations x0: one
+build gives every state's finite-difference step and regime-boundary
+distance, and one call of `ContactBatch.evaluate` (or `naive_impulse`) on a
+second build evaluates the stencils of all kept states, each state and its
+4 * dim offset points.  So the checks certify the code that steps the
+simulations.  NaN-propagating reductions make a non-finite error fail.
 
 Finite differences use 4th-order central stencils: the friction models have
 third derivatives of order 1/eps_s^2, and the tight stiction tolerances used
@@ -37,17 +38,11 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
+from .batch import MODEL_IDS, ContactBatch, FrictionParams
 from .normal_laws import DiscreteNormal, HuntCrossley, discrete_impulse
-from .potentials import (
-    MODEL_IDS,
-    ContactData,
-    FrictionParams,
-    evaluate,
-    kernel_params,
-    naive_impulse,
-)
 
 __all__ = [
+    "CheckData",
     "SamplingSpec",
     "ValidationReport",
     "FIELD_IDS",
@@ -111,14 +106,47 @@ class ValidationReport:
         return out
 
 
-def canonical_data(dim: int = 3, dt: float = 0.01) -> ContactData:
+@dataclass(frozen=True)
+class CheckData:
+    """What a check holds fixed: the Hunt & Crossley law, the friction, the
+    step dt, the previous-step normal impulse gamma_n0, the Delassus
+    diagonal w and the world dimension dim (2 or 3).  Each check samples its
+    own previous-step penetrations x0."""
+
+    law: HuntCrossley
+    friction: FrictionParams
+    dt: float
+    gamma_n0: float = 0.0
+    w: float = 1.0
+    dim: int = 3
+
+    def __post_init__(self):
+        if self.gamma_n0 < 0.0:
+            raise ValueError(f"gamma_n0 must be >= 0, got {self.gamma_n0}")
+        if not self.w > 0.0:
+            raise ValueError(f"w must be positive, got {self.w}")
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+
+    def kernel(self, model: str, x0: np.ndarray) -> ContactBatch:
+        """Kernel parameters of len(x0) contacts, one per entry of x0 (N,)."""
+        n = len(x0)
+        return ContactBatch(model, self.dim, self.dt, self.law, self.friction, x0=x0,
+                            gamma_n0=np.full(n, self.gamma_n0), w=np.full(n, self.w))
+
+
+def canonical_data(dim: int = 3, dt: float = 0.01) -> CheckData:
     """Reference contact data for the released validation suite."""
     law = HuntCrossley(stiffness=1e7, dissipation=50.0)
-    normal = DiscreteNormal(law, x0=5e-4, dt=dt)
     friction = FrictionParams(mu=0.5, v_s=1e-4, sigma=1e-3, tau_d=1e-3)
-    # Previous normal impulse at the midpoint penetration scale.
-    return ContactData(normal=normal, friction=friction,
-                       gamma_n0=dt * law.stiffness * 5e-4, delassus_w=1.0, dim=dim)
+    # Previous normal impulse at the midpoint penetration scale, x0 = 5e-4.
+    return CheckData(law, friction, dt, gamma_n0=dt * law.stiffness * 5e-4, w=1.0, dim=dim)
+
+
+def evaluate(kernel: ContactBatch, v_c: np.ndarray):
+    """kernel.evaluate(v_c), the one model evaluation of a check; a named
+    call site, so that a profiler (perfbench's tracer) can time it."""
+    return kernel.evaluate(v_c)
 
 
 def _uniform(u, lo, hi):  # rng.uniform(lo, hi) from its draw u = rng.random()
@@ -132,13 +160,7 @@ def _norms(a):
     return np.sqrt(np.vecdot(a, a))
 
 
-def _with_x0(data: ContactData, x0) -> ContactData:
-    """The contact data with an array x0, one entry per kernel row."""
-    normal = DiscreteNormal(data.normal.law, x0, data.normal.dt)
-    return ContactData(normal, data.friction, data.gamma_n0, data.delassus_w, data.dim)
-
-
-def sample_states(data: ContactData, spec: SamplingSpec):
+def sample_states(data: CheckData, spec: SamplingSpec):
     """(x0 (N,), v_c (N, dim)) for N = spec.samples states, deterministic in the seed.
 
     One generator draws each state in turn: x0, the stiction coin (mixed),
@@ -162,7 +184,7 @@ def sample_states(data: ContactData, spec: SamplingSpec):
     if mixed:
         vt_mag, v_n = np.where(u[1] < 0.25, _uniform(u[2], 0.0, eps), speed_t), u[3] * speed_n
     else:
-        vt_mag, v_n = speed_t, kernel_params("lagged", _with_x0(data, x0), len(x0)).vhat - speed_n
+        vt_mag, v_n = speed_t, data.kernel("lagged", x0).vhat - speed_n
     if tdim > 1:
         tangents = tangents / _norms(tangents)[:, None]
     return x0, np.concatenate((vt_mag[:, None] * tangents, v_n[:, None]), axis=1)
@@ -217,21 +239,24 @@ def _fd(values, h):
     return ((fm2 - fp2) + 8.0 * (fp1 - fm1)) / (12.0 * h.reshape(n, 1, *[1] * len(tail)))
 
 
-def _fd_states(field_id: str, data: ContactData, states: SamplingSpec):
+def _fd_states(field_id: str, data: CheckData, states: SamplingSpec):
     """Sample the states, drop those within 10 * h of a kink and evaluate the
     field on the stencils of the rest, in one call.  Returns (x0, v_c, h) of
-    the kept states, a report that counts them and the evaluation."""
+    the kept states, a report that counts them and the evaluation: the
+    impulses of the naive field, (costs, impulses, Hessians) of a model."""
     x0, v_c = sample_states(data, states)
-    params = kernel_params("lagged" if field_id == "naive" else field_id,
-                           _with_x0(data, x0), len(x0))
+    model = "lagged" if field_id == "naive" else field_id
+    params = data.kernel(model, x0)
     h = _fd_step(v_c, params.eps)
     skip = kink_distance(params, v_c) < 10.0 * h
     if skip.any():
         x0, v_c, h = x0[~skip], v_c[~skip], h[~skip]
     report = ValidationReport(samples=len(x0), skipped=states.samples - len(x0), seed=states.seed)
-    rows = _with_x0(data, x0.repeat(1 + 4 * data.dim))
+    # Built from the model id, not params.model: the constructor resolves
+    # lagged_regularized to lagged.
+    kernel = data.kernel(model, x0.repeat(1 + 4 * data.dim))
     points = _stencil(v_c, h).reshape(-1, data.dim)
-    out = naive_impulse(rows, points) if field_id == "naive" else evaluate(field_id, rows, points)
+    out = kernel.naive_impulse(points) if field_id == "naive" else evaluate(kernel, points)
     return x0, v_c, h, report, out
 
 
@@ -246,19 +271,19 @@ def _worst(errors, x0, v_c, lowest=False):
     return float(errors[i]), {"v_c": v_c[i].copy(), "x0": float(x0[i])}
 
 
-def check_gradient(model: str, data: ContactData, states: SamplingSpec) -> ValidationReport:
+def check_gradient(model: str, data: CheckData, states: SamplingSpec) -> ValidationReport:
     """Worst relative mismatch between -FD(cost gradient) and the impulse."""
     if model not in MODEL_IDS:
         raise ValueError(f"unknown model id {model!r}")
-    x0, v_c, h, report, out = _fd_states(model, data, states)
-    gamma = out.gamma[::1 + 4 * data.dim]
-    grad = _fd(out.cost.reshape(len(x0), 1 + 4 * data.dim), h)
+    x0, v_c, h, report, (costs, gammas, _) = _fd_states(model, data, states)
+    gamma = gammas[::1 + 4 * data.dim]
+    grad = _fd(costs.reshape(len(x0), 1 + 4 * data.dim), h)
     err = _norms(grad + gamma) / np.maximum(_norms(gamma), 1e-12)
     report.max_gradient_error, report.worst_case_state = _worst(err, x0, v_c)
     return report
 
 
-def check_curl(impulse_field: str, data: ContactData, states: SamplingSpec) -> ValidationReport:
+def check_curl(impulse_field: str, data: CheckData, states: SamplingSpec) -> ValidationReport:
     """Worst relative asymmetry of the FD velocity Jacobian of the impulse.
 
     Frobenius norms throughout.  For potential-backed fields the same pass
@@ -268,7 +293,7 @@ def check_curl(impulse_field: str, data: ContactData, states: SamplingSpec) -> V
     if impulse_field not in FIELD_IDS:
         raise ValueError(f"unknown impulse field {impulse_field!r}")
     x0, v_c, h, report, out = _fd_states(impulse_field, data, states)
-    gammas = out if impulse_field == "naive" else out.gamma
+    gammas = out if impulse_field == "naive" else out[1]
     # fd[:, i, j] = d gamma_j / d v_i, so the Jacobian is fd_t.  np.linalg.norm
     # reads a transposed Jacobian in memory order, which is fd's order.
     fd = _fd(gammas.reshape(len(x0), 1 + 4 * data.dim, data.dim), h)
@@ -277,13 +302,13 @@ def check_curl(impulse_field: str, data: ContactData, states: SamplingSpec) -> V
     asym = _norms(fd_t - fd) / np.where(njac > 0.0, njac, 1.0)
     report.max_curl_asymmetry, report.worst_case_state = _worst(asym, x0, v_c)
     if impulse_field != "naive":
-        hess = out.hessian[::1 + 4 * data.dim]
+        hess = out[2][::1 + 4 * data.dim]
         herr = _norms(fd_t + hess) / np.maximum(_norms(hess), 1e-9)
         report.max_hessian_error = _worst(herr, x0, v_c)[0]
     return report
 
 
-def check_psd(model: str, data: ContactData, states: SamplingSpec) -> ValidationReport:
+def check_psd(model: str, data: CheckData, states: SamplingSpec) -> ValidationReport:
     """Minimum Hessian eigenvalue over the sampled states.
 
     Pass criterion: min eigenvalue >= -1e-10 * |H| per state, tracked by
@@ -292,7 +317,7 @@ def check_psd(model: str, data: ContactData, states: SamplingSpec) -> Validation
     if model not in MODEL_IDS:
         raise ValueError(f"unknown model id {model!r}")
     x0, v_c = sample_states(data, states)
-    hess = evaluate(model, _with_x0(data, x0), v_c).hessian
+    hess = evaluate(data.kernel(model, x0), v_c)[2]
     eig = np.linalg.eigvalsh(hess)[:, 0]
     scaled = eig / np.maximum(_norms(hess), 1e-30)
     report = ValidationReport(samples=len(x0), seed=states.seed)

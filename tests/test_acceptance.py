@@ -283,7 +283,7 @@ def test_criterion_6_clutter_properties(clutter_runs):
 def test_criterion_7_static_equilibrium():
     from convexcontact.collision import HalfSpace, Sphere
     from convexcontact.dynamics import Body, World, advance_state, assemble_problem
-    from convexcontact.potentials import FrictionParams
+    from convexcontact.batch import FrictionParams
 
     rel_tol = 1e-5
     ok = True

@@ -6,13 +6,13 @@ checks and the solver must reach the same kernel function; so must the
 naive negative control, which is checked against its written-out formula.
 """
 
-from dataclasses import replace
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from convexcontact import validation
-from convexcontact.batch import MODEL_IDS, ContactBatch
+from convexcontact.batch import MODEL_IDS, ContactBatch, FrictionParams
 from convexcontact.normal_laws import (
     DiscreteNormal,
     HuntCrossley,
@@ -20,18 +20,32 @@ from convexcontact.normal_laws import (
     UnsupportedLaw,
     discrete_impulse,
 )
-from convexcontact.potentials import (ContactData, FrictionParams, evaluate, kernel_params,
-                                      naive_impulse)
 from convexcontact.scenarios import ScenarioSpec, Simulation
 from convexcontact.solver import solve_step
+
+Contact = namedtuple("Contact", "check x0")  # what a check holds fixed, and x0
+PotentialEval = namedtuple("PotentialEval", "cost gamma hessian")
 
 
 def make_data(dim, k=1e4, d=2.0, x0=1e-3, dt=0.01, mu=0.5, sigma=1e-3, tau_d=1e-3,
               gamma_n0=0.08, w=2.0):
-    return ContactData(
-        normal=DiscreteNormal(HuntCrossley(k, d), x0, dt),
-        friction=FrictionParams(mu=mu, v_s=1e-3, sigma=sigma, tau_d=tau_d),
-        gamma_n0=gamma_n0, delassus_w=w, dim=dim)
+    check = validation.CheckData(HuntCrossley(k, d),
+                                 FrictionParams(mu=mu, v_s=1e-3, sigma=sigma, tau_d=tau_d),
+                                 dt, gamma_n0=gamma_n0, w=w, dim=dim)
+    return Contact(check, x0)
+
+
+def kernel_params(model, contact, rows=1):
+    return contact.check.kernel(model, np.full(rows, contact.x0))
+
+
+def evaluate(model, contact, v_c):
+    """cost, gamma and hessian of v_c (dim,), or of its rows (m, dim), on one
+    contact's kernel parameters."""
+    v_c = np.asarray(v_c, dtype=float)
+    rows = v_c.reshape(-1, contact.check.dim)
+    out = PotentialEval(*kernel_params(model, contact, len(rows)).evaluate(rows))
+    return PotentialEval(*(field[0] for field in out)) if v_c.ndim == 1 else out
 
 
 @pytest.mark.parametrize("model", MODEL_IDS)
@@ -46,7 +60,7 @@ def test_batch_matches_reference_on_random_states(model):
         # Rows on the regime boundaries: the transition velocity, the
         # stiction center and SAP's cone apex.
         vhat = kernel_params(model, data).vhat[0]
-        vhat_n = data.normal.x0 / (data.normal.dt + data.friction.tau_d)
+        vhat_n = kernel_params("sap", data).vhat_n[0]
         v_c[:3] = 0.0
         v_c[0, -1], v_c[1, -1] = vhat, vhat_n
         out = evaluate(model, data, v_c)
@@ -81,11 +95,9 @@ def test_batch_matches_reference_at_regime_boundaries(model):
                          sigma=2.0 ** -10, w=1.0)
         v_c = np.zeros(dim)
         v_c[0], v_c[-1] = 0.25 * 2.0 ** -10, 0.5
-        params = ContactBatch(
-            "sap", dim, 0.25, data.normal.law, data.friction, x0=np.array([0.5]),
-            gamma_n0=np.array([0.08]), w=np.array([1.0]))
+        params = kernel_params("sap", data)
         y_t, y_n = params.sap_y(v_c[None, :])
-        assert np.linalg.norm(y_t[0]) == data.friction.mu * y_n[0] > 0.0
+        assert np.linalg.norm(y_t[0]) == params.mu * y_n[0] > 0.0
         out = evaluate("sap", data, v_c)
         np.testing.assert_array_equal(out.hessian, np.diag([1024.0] * (dim - 1) + [1.0]))
         # Just inside the sliding region the Hessian differs.
@@ -95,10 +107,9 @@ def test_batch_matches_reference_at_regime_boundaries(model):
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_non_hunt_crossley_law_is_unsupported(model):
-    data = ContactData(normal=DiscreteNormal(LogBarrier(1.0), -1e-3, 0.01),
-                       friction=FrictionParams(mu=0.5))
+    data = validation.CheckData(LogBarrier(1.0), FrictionParams(mu=0.5), 0.01)
     with pytest.raises(UnsupportedLaw):
-        evaluate(model, data, np.zeros(3))
+        data.kernel(model, np.array([-1e-3])).evaluate(np.zeros((1, 3)))
 
 
 def test_criterion_1_checks_and_solver_reach_the_same_kernel(monkeypatch):
@@ -145,9 +156,8 @@ def test_naive_impulse_matches_written_out_field():
     mu, v_s = data.friction.mu, data.friction.v_s
     spec = validation.SamplingSpec(samples=200, seed=4, regime="sliding")
     x0, v_c = validation.sample_states(data, spec)
-    law, dt = data.normal.law, data.normal.dt
-    states = replace(data, normal=DiscreteNormal(law, x0, dt))  # one x0 per row
-    got = naive_impulse(states, v_c)
+    law, dt = data.law, data.dt
+    got = data.kernel("lagged", x0).naive_impulse(v_c)  # one x0 per row
     for i, v in enumerate(v_c):
         n_v = discrete_impulse(DiscreteNormal(law, x0[i], dt), v[-1])
         v_t = v[:-1]

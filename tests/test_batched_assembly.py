@@ -14,6 +14,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from convexcontact.batch import FrictionParams
 from convexcontact.collision import (
     Box,
     HalfSpace,
@@ -29,7 +30,6 @@ from convexcontact.dynamics import (
     assemble_problem,
     mass_blocks,
 )
-from convexcontact.potentials import FrictionParams
 from convexcontact.scenarios import ScenarioSpec, Simulation
 from convexcontact.solver import _newton_matrix, _Terms
 

@@ -75,8 +75,14 @@ def test_missing_scenario_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--dt", "-1"), ("--n-bodies", "0"),
-                                        ("--duration", "0"), ("--seed", "-1")])
-def test_bad_config_value_exits_2(flag, value, capsys):
+                                        ("--duration", "0"), ("--seed", "-1"),
+                                        ("--config", "seed=abc"), ("--config", "dt=fast"),
+                                        ("--config", "n_bodies=2.5"), ("--config", "mu=\xe9"),
+                                        ("--config", ".")])
+def test_bad_config_value_exits_2(flag, value, capsys, tmp_path):
+    if flag == "--config" and value != ".":  # the file's text; "." is a directory
+        (tmp_path / "bad.cfg").write_text(value + "\n", encoding="latin-1")
+        value = str(tmp_path / "bad.cfg")
     code = main(["run", "--scenario", "clutter", flag, value])
     assert code == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convexcontact.batch import FrictionParams
 from convexcontact.collision import Box, HalfSpace, Sphere, detect_contacts
 from convexcontact.dynamics import (
     Body,
@@ -9,7 +10,6 @@ from convexcontact.dynamics import (
     assemble_problem,
     mass_blocks,
 )
-from convexcontact.potentials import FrictionParams
 
 
 def disk_world(y=0.05, vel=(0.0, 0.0, 0.0), mu=0.5, d=0.0):

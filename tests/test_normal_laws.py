@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from convexcontact.batch import ContactBatch
+from convexcontact.batch import ContactBatch, FrictionParams
 from convexcontact.normal_laws import (
     BarrierBreach,
     DiscreteNormal,
@@ -18,7 +18,6 @@ from convexcontact.normal_laws import (
     discrete_impulse,
     normal_force,
 )
-from convexcontact.potentials import FrictionParams
 
 from fd import fd_derivative
 

@@ -1,9 +1,11 @@
 import math
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
 import pytest
 
+from convexcontact.batch import FrictionParams
 from convexcontact.normal_laws import (
     DiscreteNormal,
     HuntCrossley,
@@ -11,27 +13,37 @@ from convexcontact.normal_laws import (
     UnsupportedLaw,
     discrete_impulse,
 )
-from convexcontact.potentials import (
-    ContactData,
-    FrictionParams,
-    PotentialEval,
-    evaluate,
-    kernel_params,
-    naive_impulse,
-)
+from convexcontact.validation import CheckData
 
 from fd import fd_gradient, fd_jacobian
 
+X0 = 1e-3  # previous-step penetration of every contact here
+
+PotentialEval = namedtuple("PotentialEval", "cost gamma hessian")
+
 
 def make_data(mu=0.5, v_s=0.05, sigma=1e-3, tau_d=1e-3, k=1e4, d=2.0,
-              x0=1e-3, dt=0.01, gamma_n0=0.08, w=1.0, dim=3):
-    return ContactData(
-        normal=DiscreteNormal(HuntCrossley(k, d), x0, dt),
-        friction=FrictionParams(mu=mu, v_s=v_s, sigma=sigma, tau_d=tau_d),
-        gamma_n0=gamma_n0,
-        delassus_w=w,
-        dim=dim,
-    )
+              dt=0.01, gamma_n0=0.08, w=1.0, dim=3):
+    return CheckData(HuntCrossley(k, d), FrictionParams(mu=mu, v_s=v_s, sigma=sigma, tau_d=tau_d),
+                     dt, gamma_n0=gamma_n0, w=w, dim=dim)
+
+
+def normal(data):
+    return DiscreteNormal(data.law, X0, data.dt)
+
+
+def kernel_params(model, data):
+    return data.kernel(model, np.array([X0]))
+
+
+def evaluate(model, data, v_c):
+    """cost, gamma and hessian of one contact velocity (dim,) through the kernel."""
+    costs, gamma, hessian = kernel_params(model, data).evaluate(np.asarray(v_c, float)[None])
+    return PotentialEval(float(costs[0]), gamma[0], hessian[0])
+
+
+def naive_impulse(data, v_c):
+    return kernel_params("lagged", data).naive_impulse(np.asarray(v_c, float)[None])[0]
 
 
 def random_state(rng, data, avoid_kinks=True):
@@ -73,7 +85,7 @@ class TestLagged:
         data = make_data()
         out = evaluate("lagged", data, [0.0, 0.0, -0.02])
         np.testing.assert_array_equal(out.gamma[:2], 0.0)
-        assert out.gamma[2] == pytest.approx(discrete_impulse(data.normal, -0.02))
+        assert out.gamma[2] == pytest.approx(discrete_impulse(normal(data), -0.02))
 
     def test_tangential_impulse_at_eps(self):
         data = make_data(mu=0.5, gamma_n0=1.0)
@@ -106,7 +118,7 @@ class TestSimilar:
         data = make_data()
         v_c = np.array([0.3, 0.0, 0.01])
         out = evaluate("similar", data, v_c)
-        assert out.gamma[2] > discrete_impulse(data.normal, 0.01)
+        assert out.gamma[2] > discrete_impulse(normal(data), 0.01)
 
     def test_jacobian_symmetry_random_sweep(self):
         data = make_data()
@@ -124,13 +136,13 @@ class TestSap:
         # Small velocities keep y strictly inside the cone.
         v_c = np.array([1e-6, -1e-6, 1e-5])
         fp = data.friction
-        law = data.normal.law
-        r_t = fp.sigma * data.delassus_w
-        r_n = 1.0 / (data.normal.dt * (data.normal.dt + fp.tau_d) * law.stiffness)
+        law = data.law
+        r_t = fp.sigma * data.w
+        r_n = 1.0 / (data.dt * (data.dt + fp.tau_d) * law.stiffness)
         y = np.array([
             -v_c[0] / r_t,
             -v_c[1] / r_t,
-            (data.normal.x0 / (data.normal.dt + fp.tau_d) - v_c[2]) / r_n,
+            (X0 / (data.dt + fp.tau_d) - v_c[2]) / r_n,
         ])
         assert np.linalg.norm(y[:2]) <= fp.mu * y[2]
         out = evaluate("sap", data, v_c)
@@ -155,12 +167,9 @@ class TestSap:
             evaluate("sap", data, [0.0, 0.0, 0.0])
 
     def test_rejects_barrier_law(self):
-        data = ContactData(
-            normal=DiscreteNormal(LogBarrier(1.0), -1e-3, 0.01),
-            friction=FrictionParams(mu=0.5),
-        )
+        data = CheckData(LogBarrier(1.0), FrictionParams(mu=0.5), 0.01)
         with pytest.raises(UnsupportedLaw):
-            evaluate("sap", data, [0.0, 0.0, 0.0])
+            data.kernel("sap", np.array([-1e-3])).evaluate(np.zeros((1, 3)))
 
 
 class TestNaive:
@@ -288,3 +297,22 @@ def test_contact_data_validation():
         FrictionParams(mu=-0.1)
     with pytest.raises(ValueError):
         FrictionParams(mu=0.5, v_s=0.0)
+
+
+NON_FINITE = {
+    "mu=nan": (FrictionParams, {"mu": math.nan}),
+    "mu=inf": (FrictionParams, {"mu": math.inf}),
+    "tau_d=nan": (FrictionParams, {"mu": 0.5, "tau_d": math.nan}),
+    "v_s=inf": (FrictionParams, {"mu": 0.5, "v_s": math.inf}),
+    "sigma=inf": (FrictionParams, {"mu": 0.5, "sigma": math.inf}),
+    "k=nan": (HuntCrossley, {"stiffness": math.nan}),
+    "k=inf": (HuntCrossley, {"stiffness": math.inf}),
+    "d=nan": (HuntCrossley, {"stiffness": 1e7, "dissipation": math.nan}),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_material_parameters_must_be_finite(case):
+    make, kwargs = NON_FINITE[case]
+    with pytest.raises(ValueError):
+        make(**kwargs)

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from convexcontact.batch import ContactBatch
-from convexcontact.normal_laws import DiscreteNormal, HuntCrossley
-from convexcontact.potentials import ContactData, FrictionParams, evaluate
+from convexcontact.batch import ContactBatch, FrictionParams
+from convexcontact.normal_laws import HuntCrossley
+from convexcontact.validation import CheckData
 
 from fd import fd_gradient, fd_jacobian, fd_step
 
@@ -117,12 +117,13 @@ def test_norm_bounds_and_convexity():
 
 def test_rejects_bad_eps_and_shapes():
     # eps reaches the kernel as the friction's v_s, v_t as part of the
-    # contact velocities that evaluate checks.
+    # contact velocities (n, dim) that the kernel evaluates.
     with pytest.raises(ValueError):
         soft_norm([1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
         soft_unit([1.0, 2.0], -1.0)
-    data = ContactData(normal=DiscreteNormal(HuntCrossley(1e4), 1e-3, 0.01),
-                       friction=FrictionParams(mu=0.5, v_s=1.0))
+    data = CheckData(HuntCrossley(1e4), FrictionParams(mu=0.5, v_s=1.0), 0.01)
     with pytest.raises(ValueError):
-        evaluate("lagged", data, np.ones(4))
+        data.kernel("lagged", np.array([1e-3])).evaluate(np.ones((1, 4)))
+    with pytest.raises(ValueError):  # in stiction, sap's arithmetic alone would not raise
+        data.kernel("sap", np.array([1e-3])).evaluate(np.zeros((1, 4)))

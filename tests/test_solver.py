@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from convexcontact import solver as solver_module
-from convexcontact.batch import ContactBatch
+from convexcontact.batch import ContactBatch, FrictionParams
 from convexcontact.collision import HalfSpace, Sphere
 from convexcontact.dynamics import Body, World, advance_state, assemble_problem
-from convexcontact.normal_laws import DiscreteNormal
-from convexcontact.potentials import ContactData, FrictionParams, evaluate
 from convexcontact.scenarios import ScenarioSpec, Simulation
 from convexcontact.solver import (SolveOptions, Solution, SolverFailure, condition_number,
                                   safe_norm, solve_step)
@@ -127,11 +125,12 @@ def test_option_validation():
         SolveOptions(max_iters=0)
 
 
-def contact_data(problem):
-    """One ContactData per contact of a StepProblem."""
-    return [ContactData(normal=DiscreteNormal(problem.law, x0, problem.dt),
-                        friction=problem.friction, gamma_n0=g0, delassus_w=w, dim=problem.dim)
-            for x0, g0, w in zip(problem.x0, problem.gamma_n0, problem.w)]
+def contact_kernels(problem):
+    """One one-row ContactBatch per contact of a StepProblem."""
+    return [ContactBatch(problem.model, problem.dim, problem.dt, problem.law, problem.friction,
+                         x0=problem.x0[i:i + 1], gamma_n0=problem.gamma_n0[i:i + 1],
+                         w=problem.w[i:i + 1])
+            for i in range(len(problem.x0))]
 
 
 def impact_problem(scenario, model, steps):
@@ -167,8 +166,8 @@ def test_line_search_accepts_exact_section_minimizer(scenario, model, steps, par
     def dphi(v, step, alpha):
         """phi'(alpha) = grad l_p(v + alpha*step) . step, recomputed from scratch."""
         trial = v + alpha * step
-        gammas = np.array([evaluate(problem.model, data, vc).gamma for data, vc
-                           in zip(contact_data(problem), problem.contact_velocities(trial))])
+        gammas = np.array([kernel.evaluate(vc[None])[1][0] for kernel, vc
+                           in zip(contact_kernels(problem), problem.contact_velocities(trial))])
         grad = problem.A @ (trial - problem.v_star) - problem.J.T @ gammas.ravel()
         return float(grad @ step)
 
@@ -188,8 +187,8 @@ def test_solution_cost_is_the_step_cost_at_v(model):
     problem = impact_problem("falling_sphere", model, 37)
     sol = solve_step(problem)
     dv = sol.v - problem.v_star
-    contact = sum(evaluate(model, data, vc).cost for data, vc
-                  in zip(contact_data(problem), problem.contact_velocities(sol.v)))
+    contact = sum(float(kernel.evaluate(vc[None])[0][0]) for kernel, vc
+                  in zip(contact_kernels(problem), problem.contact_velocities(sol.v)))
     assert sol.cost == pytest.approx(0.5 * dv @ problem.A @ dv + contact, rel=1e-12)
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from convexcontact.batch import FrictionParams
 from convexcontact.normal_laws import (
     DiscreteNormal,
     HuntCrossley,
@@ -10,15 +11,9 @@ from convexcontact.normal_laws import (
     LogBarrier,
     discrete_impulse,
 )
-from convexcontact.potentials import (
-    ContactData,
-    FrictionParams,
-    evaluate,
-    kernel_params,
-    naive_impulse,
-)
 from convexcontact.validation import (
     FIELD_IDS,
+    CheckData,
     SamplingSpec,
     ValidationReport,
     barrier_antiderivative,
@@ -64,13 +59,12 @@ def test_naive_field_fails_curl_on_sliding_states():
 
 def test_naive_field_symmetric_at_zero_tangential_velocity():
     # Restricted to the v_t = 0 line the cross blocks vanish.
-    from convexcontact.potentials import naive_impulse
-
-    data = canonical_data()
+    kernel = canonical_data().kernel("lagged", np.array([5e-4]))
     from fd import fd_jacobian
 
     for v_n in (-0.5, -0.01):
-        jac = fd_jacobian(lambda u: naive_impulse(data, u), np.array([0.0, 0.0, v_n]), order=4)
+        jac = fd_jacobian(lambda u: kernel.naive_impulse(u[None])[0], np.array([0.0, 0.0, v_n]),
+                          order=4)
         assert np.linalg.norm(jac - jac.T) <= 1e-9 * np.linalg.norm(jac)
 
 
@@ -79,12 +73,7 @@ def test_invalid_dissipation_breaks_psd():
     law = HuntCrossley.__new__(HuntCrossley)  # bypass validation, test-only
     object.__setattr__(law, "stiffness", 1e5)
     object.__setattr__(law, "dissipation", -5.0)
-    data = ContactData(
-        normal=DiscreteNormal(law, 5e-4, 0.01),
-        friction=FrictionParams(mu=0.5, v_s=1e-4),
-        gamma_n0=0.5,
-        dim=3,
-    )
+    data = CheckData(law, FrictionParams(mu=0.5, v_s=1e-4), 0.01, gamma_n0=0.5, dim=3)
     report = check_psd("lagged", data, SamplingSpec(samples=300, seed=1))
     assert report.min_scaled_eigenvalue < -1e-10
 
@@ -100,7 +89,7 @@ def test_sampling_is_deterministic_and_covers_regimes():
             spec_d, data_d = replace(spec, regime=regime), canonical_data(dim=dim)
             want = list(_reference_states(data_d, spec_d))
             got_x0, got_v = sample_states(data_d, spec_d)
-            assert np.array_equal(got_x0, [state.normal.x0 for state, _ in want])
+            assert np.array_equal(got_x0, [x0 for x0, _ in want])
             assert np.array_equal(got_v, [v for _, v in want])
     eps = data.friction.v_s
     slip = np.linalg.norm(vs[:, :2], axis=1)
@@ -112,9 +101,9 @@ def test_sampling_is_deterministic_and_covers_regimes():
 
 def test_kink_distance_flags_transition_velocity():
     data = canonical_data()
-    vhat = data.normal.x0 / data.normal.dt  # 0.05; 1/d = 0.02
+    vhat = 5e-4 / data.dt  # 0.05; 1/d = 0.02
     v_c = np.array([[0.0, 0.0, vhat], [0.0, 0.0, 0.02], [0.0, 0.0, vhat + 0.01]])
-    dist = kink_distance(kernel_params("lagged", data, 3), v_c)
+    dist = kink_distance(data.kernel("lagged", np.full(3, 5e-4)), v_c)
     assert dist[0] == 0.0 and dist[1] == 0.0
     assert dist[2] == pytest.approx(0.01)
 
@@ -122,7 +111,7 @@ def test_kink_distance_flags_transition_velocity():
 def test_non_finite_errors_fail_the_checks():
     # Stiffness 1e300 overflows the FD norms of the similar model: every
     # per-state error is NaN, and the reports must carry it.
-    data = replace(canonical_data(), normal=DiscreteNormal(HuntCrossley(1e300, 50.0), 5e-4, 0.01))
+    data = replace(canonical_data(), law=HuntCrossley(1e300, 50.0))
     spec = SamplingSpec(samples=200, seed=0)
     with np.errstate(all="ignore"):
         grad = check_gradient("similar", data, spec)
@@ -161,8 +150,13 @@ def test_barrier_antiderivative_quadrature():
 # stencil, with scalar FD steps, kink distances, norms and running maxima.
 # The array checks must report the same values, bit for bit.
 
+def _one_state(field_id, data, x0, rows=1):
+    """The kernel of `rows` copies of the state with penetration x0."""
+    return data.kernel("lagged" if field_id == "naive" else field_id, np.full(rows, x0))
+
+
 def _reference_states(data, spec):
-    """(state data, v_c) pairs drawn one state at a time."""
+    """(x0, v_c) pairs drawn one state at a time."""
     rng = np.random.default_rng(spec.seed)
     eps = data.friction.v_s
 
@@ -171,10 +165,9 @@ def _reference_states(data, spec):
 
     for _ in range(spec.samples):
         x0 = rng.uniform(spec.x0_low, spec.x0_high)
-        state = replace(data, normal=DiscreteNormal(data.normal.law, x0, data.normal.dt))
         if spec.regime == "sliding":
             vt_mag = loguniform(max(100.0 * eps, 1e-3), spec.speed_high)
-            v_n = kernel_params("lagged", state).vhat[0] - loguniform(1e-2, 1.0)
+            v_n = _one_state("lagged", data, x0).vhat[0] - loguniform(1e-2, 1.0)
         else:
             if rng.uniform() < 0.25:
                 vt_mag = rng.uniform(0.0, eps)
@@ -186,7 +179,7 @@ def _reference_states(data, spec):
         else:
             tangent = rng.normal(size=2)
             tangent = tangent / np.linalg.norm(tangent)
-        yield state, np.append(vt_mag * tangent, v_n)
+        yield x0, np.append(vt_mag * tangent, v_n)
 
 
 def _reference_kink_distance(params, v_c):
@@ -212,10 +205,10 @@ def _reference_fd(values, h):
 
 def _reference_check(check, field_id, data, spec):
     report = ValidationReport(seed=spec.seed)
-    for state, v_c in _reference_states(data, spec):
-        worst = {"v_c": v_c, "x0": state.normal.x0}
+    for x0, v_c in _reference_states(data, spec):
+        worst = {"v_c": v_c, "x0": x0}
         if check == "psd":
-            hess = evaluate(field_id, state, v_c).hessian
+            hess = _one_state(field_id, data, x0).evaluate(v_c[None])[2][0]
             eig = np.linalg.eigvalsh(hess)[0]
             scaled = eig / max(float(np.linalg.norm(hess)), 1e-30)
             report.samples += 1
@@ -223,7 +216,7 @@ def _reference_check(check, field_id, data, spec):
             if scaled < report.min_scaled_eigenvalue:
                 report.min_scaled_eigenvalue, report.worst_case_state = float(scaled), worst
             continue
-        params = kernel_params("lagged" if field_id == "naive" else field_id, state)
+        params = _one_state(field_id, data, x0)
         cap = 0.005 * max(params.eps[0], float(np.linalg.norm(v_c[:-1])))
         h = min(1e-6 * max(1.0, float(np.linalg.norm(v_c))), max(cap, 1e-9))
         if _reference_kink_distance(params, v_c) < 10.0 * h:
@@ -233,19 +226,20 @@ def _reference_check(check, field_id, data, spec):
         points = np.repeat(v_c[None, :], 1 + 4 * data.dim, axis=0)
         for i in range(data.dim):
             points[1 + 4 * i:5 + 4 * i, i] += np.array([-2.0, -1.0, 1.0, 2.0]) * h
+        kernel = _one_state(field_id, data, x0, len(points))
         if check == "gradient":
-            out = evaluate(field_id, state, points)
-            gamma = out.gamma[0]
-            err = (float(np.linalg.norm(_reference_fd(out.cost, h) + gamma))
+            costs, gammas, _ = kernel.evaluate(points)
+            gamma = gammas[0]
+            err = (float(np.linalg.norm(_reference_fd(costs, h) + gamma))
                    / max(float(np.linalg.norm(gamma)), 1e-12))
             if err > report.max_gradient_error:
                 report.max_gradient_error, report.worst_case_state = err, worst
             continue
         if field_id == "naive":
-            gammas, hess = naive_impulse(state, points), None
+            gammas, hess = kernel.naive_impulse(points), None
         else:
-            out = evaluate(field_id, state, points)
-            gammas, hess = out.gamma, out.hessian[0]
+            _, gammas, hessians = kernel.evaluate(points)
+            hess = hessians[0]
         jac = _reference_fd(gammas, h).T
         njac = float(np.linalg.norm(jac))
         if njac > 0.0:
