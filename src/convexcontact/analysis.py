@@ -11,14 +11,14 @@ through angle differences (2D) or the quaternion geodesic angle (3D).
 Convergence studies fit the order as the least-squares slope of
 log e_q against log dt.  The reference run uses the lagged model at one
 tenth of the smallest step in the ladder (the only consistent model of the
-family) and is memoized on the resolved spec, since it dominates the cost
-of a study.
+family) and is memoized on its spec, since it dominates the cost of a
+study.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,17 +84,14 @@ def position_error(traj: Trajectory, ref: Trajectory, horizon: float) -> float:
 
 def reference_spec(spec: ScenarioSpec, dts) -> ScenarioSpec:
     """Lagged-model reference at a tenth of the smallest study step."""
-    from dataclasses import replace
-
-    return replace(spec.resolve(), model="lagged", dt=min(dts) / 10.0)
+    return replace(spec, model="lagged", dt=min(dts) / 10.0)
 
 
 def get_reference(spec: ScenarioSpec, dts) -> Trajectory:
     ref = reference_spec(spec, dts)
-    key = ref.key()
-    if key not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE[key] = run_scenario(ref)
-    return _REFERENCE_CACHE[key]
+    if ref not in _REFERENCE_CACHE:
+        _REFERENCE_CACHE[ref] = run_scenario(ref)
+    return _REFERENCE_CACHE[ref]
 
 
 @dataclass
@@ -108,13 +105,10 @@ class StudyResult:
 
 def convergence_study(spec: ScenarioSpec, dts, horizon=None, ref=None) -> StudyResult:
     """Run the ladder of step sizes and fit the convergence order."""
-    spec = spec.resolve()
     dts = sorted(dts, reverse=True)
     if ref is None:
         ref = get_reference(spec, dts)
     horizon = horizon if horizon is not None else spec.duration
-    from dataclasses import replace
-
     rows = []
     for dt in dts:
         traj = run_scenario(replace(spec, dt=dt))
@@ -129,6 +123,12 @@ def convergence_study(spec: ScenarioSpec, dts, horizon=None, ref=None) -> StudyR
                        pair_orders=pair_orders, ref_dt=ref.spec.dt)
 
 
+def _runs(mask: np.ndarray):
+    """(starts, ends) of the runs of True in a boolean step mask, ends exclusive."""
+    edges = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 def find_sliding_window(traj: Trajectory, min_slip: float, trim: float = 0.25):
     """Longest contiguous stretch where every active contact slides.
 
@@ -138,18 +138,12 @@ def find_sliding_window(traj: Trajectory, min_slip: float, trim: float = 0.25):
     """
     active = traj.active()
     slip_ok = np.where(active, traj.v_t > min_slip, True).all(axis=1) & active.any(axis=1)
-    best = (0, 0)
-    start = None
-    for i, ok in enumerate(np.append(slip_ok, False)):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            if i - start > best[1] - best[0]:
-                best = (start, i)
-            start = None
-    i0, i1 = best
-    if i1 - i0 < 4:
+    starts, ends = _runs(slip_ok)
+    lengths = ends - starts
+    if not (lengths >= 4).any():
         raise ValueError(f"no sliding stretch above {min_slip} m/s found")
+    longest = np.argmax(lengths)  # the first of equally long runs
+    i0, i1 = int(starts[longest]), int(ends[longest])
     pad = int(trim * (i1 - i0))
     return i0 + pad, i1 - pad
 
@@ -206,16 +200,12 @@ def slide_roll_transition(traj: Trajectory, sustain: int = 5) -> dict:
     loaded = active.any(axis=1)
     slip = np.where(active, traj.v_t, 0.0).max(axis=1)
     t0 = first_contact_time(traj)
-    count = 0
-    for i in range(traj.step_times.size):
-        if loaded[i] and slip[i] < v_s:
-            count += 1
-            if count >= sustain:
-                t = float(traj.step_times[i - sustain + 1])
-                return {"time": t, "since_contact": t - t0, "contact_time": t0}
-        else:
-            count = 0
-    raise ValueError("no sustained stiction found")
+    starts, ends = _runs(loaded & (slip < v_s))
+    sustained = starts[ends - starts >= sustain]
+    if not sustained.size:
+        raise ValueError("no sustained stiction found")
+    t = float(traj.step_times[sustained[0]])
+    return {"time": t, "since_contact": t - t0, "contact_time": t0}
 
 
 def stiction_dwell(traj: Trajectory) -> float:
@@ -224,12 +214,8 @@ def stiction_dwell(traj: Trajectory) -> float:
     active = traj.active()
     loaded = active.any(axis=1)
     slip = np.where(active, traj.v_t, np.inf).min(axis=1)
-    stuck = loaded & (slip < v_s)
-    best = run = 0
-    for flag in stuck:
-        run = run + 1 if flag else 0
-        best = max(best, run)
-    return best * traj.spec.dt
+    starts, ends = _runs(loaded & (slip < v_s))
+    return int((ends - starts).max(initial=0)) * traj.spec.dt
 
 
 def peak_force(traj: Trajectory) -> dict:

@@ -127,7 +127,10 @@ class ContactBatch:
         if model == "sap":
             if not self.k > 0.0:
                 raise ValueError("SAP normal regularization degenerates for k = 0")
-            self.r_n = 1.0 / (dt * (dt + friction.tau_d) * self.k)
+            # A numpy scalar, so that an R_n that overflows or underflows
+            # (extreme dt or k) gives non-finite terms the solver reports,
+            # not a ZeroDivisionError.
+            self.r_n = np.float64(1.0) / (dt * (dt + friction.tau_d) * self.k)
             self.vhat_n = x0 / (dt + friction.tau_d)
             self.mu_hat = self.mu * self.r_t / self.r_n
 
@@ -262,7 +265,8 @@ class ContactBatch:
         otherwise sliding, gamma on the cone surface."""
         y_t, y_n = self.sap_y(v_c)
         ny_t = np.linalg.norm(y_t, axis=1)
-        stick = ny_t <= self.mu * y_n
+        # y_n >= 0 matters only for mu = 0, where the cone is the ray y_t = 0.
+        stick = (ny_t <= self.mu * y_n) & (y_n >= 0.0)
         away = ~stick & (y_n <= -self.mu_hat * ny_t)
         slide = ~stick & ~away
 

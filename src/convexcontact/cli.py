@@ -6,8 +6,9 @@ Subcommands
     sweep     stiffness / step-size sweeps over the clutter scenario
     validate  potential-existence checks -> key=value report
 
-Configs are flat key=value text files mirroring the scenario parameters;
-command-line flags override file entries and unknown keys are rejected.
+Configs are flat key=value text files whose keys are exactly the
+`ScenarioSpec` fields; command-line flags override file entries, unknown
+keys are rejected, and the output paths (--out, --summary) are flags only.
 Every run's effective configuration is echoed into the summary header.
 CSV files carry a header row first and print floats with 17 significant
 digits, so values round-trip exactly and identical invocations produce
@@ -23,7 +24,7 @@ import concurrent.futures
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -32,10 +33,9 @@ from .scenarios import MODEL_IDS, SCENARIO_IDS, ScenarioSpec, ScenarioError, run
 
 SCHEMA_VERSION = 1
 
-_SPEC_KEYS = ("scenario", "model", "dt", "duration", "stiffness", "dissipation",
-              "tau_d", "mu", "v_s", "sigma", "seed", "n_bodies", "margin")
-_INT_KEYS = {"seed", "n_bodies", "samples"}
-_STR_KEYS = {"scenario", "model", "models", "parameter", "out", "summary"}
+_SPEC_KEYS = tuple(f.name for f in fields(ScenarioSpec))
+_INT_KEYS = {"seed", "n_bodies"}
+_STR_KEYS = {"scenario", "model"}
 
 
 class ConfigError(ValueError):
@@ -59,7 +59,6 @@ def read_config(path: str) -> dict:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: {err}") from err
-    allowed = set(_SPEC_KEYS) | {"out", "summary"}
     out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -68,7 +67,7 @@ def read_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in allowed:
+        if key not in _SPEC_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
@@ -93,7 +92,7 @@ def _spec_from(args, file_cfg: dict) -> ScenarioSpec:
             merged[key] = flag
     if "scenario" not in merged:
         raise ConfigError("missing required parameter: scenario")
-    kwargs = {k: _coerce(k, v) for k, v in merged.items() if k in _SPEC_KEYS}
+    kwargs = {k: _coerce(k, v) for k, v in merged.items()}
     return _checked(ScenarioSpec, **kwargs)
 
 
@@ -103,11 +102,6 @@ def _checked(make, *args, **kwargs):
         return make(*args, **kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
-
-
-def _variant(spec: ScenarioSpec, **fields) -> ScenarioSpec:
-    """The resolved spec with fields replaced."""
-    return _checked(replace, spec.resolve(), **fields)
 
 
 def _floats(flag: str, text: str) -> list:
@@ -197,7 +191,7 @@ def cmd_run(args) -> int:
         "mean_iterations": float(traj.iterations.mean()) if traj.iterations.size else 0.0,
         "final_kinetic_energy": float(ke[-1]),
         "stop_criterion": "momentum_residual_relative",
-        "rel_tol": traj.meta["stop_criterion"],
+        "rel_tol": traj.rel_tol,
         "out": args.out or "",
     }, legend)
     _emit_summary(summary, args.summary)
@@ -212,7 +206,8 @@ def cmd_study(args) -> int:
             raise ConfigError(f"unknown model {model!r}")
     dts = _floats("--dts", args.dts)
     for dt in dts:  # reject a bad step size before any run
-        _variant(spec, dt=dt)
+        _checked(replace, spec, dt=dt)
+    _checked(analysis.reference_spec, spec, dts)  # and the reference step, min(dts) / 10
     if args.horizon is not None and not args.horizon >= max(dts):
         raise ConfigError(f"--horizon {args.horizon} is shorter than the step {max(dts)}")
     ref = analysis.get_reference(spec, dts)
@@ -220,7 +215,7 @@ def cmd_study(args) -> int:
     rows = []
     results = {}
     for model in models:
-        study = analysis.convergence_study(_variant(spec, model=model), dts,
+        study = analysis.convergence_study(replace(spec, model=model), dts,
                                            horizon=args.horizon, ref=ref)
         for dt, err in study.rows:
             rows.append((model, dt, err, study.order))
@@ -235,9 +230,8 @@ def cmd_study(args) -> int:
 
 
 def _sweep_entry(payload):
-    kwargs, tail = payload
-    traj = run_scenario(ScenarioSpec(**kwargs))
-    return analysis.clutter_metrics(traj, tail=tail)
+    spec, tail = payload
+    return analysis.clutter_metrics(run_scenario(spec), tail=tail)
 
 
 def cmd_sweep(args) -> int:
@@ -249,9 +243,9 @@ def cmd_sweep(args) -> int:
     values = _floats("--values", args.values)
     models = [m.strip() for m in args.models.split(",")]
 
-    jobs = [(_variant(spec, model=model, **{args.parameter: value}).as_dict(), args.tail)
+    jobs = [(_checked(replace, spec, model=model, **{args.parameter: value}), args.tail)
             for model in models for value in values]
-    if not 0.0 <= args.tail <= spec.resolve().duration:
+    if not 0.0 <= args.tail <= spec.duration:
         raise ConfigError(f"--tail {args.tail} must lie within the run's duration")
     try:
         workers = int(os.environ.get("IRC_THREADS", "0")) or (os.cpu_count() or 1)
@@ -268,8 +262,8 @@ def cmd_sweep(args) -> int:
                    "mean_condition_settled", "mean_effective_vs_impact",
                    "mean_effective_vs_settled", "tail_kinetic_energy"]
     rows = []
-    for (kwargs, _), m in zip(jobs, metrics):
-        rows.append((kwargs["model"], kwargs[args.parameter], *(m[k] for k in metric_keys)))
+    for (job, _), m in zip(jobs, metrics):
+        rows.append((job.model, getattr(job, args.parameter), *(m[k] for k in metric_keys)))
     if args.out:
         _atomic_write(args.out, _csv(rows, ["model", args.parameter, *metric_keys]))
     _emit_summary(_summary_text("sweep summary", spec.as_dict(),

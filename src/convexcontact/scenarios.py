@@ -26,13 +26,15 @@ clutter
 All scenarios default to k = 1e7 N/m, v_s = 1e-4 m/s, sigma = 1e-3.
 Detection margins are sized per scenario so that the coupled models'
 action-at-distance contacts stay in the active set at the largest study
-time steps.
+time steps.  The per-scenario defaults (`_DEFAULTS`) are read in one place,
+`ScenarioSpec.__post_init__`: a spec holds its resolved values from the
+moment it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Optional
 
@@ -55,7 +57,8 @@ __all__ = [
 
 SCENARIO_IDS = ("belt", "falling_sphere", "sliding_rod", "clutter")
 
-# scenario -> (dt, duration, dissipation d, tau_d, mu, margin)
+# scenario -> defaults of the fields in _DEFAULTED, in that order
+_DEFAULTED = ("dt", "duration", "dissipation", "tau_d", "mu", "margin")
 _DEFAULTS = {
     "belt": (1e-2, 3.0, 500.0, 1e-3, 0.7, 0.045),
     "falling_sphere": (2e-3, 0.45, 500.0, 1e-3, 0.5, 0.03),
@@ -72,7 +75,10 @@ class ScenarioError(RuntimeError):
 class ScenarioSpec:
     """Scenario id, model id, step size and physical parameter overrides.
 
-    Fields left at None resolve to the scenario defaults above.
+    A spec is resolved when it is built: fields passed as None take the
+    scenario's defaults above, so `ScenarioSpec("belt").dt == 0.01`.  The
+    spec is frozen and hashable.  `dataclasses.replace` keeps the resolved
+    values; replacing a field with None takes its scenario default again.
     """
 
     scenario: str
@@ -94,54 +100,37 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_IDS}")
         if self.model not in MODEL_IDS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_IDS}")
-        for name in ("dt", "duration", "stiffness"):
+        for name, default in zip(_DEFAULTED, _DEFAULTS[self.scenario]):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        # Comparisons, not math.isfinite: they reject NaN too, and take an int
+        # of any size where math.isfinite raises OverflowError (a huge seed).
+        for name in ("dt", "duration", "stiffness", "v_s", "sigma"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name in ("v_s", "sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         for name in ("mu", "dissipation", "tau_d", "margin", "seed"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0.0):
+            if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        dt, duration = _DEFAULTS[self.scenario][:2]
-        dt = self.dt if self.dt is not None else dt
-        duration = self.duration if self.duration is not None else duration
-        if dt > duration:
-            raise ValueError(f"dt = {dt} exceeds duration = {duration}")
+        if self.dt > self.duration:
+            raise ValueError(f"dt = {self.dt} exceeds duration = {self.duration}")
+        if self.duration / self.dt == math.inf:
+            raise ValueError(f"duration / dt = {self.duration} / {self.dt} overflows")
         if self.scenario == "clutter" and not 1 <= self.n_bodies <= 40:
             raise ValueError(f"clutter supports 1..40 spheres, got {self.n_bodies}")
 
     def resolve(self) -> "ScenarioSpec":
-        dt, duration, d, tau_d, mu, margin = _DEFAULTS[self.scenario]
-        return replace(
-            self,
-            dt=self.dt if self.dt is not None else dt,
-            duration=self.duration if self.duration is not None else duration,
-            dissipation=self.dissipation if self.dissipation is not None else d,
-            tau_d=self.tau_d if self.tau_d is not None else tau_d,
-            mu=self.mu if self.mu is not None else mu,
-            margin=self.margin if self.margin is not None else margin,
-        )
-
-    def key(self) -> tuple:
-        s = self.resolve()
-        return (s.scenario, s.model, s.dt, s.duration, s.stiffness, s.dissipation,
-                s.tau_d, s.mu, s.v_s, s.sigma, s.seed, s.n_bodies, s.margin)
+        """The spec itself, resolved when it was built; kept for older callers."""
+        return self
 
     def physics_key(self) -> tuple:
         """Everything that defines the physical setup, ignoring model and dt."""
-        s = self.resolve()
-        return (s.scenario, s.duration, s.stiffness, s.dissipation, s.tau_d, s.mu,
-                s.v_s, s.sigma, s.seed, s.n_bodies)
+        return (self.scenario, self.duration, self.stiffness, self.dissipation, self.tau_d,
+                self.mu, self.v_s, self.sigma, self.seed, self.n_bodies)
 
     def as_dict(self) -> dict:
-        s = self.resolve()
-        return {k: getattr(s, k) for k in (
-            "scenario", "model", "dt", "duration", "stiffness", "dissipation",
-            "tau_d", "mu", "v_s", "sigma", "seed", "n_bodies", "margin")}
+        return asdict(self)
 
 
 def _friction(spec: ScenarioSpec) -> FrictionParams:
@@ -149,25 +138,24 @@ def _friction(spec: ScenarioSpec) -> FrictionParams:
 
 
 def build_world(spec: ScenarioSpec) -> World:
-    spec = spec.resolve()
-    if spec.scenario == "belt":
-        return _build_belt(spec)
-    if spec.scenario == "falling_sphere":
-        return _build_falling_sphere(spec)
-    if spec.scenario == "sliding_rod":
-        return _build_sliding_rod(spec)
-    return _build_clutter(spec)
+    dim, bodies = _BUILDERS[spec.scenario](spec)
+    return World(dim=dim, bodies=bodies, stiffness=spec.stiffness,
+                 dissipation=spec.dissipation, friction=_friction(spec),
+                 margin=spec.margin)
 
 
-def _build_belt(spec: ScenarioSpec) -> World:
+def _build_belt(spec: ScenarioSpec) -> tuple:
     freq, amplitude = 1.0, 0.2
     peak = 2.0 * math.pi * freq * amplitude
 
     # Belt position A*sin(w t): the surface starts at full speed, so the
     # run opens with an energetic slip episode that exercises the models'
     # sliding artifacts before settling into the stick-slip cycle.
+    # math.cos raises on an infinite phase (t past ~3e307 s); NaN instead
+    # reaches the solver, which reports the non-finite input.
     def surface_velocity(t, _peak=peak, _w=2.0 * math.pi * freq):
-        return np.array([_peak * math.cos(_w * t), 0.0, 0.0])
+        phase = _w * t
+        return np.array([_peak * math.cos(phase) if phase < math.inf else math.nan, 0.0, 0.0])
 
     belt = Body("belt", HalfSpace((0.0, 1.0), 0.0), np.zeros(2),
                 motion="prescribed", prescribed_velocity=surface_velocity)
@@ -184,20 +172,16 @@ def _build_belt(spec: ScenarioSpec) -> World:
                                           slip=peak, w=w)
     box = Body("box", Box((half, half)), np.array([0.0, half - x0]), 0.0,
                mass=mass, inertia=inertia)
-    return World(dim=2, bodies=[belt, box], stiffness=spec.stiffness,
-                 dissipation=spec.dissipation, friction=_friction(spec),
-                 margin=spec.margin)
+    return 2, [belt, box]
 
 
-def _build_falling_sphere(spec: ScenarioSpec) -> World:
+def _build_falling_sphere(spec: ScenarioSpec) -> tuple:
     ground = Body("ground", HalfSpace((0.0, 1.0), 0.0), np.zeros(2), motion="prescribed")
     radius, mass = 0.025, 0.5
     disk = Body("disk", Sphere(radius), np.array([0.0, 0.05]), 0.0,
                 velocity=np.array([2.0, 0.0, 0.0]),
                 mass=mass, inertia=0.5 * mass * radius ** 2)
-    return World(dim=2, bodies=[ground, disk], stiffness=spec.stiffness,
-                 dissipation=spec.dissipation, friction=_friction(spec),
-                 margin=spec.margin)
+    return 2, [ground, disk]
 
 
 def _sliding_equilibrium_penetration(spec: ScenarioSpec, load: float,
@@ -228,7 +212,7 @@ def _sliding_equilibrium_penetration(spec: ScenarioSpec, load: float,
     return 0.5 * (lo + hi)
 
 
-def _build_sliding_rod(spec: ScenarioSpec) -> World:
+def _build_sliding_rod(spec: ScenarioSpec) -> tuple:
     ground = Body("ground", HalfSpace((0.0, 1.0), 0.0), np.zeros(2), motion="prescribed")
     length, mass = 0.5, 0.3
     inertia = mass * length ** 2 / 12.0
@@ -247,9 +231,7 @@ def _build_sliding_rod(spec: ScenarioSpec) -> World:
                np.array([0.0, 0.5 * length * math.sin(phi0) - x0]), -phi0,
                velocity=np.array([speed, 0.0, 0.0]),
                mass=mass, inertia=inertia)
-    return World(dim=2, bodies=[ground, rod], stiffness=spec.stiffness,
-                 dissipation=spec.dissipation, friction=_friction(spec),
-                 margin=spec.margin)
+    return 2, [ground, rod]
 
 
 # Near-touching triangular cluster first (drops into a wedged pile that
@@ -259,7 +241,7 @@ _COLUMN_XY = [(0.0, 0.0), (0.105, 0.0), (0.0525, 0.0909), (-0.105, 0.0),
               (0.105, -0.105), (0.0, 0.21)]
 
 
-def _build_clutter(spec: ScenarioSpec) -> World:
+def _build_clutter(spec: ScenarioSpec) -> tuple:
     half = 0.4
     walls = [
         Body("floor", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed"),
@@ -279,9 +261,12 @@ def _build_clutter(spec: ScenarioSpec) -> World:
         spheres.append(Body(f"sphere{i}", Sphere(radius), center,
                             np.array([1.0, 0.0, 0.0, 0.0]),
                             mass=mass, inertia=0.4 * mass * radius ** 2))
-    return World(dim=3, bodies=walls + spheres, stiffness=spec.stiffness,
-                 dissipation=spec.dissipation, friction=_friction(spec),
-                 margin=spec.margin)
+    return 3, walls + spheres
+
+
+# scenario id -> builder of (dim, bodies)
+_BUILDERS = {"belt": _build_belt, "falling_sphere": _build_falling_sphere,
+             "sliding_rod": _build_sliding_rod, "clutter": _build_clutter}
 
 
 @dataclass
@@ -309,7 +294,7 @@ class Trajectory:
     iterations: np.ndarray
     condition_number: np.ndarray
     cost: np.ndarray
-    meta: dict = field(default_factory=dict)
+    rel_tol: float  # the solver's stopping tolerance (SolveOptions.rel_tol)
 
     @property
     def dt(self) -> float:
@@ -349,7 +334,7 @@ class Simulation:
     """Owns the world, the contact-impulse memory and the recorders."""
 
     def __init__(self, spec: ScenarioSpec, options: Optional[SolveOptions] = None):
-        self.spec = spec.resolve()
+        self.spec = spec
         self.world = build_world(self.spec)
         self.options = options or SolveOptions(compute_condition_number=True)
         self.memory = self._seed_memory()
@@ -410,9 +395,12 @@ class Simulation:
             problem.x0,
             sol.stiction_tolerance,
         ])
-        if not np.isfinite(rows).all():
+        cond = sol.condition_number
+        if not (np.isfinite(rows).all() and math.isfinite(sol.cost)
+                and (cond is None or math.isfinite(cond))):
             raise ScenarioError(f"{where}: non-finite contact channel (v_n, v_t, f_n, f_t, "
-                                f"x0, eps_s); config {self.spec.as_dict()}")
+                                f"x0, eps_s), cost or condition number; "
+                                f"config {self.spec.as_dict()}")
         self.memory = dict(zip(problem.keys, gamma_n.tolist()))
         advance_state(self._free, sol.v, dt)
         self.world.time += dt
@@ -466,9 +454,7 @@ class Simulation:
             v_n=chan["v_n"], v_t=chan["v_t"], f_n=chan["f_n"], f_t=chan["f_t"],
             x0=chan["x0"], eps_s=chan["eps_s"],
             iterations=iters, condition_number=cond, cost=cost,
-            meta={"stop_criterion": self.options.rel_tol,
-                  "config": spec.as_dict(),
-                  "belt_contact": "two lower corners" if spec.scenario == "belt" else None},
+            rel_tol=self.options.rel_tol,
         )
 
 

@@ -177,7 +177,8 @@ def _line_search(terms: _Terms, v, step, momentum, slope):
             hi = alpha
         if hi - lo <= _EPS:
             break
-        newton = alpha - dphi / d2phi
+        # phi'' > 0 on the convex section unless it underflows to 0; then bisect.
+        newton = alpha - dphi / d2phi if d2phi != 0.0 else np.nan
         if lo < newton < hi and hi - lo <= 0.5 * width_before:
             alpha = newton
         else:
@@ -195,7 +196,7 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
 
     terms = _Terms(problem)
     v = problem.v0.copy()
-    av_star = np.linalg.norm(problem.apply_A(problem.v_star))
+    av_star = safe_norm(problem.apply_A(problem.v_star))
     abs_floor = 1e-14 * av_star
 
     contact_cost, gammas, hessians = terms.terms(v)
@@ -266,9 +267,16 @@ def condition_number(problem: StepProblem, v: np.ndarray,
 
     hessians, when given, are the contact Hessians G at v (the solver hands
     over the ones it holds at its final iterate); otherwise they are
-    evaluated here.
+    evaluated here.  A non-finite matrix or an eigensolver failure raises
+    `SolverFailure`.
     """
     if hessians is None:
         hessians = _Terms(problem).terms(v)[2]
-    eigs = np.linalg.eigvalsh(_newton_matrix(problem, hessians))
+    matrix = _newton_matrix(problem, hessians)
+    if not np.isfinite(matrix).all():
+        raise SolverFailure("non-finite Newton matrix")
+    try:
+        eigs = np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as err:
+        raise SolverFailure(f"condition number: {err}") from err
     return float(eigs[-1] / eigs[0])

@@ -105,6 +105,30 @@ def test_batch_matches_reference_at_regime_boundaries(model):
         assert not np.array_equal(evaluate("sap", data, v_c).hessian, out.hessian)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_frictionless_sap_never_pulls(dim):
+    """With mu = 0 the cone is the ray y_t = 0, y_n >= 0: a separating contact
+    without slip (y_t = 0, y_n < 0) gets no impulse, not an attractive one."""
+    data = make_data(dim, mu=0.0)
+    v_c = np.zeros((3, dim))
+    v_c[:, -1] = [-1.0, 0.0, 1.0]  # approaching, at rest, separating
+    _, y_n = kernel_params("sap", data, 3).sap_y(v_c)
+    assert y_n[0] > 0.0 > y_n[2]
+    gamma = evaluate("sap", data, v_c).gamma
+    assert gamma[0, -1] == y_n[0] and (gamma[2] == 0.0).all()
+    assert (gamma[:, -1] >= 0.0).all() and (gamma[:, :-1] == 0.0).all()
+
+
+@pytest.mark.parametrize("dt", [1e300, 1e-300])
+def test_degenerate_sap_regularization_gives_non_finite_terms(dt):
+    """An R_n that overflows or underflows shows up as non-finite terms for
+    the solver's checks to report, not as a ZeroDivisionError."""
+    data = make_data(2, dt=dt, tau_d=0.0)
+    with np.errstate(all="ignore"):
+        out = evaluate("sap", data, np.array([[0.0, -1.0]]))
+    assert not all(np.isfinite(field).all() for field in out)
+
+
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_non_hunt_crossley_law_is_unsupported(model):
     data = validation.CheckData(LogBarrier(1.0), FrictionParams(mu=0.5), 0.01)

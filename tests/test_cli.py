@@ -1,8 +1,14 @@
+import contextlib
+import io
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from convexcontact.cli import main, read_config
+from convexcontact.scenarios import MODEL_IDS, SCENARIO_IDS, ScenarioSpec
 
 
 def run_cli(argv, capsys):
@@ -62,12 +68,16 @@ def test_config_file_with_overrides(tmp_path, capsys):
     assert "config.mu=0.29999999999999999" in stdout or "config.mu=0.3" in stdout
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
+def test_unknown_config_key_rejected(tmp_path, capsys, monkeypatch):
+    # Config keys are the ScenarioSpec fields; output paths are flags only.
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("scenario = belt\nwarp_factor = 9\n")
-    code = main(["run", "--config", str(cfg)])
-    assert code == 2
-    assert "warp_factor" in capsys.readouterr().err
+    for key, value in [("warp_factor", "9"), ("out", "x.csv"), ("summary", "s.txt")]:
+        cfg.write_text(f"scenario = belt\n{key} = {value}\n")
+        code = main(["run", "--config", str(cfg), "--duration", "0.01"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "s.txt").exists()
 
 
 def test_missing_scenario_is_config_error(capsys):
@@ -92,7 +102,8 @@ def test_bad_config_value_exits_2(flag, value, capsys, tmp_path):
 @pytest.mark.parametrize("args", [
     ["--v-s", "0"], ["--sigma", "-1"], ["--dissipation", "-1"],
     ["--model", "sap", "--tau-d", "nan"], ["--margin", "-1"],
-    ["--dt", "0.5", "--duration", "0.1"]], ids=lambda args: args[-2])
+    ["--dt", "0.5", "--duration", "0.1"], ["--duration", "1e10", "--dt", "1e-300"]],
+    ids=lambda args: args[-2])
 def test_bad_spec_field_exits_2(args, capsys):
     code = main(["run", "--scenario", "falling_sphere", *args])
     assert code == 2
@@ -105,14 +116,16 @@ def test_bad_spec_field_exits_2(args, capsys):
       "--duration", "0.01"], None),
     (["study", "--scenario", "falling_sphere", "--dts", "-1"], None),
     (["study", "--scenario", "falling_sphere", "--dts", "0.01,0.02", "--horizon", "0.01"], None),
+    (["study", "--scenario", "falling_sphere", "--dts", "1e-323", "--dt", "1e-323",
+      "--duration", "1e-323"], None),
     (["sweep", "--scenario", "clutter", "--parameter", "dt", "--values", "0.005",
       "--duration", "0.02", "--tail", "0.1"], None),
     (["sweep", "--scenario", "clutter", "--parameter", "dt", "--values", "0.005",
       "--duration", "0.02", "--tail", "0.01"], "x"),
     (["validate", "--model", "lagged", "--samples", "0"], None),
     (["validate", "--model", "naive", "--seed", "-1"], None)],
-    ids=["sweep", "study", "study-horizon", "sweep-tail", "sweep-threads",
-         "validate-samples", "validate-seed"])
+    ids=["sweep", "study", "study-horizon", "study-reference-step", "sweep-tail",
+         "sweep-threads", "validate-samples", "validate-seed"])
 def test_bad_sweep_or_study_value_exits_2(args, threads, capsys, monkeypatch):
     if threads is not None:
         monkeypatch.setenv("IRC_THREADS", threads)
@@ -132,6 +145,21 @@ def test_extreme_stiffness_writes_only_finite_values(tmp_path, capsys):
     assert code == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert rows and all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+@pytest.mark.parametrize("args", [
+    ["--scenario", "falling_sphere", "--dt", "1e-300", "--duration", "3e-300"],
+    ["--scenario", "belt", "--dt", "1e300", "--duration", "1e300"],
+    ["--scenario", "belt", "--dt", "1e308", "--duration", "1e308"]],
+    ids=["overflowing-cost", "non-finite-newton-matrix", "infinite-belt-phase"])
+def test_non_finite_step_exits_1(args, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with np.errstate(all="ignore"):  # the overflows themselves are expected
+        code = main(["run", *args, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: step ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bad_flag_exits_2(capsys):
@@ -252,3 +280,67 @@ def test_sweep_worker_pool(tmp_path, capsys, monkeypatch):
     first = float(lines[1].split(",")[2])
     second = float(lines[2].split(",")[2])
     assert first > second
+
+
+# Values at the CLI boundary: each field takes one of its valid values (None
+# leaves an optional field out of the config file), and up to three fields
+# take an extreme.
+_VALID = {
+    "scenario": SCENARIO_IDS,
+    "model": MODEL_IDS,
+    "dt": (1e-5, 2e-3, 1e-2),
+    "stiffness": (1e5, 1e7, 1e9),
+    "dissipation": (0.0, 10.0, 500.0),
+    "tau_d": (0.0, 1e-4, 1e-3),
+    "mu": (0.0, 0.5, 2.3),
+    "v_s": (1e-4, 1e-2),
+    "sigma": (1e-3, 0.1),
+    "seed": (0, 7),
+    "n_bodies": (1, 4, 12),
+    "margin": (0.0, 0.03, 0.1),
+}
+# The two finite extremes are drawn as often as all the rejected values.
+_EXTREMES = st.one_of(st.sampled_from((1e300, 1e-300)),
+                      st.sampled_from((math.nan, math.inf, -math.inf, 0, -1, -1e300, 10 ** 400)))
+
+
+@st.composite
+def _spec_fields(draw):
+    fields = {key: draw(st.sampled_from(valid if key == "scenario" else (None, *valid)))
+              for key, valid in _VALID.items()}
+    for key in draw(st.lists(st.sampled_from(list(_VALID)), max_size=3, unique=True)):
+        fields[key] = draw(_EXTREMES)
+    return fields
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(fields=_spec_fields(), steps=st.floats(1.0, 3.0))
+def test_run_boundary_property(fields, steps, tmp_path_factory):
+    """Any spec exits 0, 1 or 2 without a traceback, and exit 0 writes a CSV
+    whose only non-finite cells are the NaN channels of absent contacts.
+    The duration is `steps` times dt, so no example runs more than 3 steps."""
+    folder = tmp_path_factory.mktemp("boundary")
+    dt = fields["dt"]
+    if dt is None and fields["scenario"] in SCENARIO_IDS:
+        dt = ScenarioSpec(fields["scenario"]).dt
+    # An int dt is 0, -1 or 10**400, all rejected whatever the duration.
+    fields["duration"] = steps * dt if isinstance(dt, float) else steps
+    cfg, out = folder / "run.cfg", folder / "run.csv"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()
+                           if value is not None))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+    event(f"exit {code}")
+    assert code in (0, 1, 2), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        header, *lines = out.read_text().splitlines()
+        table = np.array([line.split(",") for line in lines], dtype=float)
+        channels = np.array([re.fullmatch(r"c\d+_\w+", name) is not None
+                             for name in header.split(",")])
+        # A contact absent at a step is NaN in all six of its channel
+        # columns; every other cell is finite.
+        absent = np.isnan(table[:, channels]).reshape(len(table), -1, 6)
+        assert lines and (absent.all(axis=2) | ~absent.any(axis=2)).all(), fields
+        assert not np.isinf(table).any() and np.isfinite(table[:, ~channels]).all(), fields

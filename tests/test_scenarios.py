@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from convexcontact.scenarios import (
     ScenarioSpec,
     ScenarioError,
     Simulation,
+    Trajectory,
     build_world,
     run_scenario,
 )
@@ -13,7 +16,7 @@ from convexcontact.solver import SolveOptions, SolverFailure
 
 
 def test_spec_resolution_and_validation():
-    spec = ScenarioSpec("belt").resolve()
+    spec = ScenarioSpec("belt")
     assert spec.dt == 1e-2 and spec.duration == 3.0
     assert spec.dissipation == 500.0 and spec.tau_d == 1e-3 and spec.mu == 0.7
     assert spec.v_s == 1e-4 and spec.sigma == 1e-3
@@ -21,19 +24,34 @@ def test_spec_resolution_and_validation():
         ScenarioSpec("nope")
     with pytest.raises(ValueError):
         ScenarioSpec("belt", model="bogus")
+    # A seed too large for a float is still a valid seed, not an OverflowError.
+    assert ScenarioSpec("clutter", seed=10 ** 400).seed == 10 ** 400
+    with pytest.raises(ValueError, match="overflows"):
+        ScenarioSpec("belt", dt=1e-300, duration=1e10)
+
+
+def test_spec_is_resolved_when_built():
+    spec, explicit = ScenarioSpec("belt"), ScenarioSpec("belt", dt=0.01)
+    assert spec == explicit and hash(spec) == hash(explicit)
+    assert spec.resolve() is spec
+    assert None not in spec.as_dict().values()
+    assert list(spec.as_dict()) == [f.name for f in fields(ScenarioSpec)]
+    # replace() keeps resolved values; a field set to None takes its default again.
+    assert replace(spec, mu=0.2, dt=None) == ScenarioSpec("belt", mu=0.2)
+    assert replace(ScenarioSpec("belt", dt=0.002), dt=None).dt == 0.01
 
 
 def test_paper_defaults_per_scenario():
-    sphere = ScenarioSpec("falling_sphere").resolve()
+    sphere = ScenarioSpec("falling_sphere")
     assert sphere.mu == 0.5 and sphere.stiffness == 1e7 and sphere.dt == 2e-3
-    rod = ScenarioSpec("sliding_rod").resolve()
+    rod = ScenarioSpec("sliding_rod")
     assert rod.mu == 2.3 and rod.dissipation == 0.2 and rod.tau_d == 4e-6
-    clutter = ScenarioSpec("clutter").resolve()
+    clutter = ScenarioSpec("clutter")
     assert clutter.mu == 1.0 and clutter.dissipation == 10.0 and clutter.duration == 3.0
 
 
 def test_belt_world_two_corner_contacts():
-    spec = ScenarioSpec("belt", model="lagged").resolve()
+    spec = ScenarioSpec("belt", model="lagged")
     sim = Simulation(spec)
     problem = sim.assemble()
     features = sorted(feature for _, _, feature in problem.keys)
@@ -45,7 +63,7 @@ def test_belt_world_two_corner_contacts():
 
 
 def test_belt_seeded_lag_matches_static_load():
-    spec = ScenarioSpec("belt", model="lagged").resolve()
+    spec = ScenarioSpec("belt", model="lagged")
     sim = Simulation(spec)
     for gamma in sim.memory.values():
         assert gamma / spec.dt == pytest.approx(0.5 * 9.81, rel=1e-6)
@@ -90,7 +108,7 @@ def test_falling_sphere_run_records_channels():
     # tracked (unloaded) from the first step.
     assert traj.f_n[0, 0] == 0.0
     assert traj.x0[0, 0] < 0.0
-    assert traj.meta["config"]["scenario"] == "falling_sphere"
+    assert traj.spec.scenario == "falling_sphere"
 
 
 def test_run_scenario_is_deterministic():
@@ -136,6 +154,24 @@ def test_non_finite_contact_channel_aborts_with_step_index(monkeypatch):
     assert sim.step_index == 0 and not sim._records
 
 
+@pytest.mark.parametrize("output", ["cost", "condition_number"])
+def test_non_finite_cost_or_condition_aborts_with_step_index(output, monkeypatch):
+    from convexcontact import scenarios
+
+    solve = scenarios.solve_step
+
+    def overflowing(problem, opts):
+        sol = solve(problem, opts=opts)
+        setattr(sol, output, -np.inf)
+        return sol
+
+    sim = Simulation(ScenarioSpec("falling_sphere", model="lagged", duration=0.1))
+    monkeypatch.setattr(scenarios, "solve_step", overflowing)
+    with pytest.raises(ScenarioError, match=r"^step 0 .*cost or condition number"):
+        sim.step()
+    assert sim.step_index == 0 and not sim._records
+
+
 def test_trajectory_kinetic_energy_matches_hand_value():
     traj = run_scenario(ScenarioSpec("falling_sphere", model="lagged", dt=2e-3, duration=0.02))
     v = traj.v[-1]
@@ -169,6 +205,59 @@ class TestAnalysis:
         i0 = int(tr["time"] / traj.spec.dt) + 20
         with pytest.raises(ValueError, match="stiction"):
             analysis.gliding_offset(traj, (i0, i0 + 30))
+
+    def test_runs_on_synthetic_masks(self):
+        def synthetic(slip):
+            """One loaded contact per step with the given slip speeds, dt 0.01."""
+            n = len(slip)
+            zeros, col = np.zeros((n, 1)), np.asarray(slip, float).reshape(n, 1)
+            spec = ScenarioSpec("falling_sphere", dt=0.01, duration=1.0)
+            return Trajectory(spec=spec, times=0.01 * np.arange(n + 1),
+                              q=np.zeros((n + 1, 3)), v=np.zeros((n + 1, 3)),
+                              q_layout=[("disk", "2d", 0)], masses=[0.5], inertias=[1e-4],
+                              keys=[(1, 0, 0)], v_n=zeros, v_t=col, f_n=np.ones((n, 1)),
+                              f_t=zeros, x0=zeros, eps_s=zeros,
+                              iterations=np.zeros(n, dtype=int),
+                              condition_number=np.ones(n), cost=np.zeros(n), rel_tol=1e-5)
+
+        # _runs against a scan of the mask, one step at a time.
+        for mask in np.random.default_rng(3).random((50, 20)) < 0.6:
+            runs, start = [], None
+            for i, flag in enumerate(np.append(mask, False)):
+                if flag and start is None:
+                    start = i
+                elif not flag and start is not None:
+                    runs.append((start, i))
+                    start = None
+            starts, ends = analysis._runs(mask)
+            assert list(zip(starts.tolist(), ends.tolist())) == runs
+        assert [a.size for a in analysis._runs(np.zeros(3, dtype=bool))] == [0, 0]
+
+        fast, slow = 1.0, 0.0  # slow is stuck: below v_s
+
+        # A tie goes to the first of the longest runs.
+        tie = synthetic([slow] + [fast] * 5 + [slow] + [fast] * 5 + [slow])
+        assert analysis.find_sliding_window(tie, 0.5, trim=0.0) == (1, 6)
+        # A run that ends on the last step.
+        last = synthetic([fast] * 4 + [slow] + [fast] * 6)
+        assert analysis.find_sliding_window(last, 0.5, trim=0.0) == (5, 11)
+        assert analysis.find_sliding_window(last, 0.5) == (6, 10)
+        # No run of 4 steps.
+        with pytest.raises(ValueError, match="no sliding stretch"):
+            analysis.find_sliding_window(synthetic([fast] * 3 + [slow] + [fast] * 3), 0.5)
+        # All True.
+        assert analysis.find_sliding_window(synthetic([fast] * 8), 0.5, trim=0.0) == (0, 8)
+
+        stuck = synthetic([fast, slow, slow, fast] + [slow] * 5 + [fast] + [slow] * 5)
+        assert analysis.slide_roll_transition(stuck, sustain=2)["time"] == pytest.approx(0.02)
+        assert analysis.slide_roll_transition(stuck, sustain=5)["time"] == pytest.approx(0.05)
+        assert analysis.stiction_dwell(stuck) == pytest.approx(0.05)
+        with pytest.raises(ValueError, match="no sustained stiction"):
+            analysis.slide_roll_transition(stuck, sustain=6)
+        assert analysis.stiction_dwell(synthetic([fast] * 4)) == 0.0
+        every = synthetic([slow] * 6)
+        assert analysis.slide_roll_transition(every, sustain=6)["time"] == pytest.approx(0.01)
+        assert analysis.stiction_dwell(every) == pytest.approx(0.06)
 
     def test_predicted_offsets(self):
         assert analysis.predicted_gliding_offset("lagged", 0.7, 1e-2, 1e-3, 0.3) == 0.0

@@ -311,3 +311,25 @@ def test_overflowing_residuals_do_not_read_as_converged(monkeypatch):
         scale = max(np.linalg.norm(momentum / s), np.linalg.norm(jt_gamma / s))
         floor = 1e-14 * np.linalg.norm(problem.apply_A(problem.v_star)) / s
         assert residual <= sim.options.rel_tol * scale + floor
+
+
+def test_overflowing_momentum_floor_does_not_read_as_converged():
+    """With no contacts and dt = 1e160, |A v*| overflows when squared.  The
+    absolute floor 1e-14 * |A v*| must stay finite, or the stopping test
+    passes at the unmoved warm start with an infinite cost."""
+    sim = Simulation(ScenarioSpec("clutter", dt=1e160, duration=1e160, n_bodies=1,
+                                  margin=0.0))
+    problem = sim.assemble()
+    assert len(problem.keys) == 0
+    with pytest.raises(SolverFailure), np.errstate(over="ignore", invalid="ignore"):
+        solve_step(problem)
+
+
+def test_line_search_bisects_when_curvature_underflows():
+    """With SAP at k = 1 and tau_d = 3.2e192 the Newton steps are so short that
+    phi'' underflows to 0; the search then bisects instead of dividing by it."""
+    spec = ScenarioSpec("falling_sphere", model="sap", stiffness=1.0, tau_d=10.0 ** 192.5,
+                        mu=1e-174, duration=2e-3)
+    with np.errstate(all="ignore"):
+        sol = solve_step(Simulation(spec).assemble())
+    assert np.isfinite(sol.v).all() and sol.iterations > 0
