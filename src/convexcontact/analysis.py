@@ -57,7 +57,8 @@ def _quat_geodesic(qa, qb):
 
 def position_error(traj: Trajectory, ref: Trajectory, horizon: float) -> float:
     """Time-averaged L2 position error of traj against ref over [0, horizon]."""
-    if traj.spec.physics_key() != ref.spec.physics_key():
+    # The physical setup is everything but the model, step and margin.
+    if replace(traj.spec, model=ref.spec.model, dt=ref.spec.dt, margin=ref.spec.margin) != ref.spec:
         raise ValueError("trajectories come from different scenario setups")
     if [l[:2] for l in traj.q_layout] != [l[:2] for l in ref.q_layout]:
         raise ValueError("trajectories have mismatched body layouts")

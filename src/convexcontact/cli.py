@@ -29,7 +29,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import analysis, validation
-from .scenarios import MODEL_IDS, SCENARIO_IDS, ScenarioSpec, ScenarioError, run_scenario
+from .scenarios import CHANNELS, MODEL_IDS, SCENARIO_IDS, ScenarioSpec, ScenarioError, run_scenario
 
 SCHEMA_VERSION = 1
 
@@ -174,7 +174,7 @@ def cmd_run(args) -> int:
     header += names
     columns = [traj.step_times] + cols
     for i, _ in enumerate(traj.keys):
-        for chan in ("v_n", "v_t", "f_n", "f_t", "x0", "eps_s"):
+        for chan in CHANNELS:
             header.append(f"c{i}_{chan}")
             columns.append(getattr(traj, chan)[:, i])
     header += ["iters", "cond", "cost"]
@@ -231,7 +231,8 @@ def cmd_study(args) -> int:
 
 def _sweep_entry(payload):
     spec, tail = payload
-    return analysis.clutter_metrics(run_scenario(spec), tail=tail)
+    with np.errstate(all="ignore"):  # a worker process has its own error state
+        return analysis.clutter_metrics(run_scenario(spec), tail=tail)
 
 
 def cmd_sweep(args) -> int:
@@ -257,10 +258,7 @@ def cmd_sweep(args) -> int:
     else:
         metrics = [_sweep_entry(job) for job in jobs]
 
-    metric_keys = ["mean_penetration", "max_penetration", "mean_iterations_impact",
-                   "mean_iterations_settled", "mean_condition_impact",
-                   "mean_condition_settled", "mean_effective_vs_impact",
-                   "mean_effective_vs_settled", "tail_kinetic_energy"]
+    metric_keys = list(metrics[0])  # clutter_metrics' key order
     rows = []
     for (job, _), m in zip(jobs, metrics):
         rows.append((job.model, getattr(job, args.parameter), *(m[k] for k in metric_keys)))
@@ -351,7 +349,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every value that reaches an output is checked for finiteness, and a
+        # failure is reported on one line; numpy's floating-point warnings
+        # would only print ahead of it.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -12,9 +12,12 @@ normals point from body b towards body a.
 
 `detect_contacts` returns a `ContactSet`: n contacts as arrays, pair (n, 2)
 (body a, body b), point (n, dim), normal (n, dim), x0 (n,) and feature (n,),
-built without a Python object per contact.  Sphere pairs and sphere/plane
-pairs come from one broadcast over all pairs; box corners and rod endpoints
-are tested against a half-space in one pass over the vertices.
+built without a Python object per contact.  Every scenario contact is
+sphere against sphere, or a vertex with a radius r against a half-space:
+x0 = r + o - n . p at the point p - r n.  A vertex is a sphere center with
+its radius, or a box corner or rod endpoint with radius 0.  Each of the two
+kinds is one broadcast, over all sphere pairs and over all (vertex,
+half-space) pairs.
 
 Feature ids are stable while the contact topology is unchanged: spheres
 have a single feature 0, box corners and rod endpoints use their local
@@ -38,8 +41,6 @@ __all__ = [
     "Shape",
     "ContactSet",
     "DEFAULT_MARGIN",
-    "box_halfspace_corners",
-    "rod_endpoint_halfspace",
 ]
 
 log = logging.getLogger(__name__)
@@ -124,134 +125,111 @@ class ContactSet:
         return list(zip(*self.pair.T.tolist(), self.feature.tolist()))
 
 
-def _halfspace_vertices(vertices: np.ndarray, hs: HalfSpace, margin: float):
-    """(point, x0, feature) of the vertices (m, dim) within margin of the
-    half-space; a vertex's feature id is its row index."""
-    # One dot per vertex, bitwise n @ vertex (a matrix-vector product may
-    # round differently).
-    x0 = hs.offset - np.matmul(vertices[:, None, :], hs.n)[:, 0]
-    feature = np.flatnonzero(x0 > -margin)
-    return vertices[feature], x0[feature], feature
+# Corner sign patterns of a box, in feature order.
+_BOX_SIGNS = {
+    2: np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float),
+    3: np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+                dtype=float),
+}
 
 
-def _box_corners(position, orientation, half_extents) -> np.ndarray:
-    h = np.asarray(half_extents, dtype=float)
-    position = np.asarray(position, dtype=float)
+def _corners(body) -> np.ndarray:
+    """The corners of a box body or the two tips of a rod body, (k, dim),
+    in feature order."""
+    if isinstance(body.shape, Rod):
+        half = 0.5 * body.shape.length * np.array([np.cos(body.orientation),
+                                                   np.sin(body.orientation)])
+        return np.array([body.position - half, body.position + half])
+    h = np.asarray(body.shape.half_extents)
     if h.size == 2:
-        c, s = np.cos(orientation), np.sin(orientation)
+        c, s = np.cos(body.orientation), np.sin(body.orientation)
         rot = np.array([[c, -s], [s, c]])
-        signs = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
     else:
-        rot = quaternion_matrix(orientation)
-        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-                         dtype=float)
-    return position + (signs * h) @ rot.T
-
-
-def box_halfspace_corners(position, orientation, box: Box, hs: HalfSpace,
-                          margin: float = DEFAULT_MARGIN):
-    """(point, x0, feature) of the box corners within margin of the half-space."""
-    return _halfspace_vertices(_box_corners(position, orientation, box.half_extents), hs, margin)
-
-
-def rod_endpoint_halfspace(position, angle: float, rod: Rod, hs: HalfSpace,
-                           margin: float = DEFAULT_MARGIN):
-    """(point, x0, feature) of the rod endpoints within margin of the half-space."""
-    position = np.asarray(position, dtype=float)
-    half = 0.5 * rod.length * np.array([np.cos(angle), np.sin(angle)])
-    return _halfspace_vertices(np.array([position - half, position + half]), hs, margin)
-
-
-def _sphere_contacts(bodies, margin: float) -> list:
-    """Sphere/sphere and sphere/half-space contacts by broadcasting over pairs.
-
-    Every sphere pair and every sphere/half-space pair with a free body;
-    returns (pair, point, normal, x0, feature) array parts, half-space
-    contacts first.
-    """
-    spheres = [i for i, b in enumerate(bodies) if isinstance(b.shape, Sphere)]
-    planes = [i for i, b in enumerate(bodies) if isinstance(b.shape, HalfSpace)]
-    if not spheres:
-        return []
-    free = np.array([b.motion == "free" for b in bodies])
-    spheres = np.array(spheres)
-    sphere_free = free[spheres]
-    center = np.array([bodies[i].position for i in spheres], dtype=float)
-    radius = np.array([bodies[i].shape.radius for i in spheres])
-    parts = []
-
-    if planes:
-        planes = np.array(planes)
-        normal = np.array([bodies[h].shape.normal for h in planes])
-        offset = np.array([bodies[h].shape.offset for h in planes])
-        x0 = radius[:, None] + offset[None, :] - center @ normal.T
-        keep = ~(x0 <= -margin) & (sphere_free[:, None] | free[planes][None, :])
-        s, h = np.nonzero(keep)
-        parts.append((np.array([spheres[s], planes[h]]).T,
-                      center[s] - radius[s, None] * normal[h], normal[h], x0[s, h],
-                      np.zeros(len(s), dtype=int)))
-
-    # Every pair a < b, in row-major order (np.triu_indices, without its
-    # fixed cost).
-    index = np.arange(len(spheres))
-    a, b = np.nonzero(index[:, None] < index)
-    delta = center[a] - center[b]
-    dist = np.linalg.norm(delta, axis=1)
-    x0 = radius[a] + radius[b] - dist
-    keep = ~(x0 <= -margin) & (sphere_free[a] | sphere_free[b])
-    a, b, delta, dist, x0 = a[keep], b[keep], delta[keep], dist[keep], x0[keep]
-    coincident = dist < 1e-12
-    normal = delta / np.where(coincident, 1.0, dist)[:, None]
-    up = np.eye(center.shape[1])[-1]
-    normal[coincident] = up
-    for ca in center[a[coincident]]:
-        log.warning("coincident sphere centers at %s; using fallback normal %s", ca, up)
-    # Midpoint of the overlap segment between the two surface points.
-    point = 0.5 * ((center[b] + radius[b, None] * normal) + (center[a] - radius[a, None] * normal))
-    parts.append((np.array([spheres[a], spheres[b]]).T, point, normal, x0,
-                  np.zeros(len(a), dtype=int)))
-    return parts
+        rot = quaternion_matrix(body.orientation)
+    return body.position + (_BOX_SIGNS[h.size] * h) @ rot.T
 
 
 def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> ContactSet:
     """All contacts of a body list, in (lower, higher) body-index pair order.
 
     Bodies expose shape/position/orientation/motion attributes; pairs of two
-    prescribed bodies are skipped (no degrees of freedom to act on).  Sphere
-    pairs are handled in one broadcast pass; boxes and rods run their
-    narrow phase against each half-space.  Unsupported shape pairs raise:
-    the scenario geometries only ever need sphere/sphere and
+    prescribed bodies are skipped (no degrees of freedom to act on).  Two
+    broadcasts find every contact: vertices against half-spaces, where a
+    vertex is a sphere center with its radius or a box corner or rod tip
+    with radius 0, and sphere against sphere.  Unsupported shape pairs
+    raise: the scenario geometries only ever need sphere/sphere and
     shape/half-space queries.  Within a pair, contacts come in feature order.
     """
-    planes = [b for b in bodies if isinstance(b.shape, HalfSpace)]
-    if len(planes) > 1 and any(b.motion == "free" for b in planes):
-        raise NotImplementedError("no narrow phase for HalfSpace/HalfSpace")
     dim = bodies[0].position.size
-    parts = _sphere_contacts(bodies, margin)
-    for i, a in enumerate(bodies):
-        if isinstance(a.shape, (Sphere, HalfSpace)):
-            continue
-        for j, b in enumerate(bodies):
-            if j == i or (a.motion != "free" and b.motion != "free"):
-                continue
-            if isinstance(a.shape, Box) and isinstance(b.shape, HalfSpace):
-                point, x0, feature = box_halfspace_corners(a.position, a.orientation, a.shape,
-                                                           b.shape, margin)
-            elif isinstance(a.shape, Rod) and isinstance(b.shape, HalfSpace):
-                point, x0, feature = rod_endpoint_halfspace(a.position, a.orientation, a.shape,
-                                                            b.shape, margin)
-            else:
-                raise NotImplementedError(
-                    f"no narrow phase for {type(a.shape).__name__}/{type(b.shape).__name__}"
-                )
-            parts.append((np.full((len(x0), 2), (i, j)), point,
-                          np.full((len(x0), dim), b.shape.n), x0, feature))
+    free = np.array([b.motion == "free" for b in bodies])
+    planes = [i for i, b in enumerate(bodies) if isinstance(b.shape, HalfSpace)]
+    if len(planes) > 1 and free[planes].any():
+        raise NotImplementedError("no narrow phase for HalfSpace/HalfSpace")
+    solid = [i for i, b in enumerate(bodies) if not isinstance(b.shape, HalfSpace)]
+    spheres = [i for i in solid if isinstance(bodies[i].shape, Sphere)]
+    # A box or rod and another solid body, one of the two free.
+    if len(spheres) < len(solid) and len(solid) > 1 and free[solid].any():
+        names = "/".join(type(bodies[i].shape).__name__ for i in solid)
+        raise NotImplementedError(f"no narrow phase among {names}: boxes and rods meet "
+                                  "half-spaces only")
+
+    # Vertices (owner body, point, radius, feature): sphere centers with
+    # their radii, then box corners and rod endpoints with radius 0.
+    vertices = []
+    if spheres:
+        spheres = np.array(spheres)
+        center = np.array([bodies[i].position for i in spheres])
+        radius = np.array([bodies[i].shape.radius for i in spheres])
+        vertices.append((spheres, center, radius, np.zeros(len(spheres), dtype=int)))
+    for i in solid:
+        if not isinstance(bodies[i].shape, Sphere):
+            corners = _corners(bodies[i])
+            k = len(corners)
+            vertices.append((np.full(k, i), corners, np.zeros(k), np.arange(k)))
+    parts = []
+    if planes and vertices:
+        owner, vertex, vertex_radius, feature = (
+            vertices[0] if len(vertices) == 1 else map(np.concatenate, zip(*vertices)))
+        normal = np.array([bodies[h].shape.normal for h in planes])
+        offset = np.array([bodies[h].shape.offset for h in planes])
+        planes = np.array(planes)
+        x0 = vertex_radius[:, None] + offset - vertex @ normal.T
+        keep = ~(x0 <= -margin) & (free[owner][:, None] | free[planes])
+        v, h = np.nonzero(keep)
+        normal = normal[h]
+        parts.append((np.array([owner[v], planes[h]]).T,
+                      vertex[v] - vertex_radius[v, None] * normal, normal, x0[v, h], feature[v]))
+
+    if len(spheres) > 1:
+        # Every pair a < b, in row-major order (np.triu_indices, without its
+        # fixed cost).
+        index = np.arange(len(spheres))
+        a, b = np.nonzero(index[:, None] < index)
+        delta = center[a] - center[b]
+        dist = np.linalg.norm(delta, axis=1)
+        x0 = radius[a] + radius[b] - dist
+        keep = ~(x0 <= -margin) & (free[spheres[a]] | free[spheres[b]])
+        a, b, delta, dist, x0 = a[keep], b[keep], delta[keep], dist[keep], x0[keep]
+        coincident = dist < 1e-12
+        normal = delta / np.where(coincident, 1.0, dist)[:, None]
+        up = np.eye(dim)[-1]
+        normal[coincident] = up
+        for ca in center[a[coincident]]:
+            log.warning("coincident sphere centers at %s; using fallback normal %s", ca, up)
+        # Midpoint of the overlap segment between the two surface points.
+        point = 0.5 * ((center[b] + radius[b, None] * normal)
+                       + (center[a] - radius[a, None] * normal))
+        parts.append((np.array([spheres[a], spheres[b]]).T, point, normal, x0,
+                      np.zeros(len(a), dtype=int)))
+
     if not parts:
         return ContactSet(np.zeros((0, 2), dtype=int), np.zeros((0, dim)), np.zeros((0, dim)),
                           np.zeros(0), np.zeros(0, dtype=int))
-    pair, point, normal, x0, feature = (np.concatenate(column) for column in zip(*parts))
+    pair, point, normal, x0, feature = (
+        parts[0] if len(parts) == 1 else (np.concatenate(column) for column in zip(*parts)))
     # Stable: each pair's contacts keep their feature order.
-    order = np.lexsort((pair.max(axis=1), pair.min(axis=1)))
+    low, high = np.sort(pair, axis=1).T
+    order = np.lexsort((high, low))
     return ContactSet(pair[order], point[order], normal[order], x0[order], feature[order])
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "SCENARIO_IDS",
     "ScenarioSpec",
     "Trajectory",
+    "CHANNELS",
     "ScenarioError",
     "Simulation",
     "run_scenario",
@@ -124,11 +125,6 @@ class ScenarioSpec:
         """The spec itself, resolved when it was built; kept for older callers."""
         return self
 
-    def physics_key(self) -> tuple:
-        """Everything that defines the physical setup, ignoring model and dt."""
-        return (self.scenario, self.duration, self.stiffness, self.dissipation, self.tau_d,
-                self.mu, self.v_s, self.sigma, self.seed, self.n_bodies)
-
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -191,7 +187,8 @@ def _sliding_equilibrium_penetration(spec: ScenarioSpec, load: float,
     The strongly coupled models support a sliding contact at a finite
     negative penetration (the gliding artifact), so starting a fast-sliding
     body at zero gap would put it far off its own equilibrium branch and
-    fire it ballistic.  Solved by bisection on the monotone impulse.
+    fire it ballistic.  Solved by bisection on the monotone impulse, which
+    stops once the bracket reaches float resolution and stops moving.
     """
     law, friction = HuntCrossley(spec.stiffness, spec.dissipation), _friction(spec)
     v_c = np.array([[-slip, 0.0]])
@@ -205,10 +202,10 @@ def _sliding_equilibrium_penetration(spec: ScenarioSpec, load: float,
     lo, hi = -0.5, 0.02
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if impulse(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if impulse(mid) < 0.0 else (lo, mid)
+        if bracket == (lo, hi):  # every later probe would repeat this one
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 
@@ -327,7 +324,7 @@ class Trajectory:
 
 
 # Contact channels recorded per step, in record column order.
-_CHANNELS = ("v_n", "v_t", "f_n", "f_t", "x0", "eps_s")
+CHANNELS = ("v_n", "v_t", "f_n", "f_t", "x0", "eps_s")
 
 
 class Simulation:
@@ -341,7 +338,7 @@ class Simulation:
         self.step_index = 0
         self._free = [self.world.bodies[i] for i in self.world.free_bodies]
         # Per step: contact keys (a list of n tuples), channels (n, 6) in
-        # _CHANNELS order, iterations, condition number and cost.
+        # CHANNELS order, iterations, condition number and cost.
         self._records: list = []
         self._states = [self._state_row()]
 
@@ -439,10 +436,10 @@ class Simulation:
                              dtype=int).reshape(-1, 3)
         keys, column = np.unique(every_key, axis=0, return_inverse=True)
         step = np.repeat(np.arange(n), [len(r[0]) for r in records])
-        chan = np.full((len(_CHANNELS), n, len(keys)), np.nan)
+        chan = np.full((len(CHANNELS), n, len(keys)), np.nan)
         chan[:, step, column.ravel()] = np.concatenate(
-            [r[1] for r in records] + [np.zeros((0, len(_CHANNELS)))]).T
-        chan = dict(zip(_CHANNELS, chan))
+            [r[1] for r in records] + [np.zeros((0, len(CHANNELS)))]).T
+        chan = dict(zip(CHANNELS, chan))
         keys = list(map(tuple, keys.tolist()))
         iters = np.array([r[2] for r in records], dtype=int)
         cond = np.array([np.nan if r[3] is None else r[3] for r in records], dtype=float)

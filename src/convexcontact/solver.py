@@ -108,18 +108,6 @@ def safe_norm(x: np.ndarray, axis: Optional[int] = None):
     return np.where(norm < np.inf, norm, scaled)
 
 
-class _Terms:
-    """The problem's contact terms at generalized velocities."""
-
-    def __init__(self, problem: StepProblem):
-        self.problem = problem
-        self.batch = ContactBatch.build(problem)
-
-    def terms(self, v: np.ndarray):
-        """(contact cost, gammas (n, dim), hessians (n, dim, dim)) at generalized v."""
-        return self.batch.terms(self.problem.contact_velocities(v))
-
-
 # Relative slope tolerance of the exact line search, |phi'(a)| <= tol*|phi'(0)|.
 _LS_TOL = 1e-3
 # Bracket width at which the search stops: float resolution of a near 1.
@@ -132,7 +120,7 @@ def _newton_matrix(problem: StepProblem, hessians: np.ndarray) -> np.ndarray:
     return problem.A + problem.J.T @ (hessians @ j3).reshape(problem.J.shape)
 
 
-def _line_search(terms: _Terms, v, step, momentum, slope):
+def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, slope):
     """Exact search for the minimizer of phi(a) = l_p(v + a*step) on (0, 1].
 
     Works on phi' alone, which is monotone on the convex section and free of
@@ -148,7 +136,6 @@ def _line_search(terms: _Terms, v, step, momentum, slope):
     Returns (a, trial, probe terms at trial, probe count); the caller reuses
     the accepted probe as the next iterate's gradient and Hessians.
     """
-    problem = terms.problem
     base = float(step @ momentum)
     curve = float(step @ problem.apply_A(step))
     dv_c = (problem.J @ step).reshape(problem.bias.shape)
@@ -156,7 +143,7 @@ def _line_search(terms: _Terms, v, step, momentum, slope):
 
     def probe(alpha):
         trial = v + alpha * step
-        out = terms.terms(trial)
+        out = batch.terms(problem.contact_velocities(trial))
         _, gammas, hessians = out
         dphi = base + alpha * curve - float(gammas.ravel() @ dv_c.ravel())
         if not np.isfinite(dphi):
@@ -194,12 +181,12 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
     if not np.isfinite(problem.v0).all():
         raise SolverFailure("non-finite warm start v0")
 
-    terms = _Terms(problem)
+    batch = ContactBatch.build(problem)
     v = problem.v0.copy()
     av_star = safe_norm(problem.apply_A(problem.v_star))
     abs_floor = 1e-14 * av_star
 
-    contact_cost, gammas, hessians = terms.terms(v)
+    contact_cost, gammas, hessians = batch.terms(problem.contact_velocities(v))
     evaluations = 1
     momentum = problem.apply_A(v - problem.v_star)
     cost = 0.5 * float((v - problem.v_star) @ momentum) + contact_cost
@@ -235,7 +222,7 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
             raise SolverFailure("Newton direction is not a descent direction")
 
         alpha, trial, (contact_cost, gammas, hessians), probes = _line_search(
-            terms, v, step, momentum, slope)
+            problem, batch, v, step, momentum, slope)
         evaluations += probes
         if np.array_equal(trial, v):
             diagnostic = "line search stalled at numerical precision"
@@ -255,7 +242,7 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
         cond = condition_number(problem, v, hessians=hessians)
     return Solution(v=v, impulses=gammas,
                     iterations=len(step_lengths), converged=converged, cost=cost,
-                    stiction_tolerance=terms.batch.stiction_tolerance(gammas[:, -1]),
+                    stiction_tolerance=batch.stiction_tolerance(gammas[:, -1]),
                     cost_history=history, condition_number=cond,
                     diagnostic=diagnostic, step_lengths=step_lengths,
                     contact_evaluations=evaluations)
@@ -271,7 +258,7 @@ def condition_number(problem: StepProblem, v: np.ndarray,
     `SolverFailure`.
     """
     if hessians is None:
-        hessians = _Terms(problem).terms(v)[2]
+        hessians = ContactBatch.build(problem).terms(problem.contact_velocities(v))[2]
     matrix = _newton_matrix(problem, hessians)
     if not np.isfinite(matrix).all():
         raise SolverFailure("non-finite Newton matrix")

@@ -3,7 +3,8 @@
 The loops below are the reference: per-body mass matrices, contact frames
 and point Jacobians built one contact at a time, the Delassus diagonal and
 the Newton matrix summed block by block, and an all-pairs narrow-phase
-detection with the sphere formulas written out per pair.  They are compared
+detection with the sphere formulas, box corners and rod endpoints written
+out per pair.  They are compared
 with the array code on a 3D clutter pile at release and mid-run, the 2D belt
 (prescribed surface velocity in the bias), the sliding rod's endpoints and a
 tilted 3D box's corners.
@@ -14,15 +15,13 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from convexcontact.batch import FrictionParams
+from convexcontact.batch import ContactBatch, FrictionParams
 from convexcontact.collision import (
     Box,
     HalfSpace,
     Rod,
     Sphere,
-    box_halfspace_corners,
     detect_contacts,
-    rod_endpoint_halfspace,
 )
 from convexcontact.dynamics import (
     Body,
@@ -31,7 +30,7 @@ from convexcontact.dynamics import (
     mass_blocks,
 )
 from convexcontact.scenarios import ScenarioSpec, Simulation
-from convexcontact.solver import _newton_matrix, _Terms
+from convexcontact.solver import _newton_matrix
 
 RTOL = 1e-12
 
@@ -91,6 +90,33 @@ def ref_sphere_sphere(ca, ra, cb, rb, margin):
     return [(0.5 * ((cb + rb * normal) + (ca - ra * normal)), normal, x0, 0)]
 
 
+def ref_corners(body):
+    """Box corners (sign patterns in feature order) or rod endpoints."""
+    p = np.asarray(body.position)
+    if isinstance(body.shape, Rod):
+        half = 0.5 * body.shape.length * np.array([np.cos(body.orientation),
+                                                   np.sin(body.orientation)])
+        return [p - half, p + half]
+    h = np.asarray(body.shape.half_extents)
+    if h.size == 2:
+        c, s = np.cos(body.orientation), np.sin(body.orientation)
+        rot = np.array([[c, -s], [s, c]])
+        signs = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+    else:
+        rot = ref_rotation(body.orientation)
+        signs = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+    return [p + rot @ (np.array(sign) * h) for sign in signs]
+
+
+def ref_vertex_halfspace(vertices, hs, margin):
+    found = []
+    for feature, p in enumerate(vertices):
+        x0 = hs.offset - float(hs.n @ p)
+        if x0 > -margin:
+            found.append((p, hs.n, x0, feature))
+    return found
+
+
 def ref_detect(bodies, margin):
     """All-pairs loop with axis-aligned pruning of sphere pairs."""
     contacts = []
@@ -113,10 +139,7 @@ def ref_detect(bodies, margin):
                     continue
                 found = ref_sphere_sphere(pa, ra, pb, rb, margin)
             elif isinstance(a.shape, (Box, Rod)) and isinstance(b.shape, HalfSpace):
-                narrow = (box_halfspace_corners if isinstance(a.shape, Box)
-                          else rod_endpoint_halfspace)
-                points, x0, feature = narrow(a.position, a.orientation, a.shape, b.shape, margin)
-                found = [(p, b.shape.n, x, f) for p, x, f in zip(points, x0, feature)]
+                found = ref_vertex_halfspace(ref_corners(a), b.shape, margin)
             else:
                 raise NotImplementedError
             contacts += [RefContact(ia, ib, *c) for c in found]
@@ -301,7 +324,7 @@ def test_mass_matrix_free_motion_and_delassus(case):
 
 def test_newton_matrix(case):
     world, _, problem = case
-    _, _, hessians = _Terms(problem).terms(problem.v0)
+    _, _, hessians = ContactBatch.build(problem).terms(problem.contact_velocities(problem.v0))
     rng = np.random.default_rng(3)
     spd = rng.normal(size=hessians.shape)
     for g in (hessians, spd @ spd.transpose(0, 2, 1)):

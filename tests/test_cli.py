@@ -1,12 +1,16 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import convexcontact
 from convexcontact.cli import main, read_config
 from convexcontact.scenarios import MODEL_IDS, SCENARIO_IDS, ScenarioSpec
 
@@ -154,12 +158,31 @@ def test_extreme_stiffness_writes_only_finite_values(tmp_path, capsys):
     ids=["overflowing-cost", "non-finite-newton-matrix", "infinite-belt-phase"])
 def test_non_finite_step_exits_1(args, tmp_path, capsys):
     out = tmp_path / "x.csv"
-    with np.errstate(all="ignore"):  # the overflows themselves are expected
-        code = main(["run", *args, "--out", str(out)])
+    code = main(["run", *args, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("solver failure: step ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--scenario", "falling_sphere", "--dt", "1e-300", "--duration", "3e-300"],
+    # Two jobs on two workers: the overflow happens in a worker process.
+    ["sweep", "--scenario", "clutter", "--n-bodies", "2", "--parameter", "dt",
+     "--values", "1e-300", "--dt", "1e-300", "--duration", "3e-300", "--models", "lagged,sap",
+     "--tail", "0"]], ids=["run", "sweep"])
+def test_float_warnings_stay_off_stderr(args, tmp_path):
+    # In a fresh interpreter, with Python's default warning filters: numpy's
+    # overflow warnings would print ahead of the one-line failure message.
+    src = os.path.dirname(os.path.dirname(convexcontact.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "IRC_THREADS": "2"}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "convexcontact.cli", *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("solver failure: step 0")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_bad_flag_exits_2(capsys):

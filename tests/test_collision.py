@@ -7,10 +7,8 @@ from convexcontact.collision import (
     HalfSpace,
     Rod,
     Sphere,
-    box_halfspace_corners,
     detect_contacts,
     quaternion_matrix,
-    rod_endpoint_halfspace,
 )
 from convexcontact.dynamics import Body
 
@@ -23,10 +21,22 @@ def _ball(center, radius):
     return Body("ball", Sphere(radius), center, orientation, mass=1.0, inertia=1e-3)
 
 
-def sphere_halfspace(center, radius, hs, margin=DEFAULT_MARGIN):
-    """The contact set of a free ball (body 0) and a prescribed half-space."""
+def on_plane(body, hs, margin):
+    """The contact set of a free body (body 0) and a prescribed half-space."""
     plane = Body("plane", hs, np.zeros(len(hs.normal)), motion="prescribed")
-    return detect_contacts([_ball(center, radius), plane], margin)
+    return detect_contacts([body, plane], margin)
+
+
+def sphere_halfspace(center, radius, hs, margin=DEFAULT_MARGIN):
+    return on_plane(_ball(center, radius), hs, margin)
+
+
+def box_ground(center, angle, box, margin=DEFAULT_MARGIN):
+    return on_plane(Body("box", box, center, angle, mass=1.0, inertia=1e-3), GROUND2D, margin)
+
+
+def rod_ground(center, angle, rod, margin=DEFAULT_MARGIN):
+    return on_plane(Body("rod", rod, center, angle, mass=1.0, inertia=1e-3), GROUND2D, margin)
 
 
 def sphere_sphere(center_a, radius_a, center_b, radius_b, margin=DEFAULT_MARGIN):
@@ -81,23 +91,22 @@ class TestSphereSphere:
 class TestBoxCorners:
     def test_flat_resting_box_has_two_corner_contacts(self):
         box = Box((0.025, 0.025))
-        _, x0, feature = box_halfspace_corners([0.0, 0.025], 0.0, box, GROUND2D, margin=1e-3)
-        assert len(x0) == 2
-        assert set(feature.tolist()) == {0, 1}
-        for x in x0:
+        c = box_ground([0.0, 0.025], 0.0, box, margin=1e-3)
+        assert c.keys == [(0, 1, 0), (0, 1, 1)]
+        for x in c.x0:
             assert x == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(c.point, [[-0.025, 0.0], [0.025, 0.0]], atol=1e-15)
+        np.testing.assert_array_equal(c.normal, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_tilted_box_single_corner(self):
         box = Box((0.025, 0.025))
         # Lowest corner of the 0.3 rad tilted box sits 0.025*(cos+sin) below
         # the center; drop the center just past that.
-        _, x0, _ = box_halfspace_corners([0.0, 0.0312], 0.3, box, GROUND2D, margin=1e-3)
-        assert len(x0) == 1
+        assert len(box_ground([0.0, 0.0312], 0.3, box, margin=1e-3)) == 1
 
     def test_lifted_box_empty(self):
         box = Box((0.025, 0.025))
-        _, x0, _ = box_halfspace_corners([0.0, 0.1], 0.0, box, GROUND2D, margin=1e-3)
-        assert len(x0) == 0
+        assert len(box_ground([0.0, 0.1], 0.0, box, margin=1e-3)) == 0
 
 
 class TestRodEndpoints:
@@ -105,14 +114,13 @@ class TestRodEndpoints:
         rod = Rod(0.5)
         phi = np.pi / 6.0
         center = np.array([0.0, 0.25 * np.sin(phi)])
-        point, x0, _ = rod_endpoint_halfspace(center, -phi, rod, GROUND2D, margin=1e-6)
-        assert len(x0) == 1
-        assert x0[0] == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(point[0], [0.25 * np.cos(phi), 0.0], atol=1e-12)
+        c = rod_ground(center, -phi, rod, margin=1e-6)
+        assert c.keys == [(0, 1, 1)]  # the leading (+x) endpoint
+        assert c.x0[0] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(c.point[0], [0.25 * np.cos(phi), 0.0], atol=1e-12)
 
     def test_both_endpoints_above(self):
-        _, x0, _ = rod_endpoint_halfspace([0.0, 1.0], 0.1, Rod(0.5), GROUND2D)
-        assert len(x0) == 0
+        assert len(rod_ground([0.0, 1.0], 0.1, Rod(0.5))) == 0
 
 
 def test_query_self_consistency():
@@ -150,6 +158,15 @@ def test_detect_contacts_dispatch_and_feature_stability():
     box.position = box.position + np.array([1e-5, -1e-6])
     keys2 = set(detect_contacts([ground, box], margin=1e-3).keys)
     assert keys == keys2
+    # A free half-space meets a prescribed ball and box: their vertices
+    # share one broadcast, and each pair keeps its feature order.
+    slab = Body("slab", GROUND2D, np.zeros(2), 0.0, mass=1.0, inertia=1.0)
+    fixed_ball = Body("b", Sphere(0.05), np.array([0.4, 0.05]), 0.0, motion="prescribed")
+    fixed_box = Body("x", Box((0.025, 0.025)), np.array([0.0, 0.025]), 0.0, motion="prescribed")
+    mixed = detect_contacts([fixed_ball, slab, fixed_box], margin=1e-3)
+    assert mixed.keys == [(0, 1, 0), (2, 1, 0), (2, 1, 1)]
+    np.testing.assert_allclose(mixed.point, [[0.4, 0.0], [-0.025, 0.0], [0.025, 0.0]],
+                               atol=1e-15)
 
 
 def test_prescribed_pairs_skipped_and_unsupported_raises():

@@ -1,7 +1,10 @@
-"""The README's Python examples run as written, and every name a module
-exports in its __all__ exists."""
+"""The README's Python examples run as written, every name a module
+exports in its __all__ exists, and every attribute the benchmark's tracer
+wraps exists."""
 
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 import convexcontact
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(convexcontact.__path__,
                                                            "convexcontact."))
 
@@ -26,3 +30,16 @@ def test_readme_python_blocks_run(capsys):
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracing.py swaps each (owner, attribute) of TARGETS for a
+    # timing wrapper; a renamed attribute would fail only inside a benchmark
+    # run.  getattr_static finds the attribute without calling descriptors.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = object()
+    assert tracing.TARGETS
+    assert [(owner.__name__, attribute) for owner, attribute, *_ in tracing.TARGETS
+            if inspect.getattr_static(owner, attribute, missing) is missing] == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexcontact import analysis
+from convexcontact.batch import ContactBatch
 from convexcontact.scenarios import (
     ScenarioSpec,
     ScenarioError,
@@ -76,6 +77,21 @@ def test_rod_world_geometry():
     assert rod.position[1] == pytest.approx(0.125, abs=1e-4)
     assert rod.velocity[0] == 10.0
     assert rod.inertia == pytest.approx(0.3 * 0.5 ** 2 / 12.0)
+
+
+def test_sliding_equilibrium_bisection_stops_at_its_fixed_point(monkeypatch):
+    # Each probe builds a one-contact kernel.  Halving [-0.5, 0.02] reaches
+    # adjacent floats within ~75 probes; later probes would only repeat.
+    built = []
+    init = ContactBatch.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContactBatch, "__init__", counted)
+    build_world(ScenarioSpec("sliding_rod"))
+    assert 0 < len(built) < 100
 
 
 def test_clutter_world_layout_and_seeding():

@@ -150,8 +150,8 @@ def test_line_search_accepts_exact_section_minimizer(scenario, model, steps, par
     searches = []
     search = solver_module._line_search
 
-    def recorded(terms, v, step, momentum, slope):
-        out = search(terms, v, step, momentum, slope)
+    def recorded(problem, batch, v, step, momentum, slope):
+        out = search(problem, batch, v, step, momentum, slope)
         searches.append((v, step, slope, out[0]))
         return out
 
