@@ -162,9 +162,8 @@ def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> ContactSet:
     """
     dim = bodies[0].position.size
     free = np.array([b.motion == "free" for b in bodies])
+    # Half-spaces are prescribed (`dynamics.Body` rejects a free one).
     planes = [i for i, b in enumerate(bodies) if isinstance(b.shape, HalfSpace)]
-    if len(planes) > 1 and free[planes].any():
-        raise NotImplementedError("no narrow phase for HalfSpace/HalfSpace")
     solid = [i for i, b in enumerate(bodies) if not isinstance(b.shape, HalfSpace)]
     spheres = [i for i in solid if isinstance(bodies[i].shape, Sphere)]
     # A box or rod and another solid body, one of the two free.
@@ -194,7 +193,7 @@ def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> ContactSet:
         offset = np.array([bodies[h].shape.offset for h in planes])
         planes = np.array(planes)
         x0 = vertex_radius[:, None] + offset - vertex @ normal.T
-        keep = ~(x0 <= -margin) & (free[owner][:, None] | free[planes])
+        keep = ~(x0 <= -margin) & free[owner][:, None]
         v, h = np.nonzero(keep)
         normal = normal[h]
         parts.append((np.array([owner[v], planes[h]]).T,

@@ -6,13 +6,21 @@ velocity, orientation as a unit quaternion w-first).  Prescribed bodies
 carry no degrees of freedom; their surface motion enters contact constraints
 through the bias term only.
 
+What a world holds constant between steps is built once, by
+`World.mass_arrays`, and cached on the world: the free-body index and slot
+arrays, the dense block-diagonal mass matrix A (n_v, n_v), the inverse
+mass blocks and the gravity acceleration A^-1 f_ext.  Every mass block
+comes from `mass_blocks`: diag(m, m, I) in 2D, diag(m 1, I 1) in 3D for a
+scalar inertia I, which no rotation changes, and diag(m 1, R I R') for a
+3x3 body-frame inertia I, the only rows rotated and inverted again on every
+step.  The cache is keyed on the free indices, each free body's mass and
+inertia bytes and gravity, so changing any of them rebuilds it.
+
 `assemble_problem` runs the collision pass, which returns the contacts as
 arrays (`collision.ContactSet`), and freezes one StepProblem in array form,
 built in one vectorized pass over all bodies and all contacts:
 
-- A, the dense block-diagonal mass matrix (n_v, n_v); every mass block
-  comes from one batched R I R' (`mass_blocks`), and their inverses give v*
-  and the Delassus diagonal;
+- A, shared with the world's cached mass arrays and read-only;
 - the free-motion velocity v* = v0 + dt * A^-1 * f_ext;
 - J (n * dim, n_v), the contact frame Jacobians stacked row-wise: rows
   i*dim .. i*dim + dim - 1 hold contact i's tangent row(s), then its
@@ -31,18 +39,19 @@ built in one vectorized pass over all bodies and all contacts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .collision import Shape, detect_contacts, quaternion_matrix
+from .collision import HalfSpace, Shape, detect_contacts, quaternion_matrix
 from .batch import FrictionParams
 from .normal_laws import HuntCrossley
 
 __all__ = [
     "Body",
     "World",
+    "MassArrays",
     "StepProblem",
     "assemble_problem",
     "advance_state",
@@ -75,6 +84,9 @@ class Body:
         self.velocity = np.asarray(self.velocity, dtype=float)
         if self.motion not in ("free", "prescribed"):
             raise ValueError(f"motion must be 'free' or 'prescribed', got {self.motion}")
+        # Collision reads a half-space's normal and offset, never its pose.
+        if self.motion == "free" and isinstance(self.shape, HalfSpace):
+            raise ValueError(f"half-space body {self.name!r} must be prescribed")
         if self.motion == "free" and not self.mass > 0.0:
             raise ValueError(f"free body {self.name!r} must have positive mass")
         if dim == 3 and self.motion == "free":
@@ -93,6 +105,8 @@ class World:
     friction: FrictionParams = field(default_factory=lambda: FrictionParams(mu=0.5))
     margin: float = 1e-3
     time: float = 0.0
+    # (key, MassArrays) of the last `mass_arrays` build.
+    _mass: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -102,6 +116,10 @@ class World:
             g[-1] = -9.81
             self.gravity = g
         self.gravity = np.asarray(self.gravity, dtype=float)
+        if self.gravity.shape != (self.dim,) or not np.isfinite(self.gravity).all():
+            raise ValueError(f"gravity must be {self.dim} finite values, got {self.gravity}")
+        if not 0.0 <= self.margin < np.inf:
+            raise ValueError(f"margin must be finite and non-negative, got {self.margin}")
 
     @property
     def free_bodies(self) -> list[int]:
@@ -110,6 +128,37 @@ class World:
     @property
     def nv_per_body(self) -> int:
         return 3 if self.dim == 2 else 6
+
+    def mass_arrays(self) -> "MassArrays":
+        """The free bodies' mass arrays at the current orientations.
+
+        Built once and rebuilt only when the free indices, a free body's
+        mass or inertia, or gravity change; rows with a 3x3 inertia are
+        rotated to the current orientation on every call.
+        """
+        key = (self.dim, len(self.bodies), np.asarray(self.gravity, dtype=float).tobytes(),
+               [(i, b.mass, np.asarray(b.inertia, dtype=float).tobytes())
+                for i, b in enumerate(self.bodies) if b.motion == "free"])
+        if self._mass is None or self._mass[0] != key:
+            self._mass = (key, _build_mass_arrays(self))
+        arrays = self._mass[1]
+        return _rotated(self, arrays) if len(arrays.rotating) else arrays
+
+
+@dataclass(frozen=True)
+class MassArrays:
+    """A world's mass data in dof order; see `World.mass_arrays`."""
+
+    free: list  # indices of the free bodies
+    # Per body, the column block of its dofs; n_free for prescribed bodies,
+    # a scratch block that the Jacobian assembly drops.
+    slot: np.ndarray  # (n_bodies,)
+    A: np.ndarray  # (n_v, n_v), block diagonal
+    # Inverse mass blocks, then one zero block that drops prescribed bodies
+    # from the Delassus diagonal.
+    a_inv: np.ndarray  # (n_free + 1, nv_body, nv_body)
+    accel: np.ndarray  # (n_free, nv_body), A^-1 f_ext per body
+    rotating: np.ndarray  # rows of the free bodies with a 3x3 inertia
 
 
 @dataclass
@@ -195,9 +244,9 @@ def _inertia_spd(inertia) -> bool:
 def mass_blocks(bodies: list, dim: int) -> np.ndarray:
     """Mass matrices (n, nv_body, nv_body) of free bodies, all in one pass.
 
-    diag(m, m, I) in 2D; in 3D diag(m * I_3, R I R') with R the rotation of
-    the body's quaternion and I its body-frame inertia, a scalar standing
-    for I * I_3 or a 3x3 matrix.
+    diag(m, m, I) in 2D.  In 3D, diag(m * 1, I * 1) for a scalar inertia I,
+    exactly, since no rotation changes it, and diag(m * 1, R I R') for a 3x3
+    body-frame inertia I, with R the rotation of the body's quaternion.
     """
     n = len(bodies)
     mass = np.array([b.mass for b in bodies], dtype=float)
@@ -207,13 +256,67 @@ def mass_blocks(bodies: list, dim: int) -> np.ndarray:
         blocks[:, 2, 2] = [float(b.inertia) for b in bodies]
         return blocks
     eye = np.eye(3)
-    inertia = np.array([b.inertia * eye if np.isscalar(b.inertia) else b.inertia
+    inertia = np.array([b.inertia * eye if np.ndim(b.inertia) == 0 else b.inertia
                         for b in bodies], dtype=float).reshape(n, 3, 3)
-    rot = quaternion_matrix(np.array([b.orientation for b in bodies], dtype=float).reshape(n, 4))
     blocks = np.zeros((n, 6, 6))
     blocks[:, :3, :3] = mass[:, None, None] * eye
-    blocks[:, 3:, 3:] = rot @ inertia @ rot.transpose(0, 2, 1)
+    blocks[:, 3:, 3:] = inertia
+    rows = [i for i, b in enumerate(bodies) if np.ndim(b.inertia) != 0]
+    if rows:
+        rot = quaternion_matrix(np.array([bodies[i].orientation for i in rows], dtype=float))
+        blocks[rows, 3:, 3:] = rot @ inertia[rows] @ rot.transpose(0, 2, 1)
     return blocks
+
+
+def _checked_blocks(bodies: list, dim: int) -> np.ndarray:
+    """`mass_blocks`, after checking that each body's mass matrix is SPD and
+    its orientation finite; raises ValueError naming the first that is not."""
+    blocks = mass_blocks(bodies, dim)
+    pose = np.array([b.orientation for b in bodies], dtype=float).reshape(len(bodies), -1)
+    finite = np.isfinite(blocks).all(axis=(1, 2)) & np.isfinite(pose).all(axis=1)
+    for body, ok in zip(bodies, finite):
+        if not (ok and body.mass > 0.0 and _inertia_spd(body.inertia)):
+            raise ValueError(f"mass matrix of body {body.name!r} is not SPD")
+    return blocks
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _build_mass_arrays(world: World) -> MassArrays:
+    dim, nvb = world.dim, world.nv_per_body
+    free = world.free_bodies
+    bodies = [world.bodies[i] for i in free]
+    n_free = len(free)
+    blocks = _checked_blocks(bodies, dim)
+    a_inv = np.linalg.inv(blocks)
+    a4 = np.zeros((n_free, nvb, n_free, nvb))
+    a4[np.arange(n_free), :, np.arange(n_free), :] = blocks
+    slot = np.full(len(world.bodies), n_free)
+    slot[free] = np.arange(n_free)
+    force = np.zeros((n_free, nvb))
+    force[:, :dim] = np.array([b.mass for b in bodies])[:, None] * world.gravity
+    rotating = [i for i, b in enumerate(bodies) if np.ndim(b.inertia) != 0] if dim == 3 else []
+    return MassArrays(free=free, slot=_frozen(slot),
+                      A=_frozen(a4.reshape(nvb * n_free, nvb * n_free)),
+                      a_inv=_frozen(np.concatenate([a_inv, np.zeros((1, nvb, nvb))])),
+                      accel=_frozen(np.einsum("sij,sj->si", a_inv, force)),
+                      rotating=np.array(rotating, dtype=int))
+
+
+def _rotated(world: World, arrays: MassArrays) -> MassArrays:
+    """arrays with the rows of a 3x3 inertia rotated to the bodies' current
+    orientations; the cached arrays stay as they are."""
+    rows = arrays.rotating
+    blocks = _checked_blocks([world.bodies[arrays.free[r]] for r in rows], world.dim)
+    a_inv = arrays.a_inv.copy()
+    a_inv[rows] = np.linalg.inv(blocks)
+    n_free, nvb = len(arrays.free), world.nv_per_body
+    a4 = arrays.A.reshape(n_free, nvb, n_free, nvb).copy()
+    a4[rows, :, rows, :] = blocks
+    return replace(arrays, A=a4.reshape(arrays.A.shape), a_inv=a_inv)
 
 
 def assemble_problem(world: World, dt: float, model: str,
@@ -230,26 +333,12 @@ def assemble_problem(world: World, dt: float, model: str,
     prev_impulses = prev_impulses or {}
     dim, nvb = world.dim, world.nv_per_body
     bodies = world.bodies
-    free = world.free_bodies
-    free_bodies = [bodies[idx] for idx in free]
-    n_free = len(free)
+    mass = world.mass_arrays()
+    n_free = len(mass.free)
     n_v = nvb * n_free
-
-    blocks = mass_blocks(free_bodies, dim)
-    for body, finite in zip(free_bodies, np.isfinite(blocks).all(axis=(1, 2))):
-        if not (finite and _inertia_spd(body.inertia)):
-            raise ValueError(f"mass matrix of body {body.name!r} is not SPD")
-    a_inv = np.linalg.inv(blocks)
-    a4 = np.zeros((n_free, nvb, n_free, nvb))
-    a4[np.arange(n_free), :, np.arange(n_free), :] = blocks
-    # Per body: column block of its dofs; n_free for prescribed bodies, a
-    # scratch block that the Jacobian assembly below drops.
-    slot = np.full(len(bodies), n_free)
-    slot[free] = np.arange(n_free)
-    force = np.zeros((n_free, nvb))
-    force[:, :dim] = np.array([b.mass for b in free_bodies])[:, None] * world.gravity
-    v0 = np.array([b.velocity for b in free_bodies]).reshape(n_free, nvb)
-    v_star = v0 + dt * np.einsum("sij,sj->si", a_inv, force)
+    slot = mass.slot
+    v0 = np.array([bodies[i].velocity for i in mass.free]).reshape(n_free, nvb)
+    v_star = v0 + dt * mass.accel
 
     found = detect_contacts(bodies, world.margin)
     n = len(found)
@@ -271,14 +360,13 @@ def assemble_problem(world: World, dt: float, model: str,
     j5 = np.zeros((n, dim, n_free + 1, nvb))
     j5[np.arange(n)[:, None], :, slot[pair]] = jac
     J = j5[:, :, :n_free].reshape(n * dim, n_v)
-    # The scratch block's zero inverse mass drops the prescribed side.
-    a_pair = np.concatenate([a_inv, np.zeros((1, nvb, nvb))])[slot[pair]]
+    a_pair = mass.a_inv[slot[pair]]
 
     keys = found.keys
     gamma_n0 = np.array([prev_impulses.get(key, 0.0) for key in keys], dtype=float)
     if (gamma_n0 < 0.0).any():
         raise ValueError("previous-step normal impulses must be >= 0")
-    return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=a4.reshape(n_v, n_v),
+    return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=mass.A,
                        v0=v0.ravel(), v_star=v_star.ravel(), J=J, bias=bias,
                        keys=keys, x0=found.x0, gamma_n0=gamma_n0,
                        w=_delassus(jac, a_pair, dim),

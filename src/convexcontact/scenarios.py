@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .batch import MODEL_IDS, ContactBatch, FrictionParams
-from .collision import Box, HalfSpace, Rod, Sphere
+from .collision import Box, HalfSpace, Rod, Sphere, quaternion_matrix
 from .dynamics import Body, World, advance_state, assemble_problem
 from .normal_laws import HuntCrossley
 from .solver import SolveOptions, SolverFailure, safe_norm, solve_step
@@ -307,19 +307,31 @@ class Trajectory:
         return np.nan_to_num(self.f_n, nan=0.0) > 0.0
 
     def kinetic_energy(self) -> np.ndarray:
+        """Total kinetic energy of the free bodies at every recorded state.
+
+        A 3x3 body-frame inertia I gives 0.5 w' R I R' w, with R from the
+        recorded quaternion; a scalar one gives 0.5 I |w|^2.
+        """
         ke = np.zeros(self.v.shape[0])
         col = 0
-        for (name, kind, _), mass, inertia in zip(self.q_layout, self.masses, self.inertias):
+        for (name, kind, q_col), mass, inertia in zip(self.q_layout, self.masses, self.inertias):
             if kind == "2d":
                 vel = self.v[:, col:col + 3]
                 ke += 0.5 * mass * (vel[:, 0] ** 2 + vel[:, 1] ** 2)
                 ke += 0.5 * float(inertia) * vel[:, 2] ** 2
                 col += 3
+                continue
+            vel = self.v[:, col:col + 6]
+            omega = vel[:, 3:]
+            ke += 0.5 * mass * np.einsum("ij,ij->i", vel[:, :3], vel[:, :3])
+            if np.ndim(inertia) == 0:
+                ke += 0.5 * float(inertia) * np.einsum("ij,ij->i", omega, omega)
             else:
-                vel = self.v[:, col:col + 6]
-                ke += 0.5 * mass * np.einsum("ij,ij->i", vel[:, :3], vel[:, :3])
-                ke += 0.5 * float(inertia) * np.einsum("ij,ij->i", vel[:, 3:], vel[:, 3:])
-                col += 6
+                # Body-frame angular velocity R' w, one row per state.
+                body = np.einsum("tji,tj->ti", quaternion_matrix(self.q[:, q_col + 3:q_col + 7]),
+                                 omega)
+                ke += 0.5 * np.einsum("ti,ij,tj->t", body, np.asarray(inertia, dtype=float), body)
+            col += 6
         return ke
 
 

@@ -9,12 +9,13 @@ Newton system (A + J' G J) dv = -grad uses the per-contact model Hessians G,
 so the system matrix is symmetric positive definite and a Cholesky solve
 applies.  The matrix is built in one shot from the problem's stacked J:
 one batched product G_i @ J_i over the (n, dim, dim) Hessian blocks, then
-one GEMM J' (G J) added to the cached dense A.  The solver checks that
-matrix for non-finite entries itself (a `SolverFailure`), so scipy's own
-finiteness checks of the Cholesky calls are off.  The per-step condition
-number reuses the Hessians the solver holds at its final iterate, and the
-per-contact stiction tolerances of `Solution` come from the same kernel
-build, the one of the step.
+one GEMM J' (G J) added to the world's cached dense A.  The solver checks
+that matrix for non-finite entries itself (a `SolverFailure`), then factors
+and solves it with LAPACK's dpotrf / dpotrs called directly (`cho_factor`,
+`cho_solve`), without scipy's wrappers and their checks.  The per-step
+condition number reuses the Hessians the solver holds at its final iterate,
+and the per-contact stiction tolerances of `Solution` come from the same
+kernel build, the one of the step.
 
 Line search: exact, on the convex section phi(a) = l_p(v + a*step), and
 driven by phi'(a) alone (see _line_search).  The per-contact potentials sit
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .batch import ContactBatch
 from .dynamics import StepProblem
@@ -106,6 +107,27 @@ def safe_norm(x: np.ndarray, axis: Optional[int] = None):
         scale = np.where((peak > 0.0) & (peak < np.inf), peak, 1.0)
         scaled = np.squeeze(scale, axis) * np.linalg.norm(x / scale, axis=axis)
     return np.where(norm < np.inf, norm, scaled)
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the SPD matrix a (LAPACK dpotrf); the strict
+    upper triangle is left as it was.  Raises np.linalg.LinAlgError when a
+    is not positive definite."""
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return factor
+
+
+def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution x of a x = b from the lower factor of `cho_factor` (dpotrs)."""
+    x, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 # Relative slope tolerance of the exact line search, |phi'(a)| <= tol*|phi'(0)|.
@@ -207,13 +229,11 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
             break
 
         hess = _newton_matrix(problem, hessians)
-        # The one finiteness check of the Newton system; scipy's own checks
-        # are off.
+        # The one finiteness check of the Newton system; LAPACK makes none.
         if not np.isfinite(hess).all():
             raise SolverFailure("non-finite Newton matrix")
         try:
-            step = cho_solve(cho_factor(hess, lower=True, check_finite=False), -grad,
-                             check_finite=False)
+            step = cho_solve(cho_factor(hess), -grad)
         except np.linalg.LinAlgError as err:
             raise SolverFailure(f"Newton system not SPD: {err}") from err
 

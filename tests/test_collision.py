@@ -158,15 +158,6 @@ def test_detect_contacts_dispatch_and_feature_stability():
     box.position = box.position + np.array([1e-5, -1e-6])
     keys2 = set(detect_contacts([ground, box], margin=1e-3).keys)
     assert keys == keys2
-    # A free half-space meets a prescribed ball and box: their vertices
-    # share one broadcast, and each pair keeps its feature order.
-    slab = Body("slab", GROUND2D, np.zeros(2), 0.0, mass=1.0, inertia=1.0)
-    fixed_ball = Body("b", Sphere(0.05), np.array([0.4, 0.05]), 0.0, motion="prescribed")
-    fixed_box = Body("x", Box((0.025, 0.025)), np.array([0.0, 0.025]), 0.0, motion="prescribed")
-    mixed = detect_contacts([fixed_ball, slab, fixed_box], margin=1e-3)
-    assert mixed.keys == [(0, 1, 0), (2, 1, 0), (2, 1, 1)]
-    np.testing.assert_allclose(mixed.point, [[0.4, 0.0], [-0.025, 0.0], [0.025, 0.0]],
-                               atol=1e-15)
 
 
 def test_prescribed_pairs_skipped_and_unsupported_raises():
@@ -177,9 +168,9 @@ def test_prescribed_pairs_skipped_and_unsupported_raises():
     b2 = Body("b2", Box((0.1, 0.1)), np.array([0.05, 0.0]), 0.0, mass=1.0, inertia=1.0)
     with pytest.raises(NotImplementedError):
         detect_contacts([b1, b2])
-    slab = Body("slab", GROUND2D, np.zeros(2), 0.0, mass=1.0, inertia=1.0)
-    with pytest.raises(NotImplementedError):
-        detect_contacts([g2, slab])
+    # A half-space body must be prescribed: collision never reads its pose.
+    with pytest.raises(ValueError, match="slab"):
+        Body("slab", GROUND2D, np.zeros(2), 0.0, mass=1.0, inertia=1.0)
 
 
 def test_quaternion_matrix_is_rotation():

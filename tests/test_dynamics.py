@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convexcontact import dynamics
 from convexcontact.batch import FrictionParams
 from convexcontact.collision import Box, HalfSpace, Sphere, detect_contacts
 from convexcontact.dynamics import (
@@ -10,6 +11,7 @@ from convexcontact.dynamics import (
     assemble_problem,
     mass_blocks,
 )
+from convexcontact.scenarios import ScenarioSpec, Simulation
 
 
 def disk_world(y=0.05, vel=(0.0, 0.0, 0.0), mu=0.5, d=0.0):
@@ -70,6 +72,76 @@ class TestAssembly:
     def test_zero_mass_free_body_rejected(self):
         with pytest.raises(ValueError):
             Body("bad", Sphere(0.1), np.zeros(2), 0.0, mass=0.0)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"margin": -1.0}, "margin"),
+        ({"margin": np.nan}, "margin"),
+        ({"margin": np.inf}, "margin"),
+        ({"gravity": [0.0, 0.0]}, "gravity"),
+        ({"gravity": [0.0, 0.0, np.nan]}, "gravity"),
+    ])
+    def test_bad_world_parameters_rejected(self, kwargs, field):
+        ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
+        with pytest.raises(ValueError, match=field):
+            World(dim=3, bodies=[ground], **kwargs)
+
+
+class TestMassArrays:
+    """A world's mass arrays are built once and rebuilt when what they are
+    built from changes."""
+
+    def test_built_once_over_clutter_steps(self, monkeypatch):
+        calls = {"mass_blocks": 0, "inv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "mass_blocks", counted("mass_blocks", mass_blocks))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        sim = Simulation(ScenarioSpec("clutter", n_bodies=4))
+        for _ in range(10):
+            sim.step()
+        assert calls == {"mass_blocks": 1, "inv": 1}
+
+    def test_changed_mass_or_inertia_is_picked_up(self):
+        sim = Simulation(ScenarioSpec("clutter", n_bodies=2))
+        sim.step()
+        ball = sim.world.bodies[-1]
+        ball.mass *= 2.0
+        a = sim.assemble().A
+        assert a[-4, -4] == ball.mass
+        ball.inertia = 3e-4
+        b = sim.assemble().A
+        np.testing.assert_array_equal(b[-3:, -3:], 3e-4 * np.eye(3))
+        np.testing.assert_array_equal(a[:-3, :-3], b[:-3, :-3])
+
+    def test_non_spd_inertia_set_after_construction_rejected(self):
+        sim = Simulation(ScenarioSpec("clutter", n_bodies=2))
+        sim.step()
+        sim.world.bodies[-1].inertia = np.diag([1e-3, -1e-3, 1e-3])
+        with pytest.raises(ValueError, match="sphere1"):
+            sim.step()
+
+    def test_3x3_inertia_rows_follow_the_rotation(self):
+        ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
+        ball = Body("ball", Sphere(0.05), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0, 0, 0]),
+                    velocity=np.array([0.0, 0.0, 0.0, 3.0, -1.0, 2.0]),
+                    mass=1.0, inertia=np.diag([1e-3, 2e-3, 3e-3]))
+        other = Body("other", Sphere(0.05), np.array([0.5, 0.0, 1.0]),
+                     np.array([1.0, 0, 0, 0]), mass=1.0, inertia=1e-3)
+        world = World(dim=3, bodies=[ground, ball, other])
+        first = assemble_problem(world, 1e-2, "lagged")
+        held = first.A.copy()
+        advance_state(world.bodies, np.concatenate([np.zeros(6), ball.velocity, np.zeros(6)]),
+                      0.1)
+        second = assemble_problem(world, 1e-2, "lagged")
+        np.testing.assert_array_equal(second.A[:6, :6], mass_blocks([ball], 3)[0])
+        assert not np.array_equal(second.A[3:6, 3:6], held[3:6, 3:6])
+        np.testing.assert_array_equal(first.A, held)
+        np.testing.assert_array_equal(second.A[6:, 6:], held[6:, 6:])
 
 
 class TestJacobians:

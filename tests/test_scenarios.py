@@ -195,6 +195,29 @@ def test_trajectory_kinetic_energy_matches_hand_value():
     assert traj.kinetic_energy()[-1] == pytest.approx(ke, rel=1e-12)
 
 
+def test_trajectory_kinetic_energy_of_a_3x3_inertia():
+    # One spinning sphere with an anisotropic inertia, in free fall above
+    # the clutter floor: 0.5 m |v|^2 + 0.5 w' R I R' w at the last state.
+    inertia = np.diag([1e-3, 2e-3, 3e-3])
+    sim = Simulation(ScenarioSpec("clutter", n_bodies=1))
+    ball = sim.world.bodies[-1]
+    ball.inertia = inertia
+    ball.position = ball.position + np.array([0.0, 0.0, 0.2])
+    ball.velocity = np.array([0.1, 0.0, 0.0, 3.0, -1.0, 2.0])
+    for _ in range(3):
+        sim.step()
+    traj = sim.trajectory()
+    w, x, y, z = traj.q[-1, 3:7]
+    rot = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+    v, omega = traj.v[-1, :3], traj.v[-1, 3:]
+    ke = 0.5 * ball.mass * v @ v + 0.5 * omega @ rot @ inertia @ rot.T @ omega
+    assert traj.kinetic_energy()[-1] == pytest.approx(ke, rel=1e-12)
+
+
 class TestAnalysis:
     def test_position_error_zero_for_identical(self):
         traj = run_scenario(ScenarioSpec("falling_sphere", model="lagged", dt=2e-3, duration=0.1))

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from convexcontact import solver as solver_module
 from convexcontact.batch import ContactBatch, FrictionParams
@@ -220,8 +221,8 @@ def test_non_finite_input_raises_solver_failure():
 
 @pytest.mark.parametrize("inject", ["hessians", "J"])
 def test_non_finite_newton_matrix_raises_solver_failure(inject, monkeypatch):
-    """scipy's finiteness checks are off in the Cholesky calls; the solver's
-    own check still stops a non-finite Newton system."""
+    """LAPACK's Cholesky checks no finiteness; the solver's own check still
+    stops a non-finite Newton system."""
     problem = assemble_problem(resting_disk_world(), 1e-3, "lagged")
     problem.v0 = np.array([0.0, -0.1, 0.0])  # far from the resting solution
     if inject == "hessians":
@@ -239,6 +240,25 @@ def test_non_finite_newton_matrix_raises_solver_failure(inject, monkeypatch):
     # inf * 0 in J v and J' gamma is expected here; only the failure matters.
     with pytest.raises(SolverFailure, match=match), np.errstate(invalid="ignore"):
         solve_step(problem)
+
+
+def test_non_spd_newton_matrix_raises_solver_failure(monkeypatch):
+    problem = assemble_problem(resting_disk_world(), 1e-3, "lagged")
+    problem.v0 = np.array([0.0, -0.1, 0.0])
+    monkeypatch.setattr(solver_module, "_newton_matrix",
+                        lambda problem, hessians: np.diag([1.0, -1.0, 1.0]))
+    with pytest.raises(SolverFailure, match="Newton system not SPD: 2-th leading minor"):
+        solve_step(problem)
+
+
+def test_cholesky_matches_scipy_bitwise():
+    rng = np.random.default_rng(8)
+    for n in (3, 6, 72):
+        root = rng.normal(size=(n, n))
+        matrix, b = root @ root.T + 1e-3 * np.eye(n), rng.normal(size=n)
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(matrix, lower=True), b)
+        got = solver_module.cho_solve(solver_module.cho_factor(matrix), b)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_safe_norm_matches_numpy_and_survives_overflow():
