@@ -167,6 +167,39 @@ class ContactBatch:
             return self.r_t * self.mu * gamma_n
         return self.eps
 
+    def breakpoints(self, v_c, dv_c):
+        """Each contact's regime switches along the ray v_c + a*dv_c.
+
+        Returns (stick, width, on), each (n,), nan where a contact has none,
+        or None for SAP, whose regimes change on cone boundaries.  stick is
+        the stiction point of the lagged and similar friction, the
+        a at which the slip velocity v_t + a*dv_t passes closest to zero,
+        -(v_t . dv_t) / |dv_t|^2.  Around it the friction impulse turns over
+        as s / sqrt(1 + s^2) in s = (a - stick) / width, with width =
+        sqrt(d^2 + eps^2) / |dv_t| for the closest approach d.  on is the
+        switch-on point, where the argument of the normal impulse falls
+        through vhat: v_n for lagged, exact; z = v_n - mu*|v_t|_soft for
+        similar, from z at a = 0 and 1 by linear interpolation.
+        """
+        if self.model == "sap":
+            return None
+        v_t, dv_t = v_c[:, :-1], dv_c[:, :-1]
+        rate2 = np.einsum("ij,ij->i", dv_t, dv_t)
+        ahead = np.einsum("ij,ij->i", v_t, dv_t)
+        speed2 = np.einsum("ij,ij->i", v_t, v_t)
+        z0, z1 = v_c[:, -1], v_c[:, -1] + dv_c[:, -1]
+        if self.model == "similar":
+            z0 = z0 - self.mu * self._soft_norm(speed2)[0]
+            z1 = z1 - self.mu * self._soft_norm(speed2 + 2.0 * ahead + rate2)[0]
+        # A contact whose slip does not change along the ray (rate2 = 0) gets
+        # a nan stiction point, one whose z does not fall a nan switch-on.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stick = -ahead / rate2
+            # speed2 + ahead * stick is the closest approach squared, d^2.
+            width = np.sqrt((speed2 + ahead * stick + self.eps * self.eps) / rate2)
+            on = np.where(z1 < z0, (z0 - self.vhat) / (z0 - z1), np.nan)
+        return stick, width, on
+
     def normal_impulse(self, v_n):
         """n(v_n) = dt * f_n(x0 - dt*v_n, -v_n); zero at and beyond vhat."""
         return np.where(v_n < self.vhat,
@@ -209,14 +242,16 @@ class ContactBatch:
         return self.dt * (w * (self.f0 + 0.5 * df)
                           - self.d * 0.5 * w * w * (self.f0 + (2.0 / 3.0) * df))
 
-    def _soft(self, v_t):
-        """Soft norm sqrt(|v_t|^2 + eps^2) - eps (cancellation-free), its
-        gradient and the shared denominator sqrt(|v_t|^2 + eps^2)."""
-        nt2 = np.einsum("ij,ij->i", v_t, v_t)
+    def _soft_norm(self, nt2):
+        """Soft norm sqrt(nt2 + eps^2) - eps of |v_t|^2 = nt2
+        (cancellation-free) and its denominator sqrt(nt2 + eps^2)."""
         den = np.sqrt(nt2 + self.eps * self.eps)
-        soft = nt2 / (den + self.eps)
-        unit = v_t / den[:, None]
-        return soft, unit, den
+        return nt2 / (den + self.eps), den
+
+    def _soft(self, v_t):
+        """Soft norm of v_t, its gradient and the shared denominator."""
+        soft, den = self._soft_norm(np.einsum("ij,ij->i", v_t, v_t))
+        return soft, v_t / den[:, None], den
 
     def _soft_hessian_block(self, unit, den):
         eye = np.eye(self.dim - 1)

@@ -407,7 +407,9 @@ def advance_state(bodies, v_next: np.ndarray, dt: float) -> None:
 
     bodies is a list of bodies, or one body; v_next holds one generalized
     velocity per body, in order ((n * nv_body,) or (n, nv_body)).
-    Prescribed bodies keep their state.
+    Prescribed bodies keep their state.  A non-finite new pose (a
+    non-finite velocity gives one) raises ValueError naming the body, before
+    any body is written.
     """
     bodies = [bodies] if isinstance(bodies, Body) else bodies
     free = [body.motion == "free" for body in bodies]
@@ -425,5 +427,10 @@ def advance_state(bodies, v_next: np.ndarray, dt: float) -> None:
         q = q + dt * 0.5 * _quat_mul(omega, q)
         # Row norms as np.linalg.norm takes them, through one dot per row.
         orientation = q / np.sqrt(np.matmul(q[:, None, :], q[:, :, None])[:, 0])
+    finite = (np.isfinite(position).all(axis=1)
+              & np.isfinite(orientation.reshape(len(bodies), -1)).all(axis=1))
+    if not finite.all():
+        raise ValueError(f"non-finite pose of body {bodies[int(np.argmin(finite))].name!r} "
+                         f"after the state advance")
     for body, p, o, v in zip(bodies, position, orientation, v_next):
         body.position, body.orientation, body.velocity = p, o, v

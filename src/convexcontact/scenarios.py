@@ -410,8 +410,11 @@ class Simulation:
             raise ScenarioError(f"{where}: non-finite contact channel (v_n, v_t, f_n, f_t, "
                                 f"x0, eps_s), cost or condition number; "
                                 f"config {self.spec.as_dict()}")
+        try:
+            advance_state(self._free, sol.v, dt)
+        except ValueError as err:
+            raise ScenarioError(f"{where}: {err}; config {self.spec.as_dict()}") from err
         self.memory = dict(zip(problem.keys, gamma_n.tolist()))
-        advance_state(self._free, sol.v, dt)
         self.world.time += dt
         self.step_index += 1
         self._records.append((problem.keys, rows, sol.iterations, sol.condition_number,

@@ -21,7 +21,14 @@ Line search: exact, on the convex section phi(a) = l_p(v + a*step), and
 driven by phi'(a) alone (see _line_search).  The per-contact potentials sit
 on large constant offsets, so near the optimum the true decrease can drop
 below one ulp of the cost and no comparison of costs by value certifies a
-step; phi' is free of the offsets and monotone on the section.
+step; phi' is free of the offsets and monotone on the section.  Along the
+step every contact velocity is affine in a, so each contact's breakpoints --
+where its friction turns over (stiction points) or its normal impulse
+switches on -- are known before any probe.  A failed full step places its
+next probe from them, at the jump or smooth piece of phi' that holds the
+root, and safeguarded Newton steps finish there: most searches that cut
+the step short take three probes, instead of bisecting [0, 1] down to a
+stiction band ~4e-5 wide.  `Solution.probes` records each search's count.
 
 The stopping criterion is the momentum-balance residual in relative form:
 
@@ -36,6 +43,7 @@ finite numbers instead of reading inf <= inf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,7 +91,10 @@ class Solution:
     stop_criterion: str = STOP_CRITERION
     diagnostic: str = ""
     step_lengths: list = field(default_factory=list)  # line-search alpha per iteration
-    contact_evaluations: int = 0  # contact-term evaluations, line-search probes included
+    # Kernel calls of each line search, in order; one more entry than
+    # step_lengths when the last search stalls at numerical precision.
+    probes: list = field(default_factory=list)
+    contact_evaluations: int = 0  # contact-term evaluations: 1 + sum(probes)
 
 
 def safe_norm(x: np.ndarray, axis: Optional[int] = None):
@@ -134,6 +145,12 @@ def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 _LS_TOL = 1e-3
 # Bracket width at which the search stops: float resolution of a near 1.
 _EPS = np.finfo(float).eps
+# Widest stiction band, in units of the step, that the search treats as a
+# jump of phi'.
+_BAND = 1e-2
+# A probe within this many band widths of a stiction point takes its Newton
+# step in that contact's slip-direction coordinate.
+_NEAR = 5.0
 
 
 def _newton_matrix(problem: StepProblem, hessians: np.ndarray) -> np.ndarray:
@@ -142,7 +159,7 @@ def _newton_matrix(problem: StepProblem, hessians: np.ndarray) -> np.ndarray:
     return problem.A + problem.J.T @ (hessians @ j3).reshape(problem.J.shape)
 
 
-def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, slope):
+def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, slope, gammas):
     """Exact search for the minimizer of phi(a) = l_p(v + a*step) on (0, 1].
 
     Works on phi' alone, which is monotone on the convex section and free of
@@ -152,11 +169,34 @@ def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, s
         phi'(a)  = step' A (v + a*step - v*) - gamma(a) . J step
         phi''(a) = step' A step + sum_i (J step)_i' G_i(a) (J step)_i
 
-    The full step is taken when phi'(1) <= tol*|phi'(0)|; otherwise Newton
-    steps on phi', kept inside the sign-change bracket by bisection, run until
-    |phi'(a)| <= tol*|phi'(0)| or the bracket reaches float resolution.
-    Returns (a, trial, probe terms at trial, probe count); the caller reuses
-    the accepted probe as the next iterate's gradient and Hessians.
+    (phi'' only for a probe that is not accepted).
+
+    The full step is taken when phi'(1) <= tol*|phi'(0)|.  Otherwise the
+    search reads each contact's breakpoints off the line, v_c(a) = v_c +
+    a*dv_c with dv_c = J step, with no kernel call (`ContactBatch.breakpoints`):
+
+    * stiction points, where a contact's slip passes closest to zero.  In a
+      band narrower than _BAND its friction turns over and phi' jumps by the
+      change of -gamma_t . dv_t between a = 0 (gammas, the impulses at v)
+      and a = 1;
+    * switch-on points, where a contact's normal impulse turns on and
+      phi'' jumps.
+
+    A model of phi' from phi'(0) = slope, phi''(0) = -slope (the Newton
+    matrix is the Hessian at v), phi'(1), phi''(1) and these points places
+    the first probe after a = 1 (`_first_step`): at the stiction point whose
+    jump crosses zero, or at the model's root on its smooth piece.  From
+    then on Newton steps on phi' -- taken in the slip-direction coordinate of
+    a stiction point within _NEAR band widths (`_newton_step`) -- run inside
+    the sign-change bracket.  A Newton point outside the bracket, one that
+    makes no progress over two probes (a step longer than half the one
+    before last; for SAP, a bracket that has not halved), or an underflowed
+    phi'' gives way to the middle stiction point inside the bracket, else to
+    bisection.  The
+    search ends when |phi'(a)| <= tol*|phi'(0)| or the bracket reaches float
+    resolution; every probe lies strictly inside the bracket.  Returns
+    (a, trial, probe terms at trial, probe count); the caller reuses the
+    accepted probe as the next iterate's gradient and Hessians.
     """
     base = float(step @ momentum)
     curve = float(step @ problem.apply_A(step))
@@ -166,36 +206,123 @@ def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, s
     def probe(alpha):
         trial = v + alpha * step
         out = batch.terms(problem.contact_velocities(trial))
-        _, gammas, hessians = out
-        dphi = base + alpha * curve - float(gammas.ravel() @ dv_c.ravel())
+        dphi = base + alpha * curve - float(out[1].ravel() @ dv_c.ravel())
         if not np.isfinite(dphi):
             raise SolverFailure(f"non-finite line-search slope phi'({alpha:.6g}) = {dphi}")
-        d2phi = curve + float(np.einsum("ni,nij,nj->", dv_c, hessians, dv_c))
-        return trial, out, dphi, d2phi
+        return trial, out, dphi
+
+    def curvature(hessians):
+        return curve + float(np.einsum("ni,nij,nj->", dv_c, hessians, dv_c))
 
     alpha, lo, hi = 1.0, 0.0, 1.0
-    trial, out, dphi, d2phi = probe(alpha)
+    trial, out, dphi = probe(alpha)
     probes = 1
-    # Bracket widths one and two probes back: Newton steps that fail to
-    # halve the bracket over two probes give way to bisection.
-    width, width_before = np.inf, np.inf
-    while dphi > target or (dphi < -target and alpha < 1.0):
+    if dphi <= target:
+        return alpha, trial, out, probes
+    d2phi = curvature(out[2])
+
+    points = batch.breakpoints(problem.contact_velocities(v), dv_c)
+    stick, newton = [], None
+    if points is not None:
+        at, width, on = points
+        # phi' jumps at a stiction point by its contact's friction turnover,
+        # the change of -gamma_t . dv_t from a = 0 to a = 1.  Kept: points
+        # inside (0, 1) with a narrow band and a jump above the tolerance.
+        turn = np.einsum("ij,ij->i", (gammas - out[1])[:, :-1], dv_c[:, :-1])
+        rows = np.flatnonzero((np.abs(turn) > target) & (width <= _BAND)
+                              & (at > 0.0) & (at < 1.0))
+        rows = rows[np.argsort(at[rows])]
+        stick = list(zip(at[rows].tolist(), width[rows].tolist()))
+        on = on[(on > 0.0) & (on < 1.0)]
+        newton = _first_step(stick, turn[rows].tolist(), float(on.max()) if on.size else None,
+                             slope, dphi, d2phi)
+    # A Newton point is taken inside the bracket if it makes progress over
+    # two probes.  Where friction can turn over along the line (lagged,
+    # similar), Newton converges from one side of the turnover, so its step
+    # must be at most half the step before last (rtsafe); for SAP, whose
+    # kernel reports no breakpoints, the bracket must halve.
+    one_sided = points is not None
+    progress, progress_before = np.inf, np.inf
+    while True:
         if dphi < 0.0:
             lo = alpha
         else:
             hi = alpha
         if hi - lo <= _EPS:
             break
-        # phi'' > 0 on the convex section unless it underflows to 0; then bisect.
-        newton = alpha - dphi / d2phi if d2phi != 0.0 else np.nan
-        if lo < newton < hi and hi - lo <= 0.5 * width_before:
-            alpha = newton
-        else:
-            alpha = 0.5 * (lo + hi)
-        width, width_before = hi - lo, width
-        trial, out, dphi, d2phi = probe(alpha)
+        if newton is None:
+            newton = _newton_step(alpha, dphi, d2phi, stick)
+        if not (lo < newton < hi and (abs(newton - alpha) if one_sided else hi - lo)
+                <= 0.5 * progress_before):
+            # The middle stiction point inside the bracket, else its midpoint.
+            inside = [a for a, _ in stick if lo < a < hi]
+            newton = inside[len(inside) // 2] if inside else 0.5 * (lo + hi)
+        progress, progress_before = abs(newton - alpha) if one_sided else hi - lo, progress
+        alpha, newton = newton, None
+        trial, out, dphi = probe(alpha)
         probes += 1
+        if abs(dphi) <= target:
+            break
+        d2phi = curvature(out[2])
     return alpha, trial, out, probes
+
+
+def _newton_step(alpha, dphi, d2phi, stick):
+    """Next Newton point on phi' from the probe (alpha, phi', phi'').
+
+    Within _NEAR band widths of a stiction point (a_j, w_j), phi' is a smooth
+    part plus A * s / sqrt(1 + s^2) in s = (alpha - a_j) / w_j; there the
+    step is taken in tau = s / sqrt(1 + s^2), in which phi' is close to
+    linear, and mapped back.  nan when phi'' underflows to 0 or tau leaves
+    (-1, 1), i.e. the root is not in that band.
+    """
+    if d2phi == 0.0:
+        return math.nan
+    if stick:
+        a_j, w_j = min(stick, key=lambda point: abs(alpha - point[0]) / point[1])
+        s = (alpha - a_j) / w_j
+        if abs(s) <= _NEAR:
+            q2 = 1.0 + s * s
+            tau = s / math.sqrt(q2) - dphi / (d2phi * w_j * q2 * math.sqrt(q2))
+            if not -1.0 < tau < 1.0:
+                return math.nan
+            return a_j + w_j * tau / math.sqrt(1.0 - tau * tau)
+    return alpha - dphi / d2phi
+
+
+def _first_step(stick, jumps, b, slope, dphi1, d2phi1):
+    """Model root of phi' on (0, 1) once the full step has failed, or None.
+
+    Below b, the last switch-on point (1 when there is none), phi' is
+    modelled as a line plus a step of jumps[j] at each stiction point
+    stick[j] (sorted): the line rises as phi''(0) = -slope when contacts
+    switch on, else so that the model meets phi'(1).  Above b it is the
+    quadratic that meets the model at b and matches phi'(1) and phi''(1).
+    Returns the stiction point in whose jump the model crosses zero, else the
+    model's root.  None (a plain Newton step from a = 1) when there are no
+    breakpoints or the model has no root.
+    """
+    if b is None:
+        if not stick:
+            return None
+        b, rise = 1.0, dphi1 - slope - sum(jumps)
+    else:
+        rise = -slope
+    level = slope
+    for (a, _), jump in zip(stick, jumps):
+        if a >= b or level + rise * a > 0.0:
+            break
+        if level + jump + rise * a > 0.0:
+            return a
+        level += jump
+    if b == 1.0 or level + rise * b > 0.0:
+        return -level / rise if rise > 0.0 else None
+    x = b - 1.0
+    curv = (level + rise * b - dphi1 - d2phi1 * x) / (x * x)
+    disc = d2phi1 * d2phi1 - 4.0 * curv * dphi1
+    if disc < 0.0:
+        return None
+    return 1.0 - 2.0 * dphi1 / (d2phi1 + math.sqrt(disc))
 
 
 def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Solution:
@@ -213,7 +340,7 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
     momentum = problem.apply_A(v - problem.v_star)
     cost = 0.5 * float((v - problem.v_star) @ momentum) + contact_cost
     history = [cost]
-    step_lengths = []
+    step_lengths, probe_counts = [], []
 
     converged = False
     diagnostic = f"no convergence within max_iters={opts.max_iters}"
@@ -242,8 +369,9 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
             raise SolverFailure("Newton direction is not a descent direction")
 
         alpha, trial, (contact_cost, gammas, hessians), probes = _line_search(
-            problem, batch, v, step, momentum, slope)
+            problem, batch, v, step, momentum, slope, gammas)
         evaluations += probes
+        probe_counts.append(probes)
         if np.array_equal(trial, v):
             diagnostic = "line search stalled at numerical precision"
             break
@@ -264,7 +392,7 @@ def solve_step(problem: StepProblem, opts: SolveOptions = SolveOptions()) -> Sol
                     iterations=len(step_lengths), converged=converged, cost=cost,
                     stiction_tolerance=batch.stiction_tolerance(gammas[:, -1]),
                     cost_history=history, condition_number=cond,
-                    diagnostic=diagnostic, step_lengths=step_lengths,
+                    diagnostic=diagnostic, step_lengths=step_lengths, probes=probe_counts,
                     contact_evaluations=evaluations)
 
 

@@ -129,6 +129,45 @@ def test_degenerate_sap_regularization_gives_non_finite_terms(dt):
     assert not all(np.isfinite(field).all() for field in out)
 
 
+@pytest.mark.parametrize("model", ["lagged", "similar", "sap"])
+def test_breakpoints_along_a_ray(model):
+    """Stiction points are where the slip passes closest to zero, and the
+    lagged friction turns over there as s / sqrt(1 + s^2) in band widths s;
+    at a switch-on point the normal impulse turns on (exactly there for
+    lagged); SAP reports neither."""
+    n = 64
+    kernel = kernel_params(model, make_data(3), n)
+    v_c, dv_c = np.random.default_rng(4).normal(scale=0.1, size=(2, n, 3))
+    if model == "sap":
+        assert kernel.breakpoints(v_c, dv_c) is None
+        return
+    stick, width, on = kernel.breakpoints(v_c, dv_c)
+
+    def along(a):
+        return v_c + a[:, None] * dv_c
+
+    def slip(a):
+        return np.linalg.norm(along(a)[:, :-1], axis=1)
+
+    rate = np.linalg.norm(dv_c[:, :-1], axis=1)
+    assert ((slip(stick) <= slip(stick + 1e-3)) & (slip(stick) <= slip(stick - 1e-3))).all()
+    np.testing.assert_allclose(width * rate, np.sqrt(slip(stick) ** 2 + kernel.eps ** 2),
+                               rtol=1e-12)
+    if model == "lagged":
+        for s in (-2.0, 0.0, 0.5, 3.0):
+            gamma = kernel.evaluate(along(stick + s * width))[1]
+            turn = -np.einsum("ij,ij->i", gamma[:, :-1], dv_c[:, :-1])
+            np.testing.assert_allclose(turn / (kernel.mu * kernel.gamma_n0 * rate),
+                                       s / np.sqrt(1.0 + s * s), rtol=1e-9, atol=1e-12)
+    hit = (on > 0.0) & (on < 1.0)
+    assert hit.any()
+    gamma_n0 = kernel.evaluate(along(np.zeros(n)))[1][hit, -1]
+    gamma_n1 = kernel.evaluate(along(np.ones(n)))[1][hit, -1]
+    assert (gamma_n0 == 0.0).all() and (gamma_n1 > 0.0).all()
+    if model == "lagged":
+        np.testing.assert_allclose(along(on)[hit, -1], kernel.vhat[hit], rtol=1e-12)
+
+
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_non_hunt_crossley_law_is_unsupported(model):
     data = validation.CheckData(LogBarrier(1.0), FrictionParams(mu=0.5), 0.01)

@@ -238,6 +238,21 @@ class TestAdvance:
         angle = 2.0 * np.arctan2(np.linalg.norm([x, y, z]), w)
         assert min(angle, 2.0 * np.pi - angle) <= 1e-2
 
+    def test_non_finite_pose_is_rejected_before_any_write(self):
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        a = Body("a", Sphere(0.1), np.zeros(3), q, mass=1.0, inertia=0.1)
+        b = Body("b", Sphere(0.1), np.ones(3), q, mass=1.0, inertia=0.1)
+        b.orientation = np.array([np.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite pose of body 'b'"):
+            advance_state([a, b], np.ones(12), 1e-3)
+        v_next = np.zeros(12)
+        v_next[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite pose of body 'a'"):
+            advance_state([a, b], v_next, 1e-3)
+        np.testing.assert_array_equal(a.position, np.zeros(3))
+        np.testing.assert_array_equal(a.orientation, q)
+        np.testing.assert_array_equal(a.velocity, np.zeros(6))
+
     def test_prescribed_bodies_do_not_move(self):
         ground = Body("g", HalfSpace((0.0, 1.0), 0.0), np.zeros(2), motion="prescribed")
         advance_state(ground, np.ones(3), 1.0)

@@ -153,6 +153,24 @@ def test_non_finite_state_aborts_with_step_index():
     assert sim.step_index == 2
 
 
+def test_non_finite_pose_aborts_before_it_is_recorded():
+    """A NaN orientation set between steps never reaches the trajectory: the
+    advance rejects the pose and names the body, and the failed step keeps
+    the impulse memory of the last good one."""
+    sim = Simulation(ScenarioSpec("clutter", duration=0.02))
+    sim.step()
+    body = sim.world.bodies[sim.world.free_bodies[0]]
+    body.orientation = np.array([np.nan, 0.0, 0.0, 0.0])
+    memory = sim.memory
+    with pytest.raises(ScenarioError,
+                       match=rf"^step 1 .*non-finite pose of body '{body.name}'") as err:
+        sim.step()
+    assert isinstance(err.value.__cause__, ValueError)
+    assert sim.step_index == 1 and sim.memory is memory
+    traj = sim.trajectory()
+    assert len(traj.times) == 2 and np.isfinite(traj.q).all()
+
+
 def test_non_finite_contact_channel_aborts_with_step_index(monkeypatch):
     from convexcontact import scenarios
 

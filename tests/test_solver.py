@@ -141,18 +141,19 @@ def impact_problem(scenario, model, steps):
     return sim.assemble()
 
 
-# Criterion 8's impact problem (full steps only) and a clutter impact whose
-# searches cut most steps short.
+# Criterion 8's impact problem (full steps only), and for each model a
+# clutter impact whose searches cut most steps short.
 @pytest.mark.parametrize("scenario,model,steps,partial", [
-    ("falling_sphere", "similar", 37, False), ("clutter", "lagged", 23, True)])
+    ("falling_sphere", "similar", 37, False), ("clutter", "lagged", 23, True),
+    ("clutter", "similar", 31, True), ("clutter", "sap", 34, True)])
 def test_line_search_accepts_exact_section_minimizer(scenario, model, steps, partial,
                                                      monkeypatch):
     problem = impact_problem(scenario, model, steps)
     searches = []
     search = solver_module._line_search
 
-    def recorded(problem, batch, v, step, momentum, slope):
-        out = search(problem, batch, v, step, momentum, slope)
+    def recorded(problem, batch, v, step, momentum, slope, gammas):
+        out = search(problem, batch, v, step, momentum, slope, gammas)
         searches.append((v, step, slope, out[0]))
         return out
 
@@ -160,9 +161,10 @@ def test_line_search_accepts_exact_section_minimizer(scenario, model, steps, par
     sol = solve_step(problem)
     assert sol.converged
     assert sol.step_lengths == [alpha for *_, alpha in searches]
-    assert len(sol.step_lengths) == sol.iterations >= 2
+    assert len(sol.step_lengths) == len(sol.probes) == sol.iterations >= 2
     assert any(alpha < 1.0 for alpha in sol.step_lengths) == partial
     assert sol.contact_evaluations >= sol.iterations + 1
+    assert sum(sol.probes) + 1 == sol.contact_evaluations
 
     def dphi(v, step, alpha):
         """phi'(alpha) = grad l_p(v + alpha*step) . step, recomputed from scratch."""
@@ -295,9 +297,29 @@ def test_contact_evaluations_per_newton_iteration(model, monkeypatch):
         sol = sim.step()
         iterations += sol.iterations
         evaluations += sol.contact_evaluations
+        assert sum(sol.probes) + 1 == sol.contact_evaluations
     assert iterations > 40
     assert len(calls) == evaluations
     assert evaluations / iterations <= 4.0
+
+
+def test_impact_step_searches_across_breakpoints(monkeypatch):
+    """Lagged clutter seed 0, step 23: bisecting [0, 1] down to stiction bands
+    ~4e-5 wide took 72 kernel calls in 9 iterations.  Placed from the
+    contacts' breakpoints, each search takes at most three probes."""
+    calls = []
+    terms = ContactBatch.terms
+
+    def counted(self, v_c):
+        calls.append(v_c)
+        return terms(self, v_c)
+
+    problem = impact_problem("clutter", "lagged", 23)
+    monkeypatch.setattr(ContactBatch, "terms", counted)
+    sol = solve_step(problem)
+    assert sol.converged and sol.iterations == 9
+    assert len(calls) == sol.contact_evaluations <= 20
+    assert max(sol.probes) <= 3
 
 
 def test_overflowing_residuals_do_not_read_as_converged(monkeypatch):
