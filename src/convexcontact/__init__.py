@@ -10,17 +10,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
-from .batch import MODEL_IDS, ContactBatch, FrictionParams  # noqa: E402
-from .normal_laws import (  # noqa: E402
-    BarrierBreach,
-    DiscreteNormal,
+from .batch import (  # noqa: E402
+    MODEL_IDS,
+    ContactBatch,
+    FrictionParams,
     HuntCrossley,
-    IpcBarrier,
-    LogBarrier,
     UnsupportedLaw,
-    convexity_margin,
-    discrete_impulse,
-    normal_force,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,11 @@
 """The contact-model kernel: cost, impulse and Hessian of every model.
 
-`ContactBatch` holds the kernel parameters of n contacts that share one
-Hunt & Crossley material and one `FrictionParams`, as (n,) arrays.
-`ContactBatch.evaluate` maps their contact velocities v_c (n, dim), each row
-[v_t..., v_n] (tangential components first, separation velocity last), to
+A contact material is one normal law, `HuntCrossley`, and one
+`FrictionParams`.  `ContactBatch` holds the kernel parameters of n contacts
+that share one material, as (n,) arrays; any other normal law raises
+`UnsupportedLaw`.  `ContactBatch.evaluate` maps their contact velocities
+v_c (n, dim), each row [v_t..., v_n] (tangential components first,
+separation velocity last), to
 
 * costs    (n,)          -- the per-contact convex costs
 * impulses (n, dim)      -- minus the cost gradients
@@ -52,13 +54,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_laws import HuntCrossley, UnsupportedLaw
-
-__all__ = ["ContactBatch", "FrictionParams", "MODEL_IDS"]
+__all__ = ["ContactBatch", "FrictionParams", "HuntCrossley", "UnsupportedLaw", "MODEL_IDS"]
 
 # Model ids accepted by the stepping pipeline.  "lagged_regularized" is the
 # lagged model with the impact-softened stiction tolerance switched on.
 MODEL_IDS = ("sap", "lagged", "lagged_regularized", "similar")
+
+
+class UnsupportedLaw(TypeError):
+    """The requested operation is not defined for this force law."""
+
+
+@dataclass(frozen=True)
+class HuntCrossley:
+    """Linear elastic contact with Hunt & Crossley dissipation, the normal
+    law of every model: f_n(x, xdot) = k * max(x, 0) * max(1 + d * xdot, 0)
+    for the penetration x (positive when bodies overlap) and its rate xdot.
+
+    stiffness k in N/m, dissipation d in s/m, both finite.  The implicit
+    step linearizes x = x0 - dt * v_n, which turns f_n into the discrete
+    impulse n(v_n) = dt * f_n(x0 - dt * v_n, -v_n); `ContactBatch` evaluates
+    n, n' and the antiderivative N in closed form.  The normal cost -N(v_n)
+    is convex wherever df/dx >= 0 and df/dxdot >= 0, since its curvature
+    -n' is dt^2 * df/dx + dt * df/dxdot.  On the active side those partials
+    are k * (1 + d * xdot) and k * x * d, so k, d >= 0 make every model's
+    normal part convex.
+    """
+
+    stiffness: float
+    dissipation: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.stiffness) and math.isfinite(self.dissipation)):
+            raise ValueError(f"stiffness and dissipation must be finite, "
+                             f"got {self.stiffness}, {self.dissipation}")
+        if self.stiffness < 0.0:
+            raise ValueError(f"stiffness must be >= 0, got {self.stiffness}")
+        if self.dissipation < 0.0:
+            raise ValueError(f"dissipation must be >= 0, got {self.dissipation}")
 
 
 @dataclass(frozen=True)

@@ -172,23 +172,21 @@ def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> ContactSet:
         raise NotImplementedError(f"no narrow phase among {names}: boxes and rods meet "
                                   "half-spaces only")
 
-    # Vertices (owner body, point, radius, feature): sphere centers with
-    # their radii, then box corners and rod endpoints with radius 0.
-    vertices = []
-    if spheres:
-        spheres = np.array(spheres)
-        center = np.array([bodies[i].position for i in spheres])
-        radius = np.array([bodies[i].shape.radius for i in spheres])
-        vertices.append((spheres, center, radius, np.zeros(len(spheres), dtype=int)))
-    for i in solid:
-        if not isinstance(bodies[i].shape, Sphere):
-            corners = _corners(bodies[i])
-            k = len(corners)
-            vertices.append((np.full(k, i), corners, np.zeros(k), np.arange(k)))
+    # Vertices (owner body, point, radius, feature): the corners or tips of
+    # a box or rod with radius 0 when it is the one solid body, else the
+    # sphere centers with their radii.  A box or rod beside other solids has
+    # them all prescribed (checked above), so then no contact is kept.
+    if len(solid) == 1 and not spheres:
+        vertex = _corners(bodies[solid[0]])
+        k = len(vertex)
+        owner, vertex_radius, feature = np.full(k, solid[0]), np.zeros(k), np.arange(k)
+    else:
+        owner = spheres = np.array(spheres, dtype=int)
+        vertex = center = np.array([bodies[i].position for i in spheres]).reshape(-1, dim)
+        vertex_radius = radius = np.array([bodies[i].shape.radius for i in spheres], dtype=float)
+        feature = np.zeros(len(spheres), dtype=int)
     parts = []
-    if planes and vertices:
-        owner, vertex, vertex_radius, feature = (
-            vertices[0] if len(vertices) == 1 else map(np.concatenate, zip(*vertices)))
+    if planes and len(owner):
         normal = np.array([bodies[h].shape.normal for h in planes])
         offset = np.array([bodies[h].shape.offset for h in planes])
         planes = np.array(planes)

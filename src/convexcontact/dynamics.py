@@ -44,9 +44,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .batch import FrictionParams, HuntCrossley
 from .collision import HalfSpace, Shape, detect_contacts, quaternion_matrix
-from .batch import FrictionParams
-from .normal_laws import HuntCrossley
 
 __all__ = [
     "Body",
@@ -82,6 +81,15 @@ class Body:
         if self.velocity is None:
             self.velocity = np.zeros(3 if dim == 2 else 6)
         self.velocity = np.asarray(self.velocity, dtype=float)
+        # An angle in 2D; a quaternion in 3D, where a prescribed body that
+        # never turns may keep the scalar default.
+        pose = (1,) if dim == 2 else (4,) if self.motion == "free" else (1, 4)
+        for name, value, sizes in (("position", self.position, (2, 3)),
+                                   ("velocity", self.velocity, (3 if dim == 2 else 6,)),
+                                   ("orientation", np.asarray(self.orientation, dtype=float), pose)):
+            if value.ndim > 1 or value.size not in sizes or not np.isfinite(value).all():
+                raise ValueError(f"body {self.name!r}: {name} must be "
+                                 f"{' or '.join(map(str, sizes))} finite values, got {value}")
         if self.motion not in ("free", "prescribed"):
             raise ValueError(f"motion must be 'free' or 'prescribed', got {self.motion}")
         # Collision reads a half-space's normal and offset, never its pose.
@@ -120,6 +128,10 @@ class World:
             raise ValueError(f"gravity must be {self.dim} finite values, got {self.gravity}")
         if not 0.0 <= self.margin < np.inf:
             raise ValueError(f"margin must be finite and non-negative, got {self.margin}")
+        for body in self.bodies:
+            if body.position.size != self.dim:
+                raise ValueError(f"body {body.name!r}: position must be {self.dim} values "
+                                 f"in a {self.dim}D world, got {body.position}")
 
     @property
     def free_bodies(self) -> list[int]:

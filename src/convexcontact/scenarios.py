@@ -40,10 +40,9 @@ from typing import Optional
 
 import numpy as np
 
-from .batch import MODEL_IDS, ContactBatch, FrictionParams
+from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley
 from .collision import Box, HalfSpace, Rod, Sphere, quaternion_matrix
 from .dynamics import Body, World, advance_state, assemble_problem
-from .normal_laws import HuntCrossley
 from .solver import SolveOptions, SolverFailure, safe_norm, solve_step
 
 __all__ = [

@@ -17,7 +17,9 @@ build gives every state's finite-difference step and regime-boundary
 distance, and one call of `ContactBatch.evaluate` (or `naive_impulse`) on a
 second build evaluates the stencils of all kept states, each state and its
 4 * dim offset points.  So the checks certify the code that steps the
-simulations.  NaN-propagating reductions make a non-finite error fail.
+simulations, with its one normal law (`batch.HuntCrossley`); they need
+nothing beyond numpy and `batch`.  NaN-propagating reductions make a
+non-finite error fail.
 
 Finite differences use 4th-order central stencils: the friction models have
 third derivatives of order 1/eps_s^2, and the tight stiction tolerances used
@@ -36,10 +38,8 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
-from .batch import MODEL_IDS, ContactBatch, FrictionParams
-from .normal_laws import DiscreteNormal, HuntCrossley, discrete_impulse
+from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley
 
 __all__ = [
     "CheckData",
@@ -50,7 +50,6 @@ __all__ = [
     "check_curl",
     "check_psd",
     "canonical_data",
-    "barrier_antiderivative",
 ]
 
 # Impulse fields accepted by check_curl; the potential-backed models plus the
@@ -324,14 +323,3 @@ def check_psd(model: str, data: CheckData, states: SamplingSpec) -> ValidationRe
     report.min_hessian_eigenvalue = _worst(eig, x0, v_c, lowest=True)[0]
     report.min_scaled_eigenvalue, report.worst_case_state = _worst(scaled, x0, v_c, lowest=True)
     return report
-
-
-def barrier_antiderivative(dn: DiscreteNormal, v_n: float, v_ref: float) -> float:
-    """N(v_n) - N(v_ref) for barrier laws, by numeric quadrature of n.
-
-    The barrier laws have no closed-form antiderivative under the implicit
-    penetration substitution; this quadrature form is for validation only.
-    """
-    val, _ = quad(lambda u: discrete_impulse(dn, u), v_ref, v_n,
-                  limit=500, epsabs=1e-15, epsrel=1e-12)
-    return val

@@ -4,7 +4,8 @@ Step size follows h = 1e-6 * max(1, |x|), which balances truncation and
 round-off at double precision for the magnitudes exercised here.  These
 helpers are the independent oracle against which analytic gradients,
 impulses and Hessians are checked; they must stay free of any code from
-the package under test.
+the package under test.  So is `hc_impulse`, the defining discrete
+Hunt & Crossley impulse written out on scalars.
 """
 
 import numpy as np
@@ -50,3 +51,10 @@ def fd_derivative(f, x, h=None):
     if h is None:
         h = fd_step([x])
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def hc_impulse(k, d, x0, dt, v_n):
+    """n(v_n) = dt * f_n(x0 - dt*v_n, -v_n) for the Hunt & Crossley force
+    f_n(x, xdot) = k * max(x, 0) * max(1 + d*xdot, 0): stiffness k,
+    dissipation d, previous-step penetration x0 and step dt."""
+    return dt * (k * max(x0 - dt * v_n, 0.0) * max(1.0 - d * v_n, 0.0))

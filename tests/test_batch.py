@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 
 from convexcontact import validation
-from convexcontact.batch import MODEL_IDS, ContactBatch, FrictionParams
-from convexcontact.normal_laws import (
-    DiscreteNormal,
+from convexcontact.batch import (
+    MODEL_IDS,
+    ContactBatch,
+    FrictionParams,
     HuntCrossley,
-    LogBarrier,
     UnsupportedLaw,
-    discrete_impulse,
 )
 from convexcontact.scenarios import ScenarioSpec, Simulation
 from convexcontact.solver import solve_step
+
+from fd import hc_impulse
 
 Contact = namedtuple("Contact", "check x0")  # what a check holds fixed, and x0
 PotentialEval = namedtuple("PotentialEval", "cost gamma hessian")
@@ -170,9 +171,11 @@ def test_breakpoints_along_a_ray(model):
 
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_non_hunt_crossley_law_is_unsupported(model):
-    data = validation.CheckData(LogBarrier(1.0), FrictionParams(mu=0.5), 0.01)
+    # The kernel takes HuntCrossley itself, not any object with its fields.
+    law = namedtuple("OtherLaw", "stiffness dissipation")(1e4, 2.0)
+    data = validation.CheckData(law, FrictionParams(mu=0.5), 0.01)
     with pytest.raises(UnsupportedLaw):
-        data.kernel(model, np.array([-1e-3])).evaluate(np.zeros((1, 3)))
+        data.kernel(model, np.array([1e-3]))
 
 
 def test_criterion_1_checks_and_solver_reach_the_same_kernel(monkeypatch):
@@ -219,10 +222,10 @@ def test_naive_impulse_matches_written_out_field():
     mu, v_s = data.friction.mu, data.friction.v_s
     spec = validation.SamplingSpec(samples=200, seed=4, regime="sliding")
     x0, v_c = validation.sample_states(data, spec)
-    law, dt = data.law, data.dt
+    k, d, dt = data.law.stiffness, data.law.dissipation, data.dt
     got = data.kernel("lagged", x0).naive_impulse(v_c)  # one x0 per row
     for i, v in enumerate(v_c):
-        n_v = discrete_impulse(DiscreteNormal(law, x0[i], dt), v[-1])
+        n_v = hc_impulse(k, d, x0[i], dt, v[-1])
         v_t = v[:-1]
         want = np.append(-mu * n_v * v_t / np.sqrt(v_t @ v_t + v_s * v_s), n_v)
         assert n_v > 0.0

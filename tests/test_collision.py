@@ -168,6 +168,10 @@ def test_prescribed_pairs_skipped_and_unsupported_raises():
     b2 = Body("b2", Box((0.1, 0.1)), np.array([0.05, 0.0]), 0.0, mass=1.0, inertia=1.0)
     with pytest.raises(NotImplementedError):
         detect_contacts([b1, b2])
+    # A sphere beside a box on the ground, all prescribed: nothing to act on.
+    ball = Body("ball", Sphere(0.05), np.array([0.3, 0.0]), motion="prescribed")
+    box = Body("box", Box((0.1, 0.1)), np.zeros(2), motion="prescribed")
+    assert len(detect_contacts([g1, ball, box])) == 0
     # A half-space body must be prescribed: collision never reads its pose.
     with pytest.raises(ValueError, match="slab"):
         Body("slab", GROUND2D, np.zeros(2), 0.0, mass=1.0, inertia=1.0)

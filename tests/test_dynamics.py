@@ -64,8 +64,10 @@ class TestAssembly:
     ])
     def test_non_spd_mass_matrix_rejected(self, inertia, orientation):
         ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
-        ball = Body("ball", Sphere(0.05), np.array([0.0, 0.0, 1.0]), np.array(orientation),
+        ball = Body("ball", Sphere(0.05), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0, 0, 0]),
                     mass=1.0, inertia=inertia)
+        # Set after construction, past the Body's own finiteness check.
+        ball.orientation = np.array(orientation)
         with pytest.raises(ValueError, match="ball"):
             assemble_problem(World(dim=3, bodies=[ground, ball]), 1e-3, "lagged")
 
@@ -84,6 +86,20 @@ class TestAssembly:
         ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
         with pytest.raises(ValueError, match=field):
             World(dim=3, bodies=[ground], **kwargs)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"position": np.array([0.0, 1.0]), "orientation": 0.0}, "position"),  # a 2D body
+        ({"position": np.array([0.0, np.nan, 1.0])}, "position"),
+        ({"velocity": np.zeros(4)}, "velocity"),
+        ({"velocity": np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0])}, "velocity"),
+        ({"orientation": np.array([1.0, 0.0, 0.0])}, "orientation"),
+    ])
+    def test_malformed_body_rejected(self, kwargs, field):
+        ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
+        ball = dict(name="ball", shape=Sphere(0.05), position=np.array([0.0, 0.0, 1.0]),
+                    orientation=np.array([1.0, 0.0, 0.0, 0.0]), mass=1.0, inertia=1e-3)
+        with pytest.raises(ValueError, match=f"'ball'.*{field}"):
+            World(dim=3, bodies=[ground, Body(**{**ball, **kwargs})])
 
 
 class TestMassArrays:

@@ -1,12 +1,15 @@
 """The README's Python examples run as written, every name a module
-exports in its __all__ exists, and every attribute the benchmark's tracer
-wraps exists."""
+exports in its __all__ exists, every attribute the benchmark's tracer
+wraps exists, and the validation checks load without scipy."""
 
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,13 @@ def test_tracer_targets_resolve():
     assert tracing.TARGETS
     assert [(owner.__name__, attribute) for owner, attribute, *_ in tracing.TARGETS
             if inspect.getattr_static(owner, attribute, missing) is missing] == []
+
+
+def test_validation_imports_no_scipy():
+    # Criterion 1 needs numpy and the kernel only; scipy would add most of
+    # its start-up time and memory to every process that runs the checks.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, convexcontact.validation; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from convexcontact.batch import ContactBatch, FrictionParams
-from convexcontact.normal_laws import HuntCrossley
+from convexcontact.batch import ContactBatch, FrictionParams, HuntCrossley
 from convexcontact.validation import CheckData
 
 from fd import fd_gradient, fd_jacobian, fd_step

@@ -3,20 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexcontact.batch import FrictionParams
-from convexcontact.normal_laws import (
-    DiscreteNormal,
-    HuntCrossley,
-    IpcBarrier,
-    LogBarrier,
-    discrete_impulse,
-)
+from convexcontact.batch import FrictionParams, HuntCrossley
 from convexcontact.validation import (
     FIELD_IDS,
     CheckData,
     SamplingSpec,
     ValidationReport,
-    barrier_antiderivative,
     canonical_data,
     check_curl,
     check_gradient,
@@ -24,8 +16,6 @@ from convexcontact.validation import (
     kink_distance,
     sample_states,
 )
-
-from fd import fd_derivative
 
 SMALL = SamplingSpec(samples=500, seed=3)
 
@@ -126,22 +116,6 @@ def test_reports_carry_worst_state():
     assert report.worst_case_state is not None
     d = report.as_dict()
     assert "worst_x0" in d and d["samples"] > 0
-
-
-def test_barrier_antiderivative_quadrature():
-    # N' = n for the barrier laws, with N known only by quadrature.  The
-    # implicit substitution x = x0 - dt*v_n breaches the barrier for
-    # v_n <= x0/dt, so both reference and evaluation points sit above that.
-    cases = (
-        (LogBarrier(2.0), -1e-3, (-0.08, -0.02, 0.1)),    # breach below v = -0.1
-        (IpcBarrier(5.0, 1e-3), -5e-4, (-0.02, 0.0, 0.2)),  # breach below v = -0.05
-    )
-    for law, x0, points in cases:
-        dn = DiscreteNormal(law, x0, 0.01)
-        v_ref = 1.0
-        for v in points:
-            fd = fd_derivative(lambda u: barrier_antiderivative(dn, u, v_ref), v, h=1e-7)
-            assert fd == pytest.approx(discrete_impulse(dn, v), rel=1e-6, abs=1e-12)
 
 
 # -- per-state reference ------------------------------------------------------
