@@ -39,6 +39,8 @@ __all__ = [
     "peak_force",
     "force_amplification",
     "contact_breaks_after_peak",
+    "PHASE_BOUNDARY",
+    "phase_steps",
     "clutter_metrics",
 ]
 
@@ -241,12 +243,24 @@ def contact_breaks_after_peak(traj: Trajectory) -> bool:
     return bool((~loaded[peak_force(traj)["index"]:]).any())
 
 
-def clutter_metrics(traj: Trajectory, tail: float = 1.25, phase_boundary: float = 2.0) -> dict:
+# Time (s) that splits a clutter run into its impact and settled phases.
+PHASE_BOUNDARY = 2.0
+
+
+def phase_steps(traj: Trajectory, phase_boundary: float = PHASE_BOUNDARY) -> tuple:
+    """(steps in the impact phase, t < phase_boundary, steps after it)."""
+    impact = int((traj.step_times < phase_boundary).sum())
+    return impact, len(traj.step_times) - impact
+
+
+def clutter_metrics(traj: Trajectory, tail: float = 1.25,
+                    phase_boundary: float = PHASE_BOUNDARY) -> dict:
     """Summary metrics for the clutter runs.
 
     Mean penetration is averaged over actually penetrating samples in the
     trailing window; iteration and conditioning means are split into the
-    impact phase (t < phase_boundary) and the settled phase.
+    impact phase (t < phase_boundary) and the settled phase; a phase with
+    no step (`phase_steps`) reads nan.
     """
     t = traj.step_times
     if tail > traj.spec.duration:

@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ContactBatch", "FrictionParams", "HuntCrossley", "UnsupportedLaw", "MODEL_IDS"]
+__all__ = ["ContactBatch", "FrictionParams", "HuntCrossley", "UnsupportedLaw", "MODEL_IDS",
+           "model_id"]
 
 # Model ids accepted by the stepping pipeline.  "lagged_regularized" is the
 # lagged model with the impact-softened stiction tolerance switched on.
@@ -123,6 +124,13 @@ class FrictionParams:
             raise ValueError(f"tau_d must be >= 0, got {self.tau_d}")
 
 
+def model_id(model: str) -> str:
+    """model, when it is one of MODEL_IDS; else a ValueError that names it."""
+    if model not in MODEL_IDS:
+        raise ValueError(f"unknown model id {model!r}; expected one of {MODEL_IDS}")
+    return model
+
+
 class ContactBatch:
     """Kernel parameters of n contacts; x0, gamma_n0 and w are (n,) arrays.
 
@@ -131,8 +139,7 @@ class ContactBatch:
     """
 
     def __init__(self, model, dim, dt, law, friction, x0, gamma_n0, w):
-        if model not in MODEL_IDS:
-            raise ValueError(f"unknown model id {model!r}; expected one of {MODEL_IDS}")
+        model_id(model)
         if not isinstance(law, HuntCrossley):
             raise UnsupportedLaw("the contact models require a HuntCrossley law")
         self.model = model

@@ -232,7 +232,8 @@ def cmd_study(args) -> int:
 def _sweep_entry(payload):
     spec, tail = payload
     with np.errstate(all="ignore"):  # a worker process has its own error state
-        return analysis.clutter_metrics(run_scenario(spec), tail=tail)
+        traj = run_scenario(spec)
+        return analysis.clutter_metrics(traj, tail=tail), analysis.phase_steps(traj)
 
 
 def cmd_sweep(args) -> int:
@@ -254,9 +255,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"IRC_THREADS: {err}") from err
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(_sweep_entry, jobs))
+            results = list(pool.map(_sweep_entry, jobs))
     else:
-        metrics = [_sweep_entry(job) for job in jobs]
+        results = [_sweep_entry(job) for job in jobs]
+    metrics = [m for m, _ in results]
+    # The phases' step counts depend on dt alone: one per --values entry.
+    steps = [s for _, s in results[:len(values)]]
 
     metric_keys = list(metrics[0])  # clutter_metrics' key order
     rows = []
@@ -266,6 +270,9 @@ def cmd_sweep(args) -> int:
         _atomic_write(args.out, _csv(rows, ["model", args.parameter, *metric_keys]))
     _emit_summary(_summary_text("sweep summary", spec.as_dict(),
                                 {"entries": len(rows), "parameter": args.parameter,
+                                 "phase_boundary": analysis.PHASE_BOUNDARY,
+                                 "impact_steps": ",".join(str(i) for i, _ in steps),
+                                 "settled_steps": ",".join(str(s) for _, s in steps),
                                  "out": args.out or ""}), args.summary)
     return 0
 

@@ -15,9 +15,15 @@ normals point from body b towards body a.
 built without a Python object per contact.  Every scenario contact is
 sphere against sphere, or a vertex with a radius r against a half-space:
 x0 = r + o - n . p at the point p - r n.  A vertex is a sphere center with
-its radius, or a box corner or rod endpoint with radius 0.  Each of the two
-kinds is one broadcast, over all sphere pairs and over all (vertex,
-half-space) pairs.
+its radius, or a box corner or rod endpoint with radius 0.
+
+What a body layout fixes -- which bodies are half-spaces, spheres, a box or
+a rod, which are free, the radii, plane normals and offsets, and the order
+of the output -- is a `CandidateTable`, built once per layout
+(`dynamics.World` caches it).  It lists every (vertex, half-space) pair and
+every sphere pair with a free body, in output order.  Per step, each of the
+two kinds is one broadcast over the current vertices, and one mask keeps
+the candidates with x0 > -margin.
 
 Feature ids are stable while the contact topology is unchanged: spheres
 have a single feature 0, box corners and rod endpoints use their local
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,6 +46,8 @@ __all__ = [
     "Rod",
     "Shape",
     "ContactSet",
+    "CandidateTable",
+    "detect_contacts",
     "DEFAULT_MARGIN",
 ]
 
@@ -149,85 +157,156 @@ def _corners(body) -> np.ndarray:
     return body.position + (_BOX_SIGNS[h.size] * h) @ rot.T
 
 
-def detect_contacts(bodies, margin: float = DEFAULT_MARGIN) -> ContactSet:
+def detect_contacts(bodies, margin: float = DEFAULT_MARGIN,
+                    table: Optional["CandidateTable"] = None) -> ContactSet:
     """All contacts of a body list, in (lower, higher) body-index pair order.
 
-    Bodies expose shape/position/orientation/motion attributes; pairs of two
-    prescribed bodies are skipped (no degrees of freedom to act on).  Two
-    broadcasts find every contact: vertices against half-spaces, where a
-    vertex is a sphere center with its radius or a box corner or rod tip
-    with radius 0, and sphere against sphere.  Unsupported shape pairs
-    raise: the scenario geometries only ever need sphere/sphere and
-    shape/half-space queries.  Within a pair, contacts come in feature order.
+    Bodies expose name/shape/position/orientation/motion attributes.  table is
+    the bodies' `CandidateTable` (`dynamics.World` caches one); without it,
+    one is built from the bodies first.  Within a pair, contacts come in
+    feature order.
     """
-    dim = bodies[0].position.size
-    free = np.array([b.motion == "free" for b in bodies])
-    # Half-spaces are prescribed (`dynamics.Body` rejects a free one).
-    planes = [i for i, b in enumerate(bodies) if isinstance(b.shape, HalfSpace)]
-    solid = [i for i, b in enumerate(bodies) if not isinstance(b.shape, HalfSpace)]
-    spheres = [i for i in solid if isinstance(bodies[i].shape, Sphere)]
-    # A box or rod and another solid body, one of the two free.
-    if len(spheres) < len(solid) and len(solid) > 1 and free[solid].any():
-        names = "/".join(type(bodies[i].shape).__name__ for i in solid)
-        raise NotImplementedError(f"no narrow phase among {names}: boxes and rods meet "
-                                  "half-spaces only")
+    if table is None:
+        table = CandidateTable.build(bodies)
+    return table.detect(bodies, margin)
 
-    # Vertices (owner body, point, radius, feature): the corners or tips of
-    # a box or rod with radius 0 when it is the one solid body, else the
-    # sphere centers with their radii.  A box or rod beside other solids has
-    # them all prescribed (checked above), so then no contact is kept.
-    if len(solid) == 1 and not spheres:
-        vertex = _corners(bodies[solid[0]])
-        k = len(vertex)
-        owner, vertex_radius, feature = np.full(k, solid[0]), np.zeros(k), np.arange(k)
-    else:
-        owner = spheres = np.array(spheres, dtype=int)
-        vertex = center = np.array([bodies[i].position for i in spheres]).reshape(-1, dim)
-        vertex_radius = radius = np.array([bodies[i].shape.radius for i in spheres], dtype=float)
-        feature = np.zeros(len(spheres), dtype=int)
-    parts = []
-    if planes and len(owner):
-        normal = np.array([bodies[h].shape.normal for h in planes])
-        offset = np.array([bodies[h].shape.offset for h in planes])
-        planes = np.array(planes)
-        x0 = vertex_radius[:, None] + offset - vertex @ normal.T
-        keep = ~(x0 <= -margin) & free[owner][:, None]
-        v, h = np.nonzero(keep)
-        normal = normal[h]
-        parts.append((np.array([owner[v], planes[h]]).T,
-                      vertex[v] - vertex_radius[v, None] * normal, normal, x0[v, h], feature[v]))
 
-    if len(spheres) > 1:
-        # Every pair a < b, in row-major order (np.triu_indices, without its
-        # fixed cost).
+@dataclass(frozen=True)
+class CandidateTable:
+    """Every contact that a body layout can make, in output order: by
+    (lower, higher) body index, then feature.
+
+    Built from the bodies' shapes and motions alone, never their poses, so
+    one table serves every step of a world.  Pairs of two prescribed bodies
+    are left out (no degrees of freedom to act on).  The vertices are the
+    corners or tips of a free box or rod (radius 0) when it is the one solid
+    body, else the sphere centers with their radii; a box or rod beside
+    other solids has them all prescribed (`build` checks it) and no
+    candidate.  Rows vp_rows hold the (vertex, half-space) candidates and
+    rows ss_rows the sphere pairs.
+    """
+
+    dim: int
+    spheres: tuple  # body index of each vertex, when the vertices are sphere centers
+    corners: Optional[int]  # the box or rod whose corners are the vertices, if any
+    pair: np.ndarray  # (m, 2) body a, body b
+    feature: np.ndarray  # (m,)
+    normal: np.ndarray  # (m, dim) the half-space normals; sphere-pair rows 0
+    # (vertex, half-space) candidates: radius plus offset (n_vertex,
+    # n_plane), the plane normals (n_plane, dim), and per candidate its
+    # flat (vertex, plane) index, its vertex and its radius times normal.
+    base: np.ndarray
+    plane_normal: np.ndarray
+    vp: np.ndarray
+    vp_vertex: np.ndarray
+    vp_offset: np.ndarray
+    vp_rows: np.ndarray
+    # Sphere pairs: the vertices a and b, their radii as columns (k, 1) and
+    # the sum of the two.
+    a: np.ndarray
+    b: np.ndarray
+    radius_a: np.ndarray
+    radius_b: np.ndarray
+    reach: np.ndarray
+    ss_rows: np.ndarray
+
+    @classmethod
+    def build(cls, bodies) -> "CandidateTable":
+        """The table of a body list.  A half-space, box or rod whose
+        dimension is not the world's raises ValueError (a rod is planar).
+        Unsupported shape pairs raise NotImplementedError: the scenario
+        geometries only ever need sphere/sphere and shape/half-space
+        queries."""
+        dim = bodies[0].position.size
+        for b in bodies:
+            size = (len(b.shape.normal) if isinstance(b.shape, HalfSpace)
+                    else len(b.shape.half_extents) if isinstance(b.shape, Box)
+                    else 2 if isinstance(b.shape, Rod) else dim)
+            if size != dim:
+                raise ValueError(f"body {b.name!r}: a {type(b.shape).__name__} of {size} "
+                                 f"dimensions in a {dim}D world")
+        free = np.array([b.motion == "free" for b in bodies])
+        # Half-spaces are prescribed (`dynamics.Body` rejects a free one).
+        planes = [i for i, b in enumerate(bodies) if isinstance(b.shape, HalfSpace)]
+        solid = [i for i, b in enumerate(bodies) if not isinstance(b.shape, HalfSpace)]
+        spheres = [i for i in solid if isinstance(bodies[i].shape, Sphere)]
+        # A box or rod and another solid body, one of the two free.
+        if len(spheres) < len(solid) and len(solid) > 1 and free[solid].any():
+            names = "/".join(type(bodies[i].shape).__name__ for i in solid)
+            raise NotImplementedError(f"no narrow phase among {names}: boxes and rods meet "
+                                      "half-spaces only")
+        corners = None
+        if len(solid) == 1 and not spheres:
+            shape = bodies[solid[0]].shape
+            corners = solid[0] if free[solid[0]] else None
+            k = (0 if corners is None else 2 if isinstance(shape, Rod)
+                 else len(_BOX_SIGNS[len(shape.half_extents)]))
+            owner, radius, vertex_feature = np.full(k, solid[0]), np.zeros(k), np.arange(k)
+        else:
+            owner = np.array(spheres, dtype=int)
+            radius = np.array([bodies[i].shape.radius for i in spheres], dtype=float)
+            vertex_feature = np.zeros(len(spheres), dtype=int)
+        plane_normal = np.array([bodies[h].shape.normal for h in planes]).reshape(-1, dim)
+        offset = np.array([bodies[h].shape.offset for h in planes], dtype=float)
+        v, h = np.nonzero(np.repeat(free[owner][:, None], len(planes), axis=1))
+        # Every sphere pair a < b, one of the two free, in row-major order.
         index = np.arange(len(spheres))
-        a, b = np.nonzero(index[:, None] < index)
-        delta = center[a] - center[b]
-        dist = np.linalg.norm(delta, axis=1)
-        x0 = radius[a] + radius[b] - dist
-        keep = ~(x0 <= -margin) & (free[spheres[a]] | free[spheres[b]])
-        a, b, delta, dist, x0 = a[keep], b[keep], delta[keep], dist[keep], x0[keep]
-        coincident = dist < 1e-12
-        normal = delta / np.where(coincident, 1.0, dist)[:, None]
-        up = np.eye(dim)[-1]
-        normal[coincident] = up
-        for ca in center[a[coincident]]:
-            log.warning("coincident sphere centers at %s; using fallback normal %s", ca, up)
-        # Midpoint of the overlap segment between the two surface points.
-        point = 0.5 * ((center[b] + radius[b, None] * normal)
-                       + (center[a] - radius[a, None] * normal))
-        parts.append((np.array([spheres[a], spheres[b]]).T, point, normal, x0,
-                      np.zeros(len(a), dtype=int)))
+        moving = free[spheres]
+        a, b = np.nonzero((index[:, None] < index) & (moving[:, None] | moving))
+        pair = np.concatenate([np.array([owner[v], np.array(planes, dtype=int)[h]]).T,
+                               np.array([owner[a], owner[b]]).T]).reshape(-1, 2)
+        feature = np.concatenate([vertex_feature[v], np.zeros(len(a), dtype=int)])
+        # Stable: each pair's candidates keep their feature order.
+        low, high = np.sort(pair, axis=1).T
+        order = np.lexsort((high, low))
+        rows = np.empty(len(order), dtype=int)
+        rows[order] = np.arange(len(order))
+        normal = np.zeros((len(order), dim))
+        normal[rows[:len(v)]] = plane_normal[h]
+        return cls(dim=dim, spheres=tuple(spheres), corners=corners, pair=pair[order],
+                   feature=feature[order], normal=normal,
+                   base=radius[:, None] + offset, plane_normal=plane_normal,
+                   vp=v * len(planes) + h, vp_vertex=v,
+                   vp_offset=radius[v, None] * plane_normal[h], vp_rows=rows[:len(v)],
+                   a=a, b=b, radius_a=radius[a, None], radius_b=radius[b, None],
+                   reach=radius[a] + radius[b], ss_rows=rows[len(v):])
 
-    if not parts:
-        return ContactSet(np.zeros((0, 2), dtype=int), np.zeros((0, dim)), np.zeros((0, dim)),
-                          np.zeros(0), np.zeros(0, dtype=int))
-    pair, point, normal, x0, feature = (
-        parts[0] if len(parts) == 1 else (np.concatenate(column) for column in zip(*parts)))
-    # Stable: each pair's contacts keep their feature order.
-    low, high = np.sort(pair, axis=1).T
-    order = np.lexsort((high, low))
-    return ContactSet(pair[order], point[order], normal[order], x0[order], feature[order])
+    def detect(self, bodies, margin: float) -> ContactSet:
+        """The candidates with x0 > -margin at the bodies' current poses.
+
+        Two broadcasts give every x0, as vertex against half-space,
+        x0 = r + o - n . p at the point p - r n, and as sphere against
+        sphere; one mask keeps the contacts.
+        """
+        if self.corners is None:
+            vertex = np.array([bodies[i].position for i in self.spheres]).reshape(-1, self.dim)
+        else:
+            vertex = _corners(bodies[self.corners])
+        x0 = np.empty(len(self.pair))
+        point = np.empty(self.normal.shape)
+        normal = self.normal.copy()
+        x0[self.vp_rows] = (self.base - vertex @ self.plane_normal.T).ravel()[self.vp]
+        point[self.vp_rows] = vertex[self.vp_vertex] - self.vp_offset
+        if len(self.ss_rows):
+            center_a, center_b = vertex[self.a], vertex[self.b]
+            delta = center_a - center_b
+            dist = np.linalg.norm(delta, axis=1)
+            coincident = dist < 1e-12
+            unit = delta / np.where(coincident, 1.0, dist)[:, None]
+            if coincident.any():
+                up = np.eye(self.dim)[-1]
+                unit[coincident] = up
+                for ca in center_a[coincident]:
+                    log.warning("coincident sphere centers at %s; using fallback normal %s",
+                                ca, up)
+            x0[self.ss_rows] = self.reach - dist
+            normal[self.ss_rows] = unit
+            # Midpoint of the overlap segment between the two surface points.
+            point[self.ss_rows] = 0.5 * ((center_b + self.radius_b * unit)
+                                         + (center_a - self.radius_a * unit))
+        keep = np.flatnonzero(~(x0 <= -margin))
+        return ContactSet(self.pair[keep], point[keep], normal[keep], x0[keep],
+                          self.feature[keep])
 
 
 def quaternion_matrix(q) -> np.ndarray:

@@ -6,19 +6,27 @@ velocity, orientation as a unit quaternion w-first).  Prescribed bodies
 carry no degrees of freedom; their surface motion enters contact constraints
 through the bias term only.
 
-What a world holds constant between steps is built once, by
-`World.mass_arrays`, and cached on the world: the free-body index and slot
-arrays, the dense block-diagonal mass matrix A (n_v, n_v), the inverse
-mass blocks and the gravity acceleration A^-1 f_ext.  Every mass block
-comes from `mass_blocks`: diag(m, m, I) in 2D, diag(m 1, I 1) in 3D for a
-scalar inertia I, which no rotation changes, and diag(m 1, R I R') for a
-3x3 body-frame inertia I, the only rows rotated and inverted again on every
-step.  The cache is keyed on the free indices, each free body's mass and
-inertia bytes and gravity, so changing any of them rebuilds it.
+What a world holds constant between steps is built once and cached on the
+world under one key: its dimension, gravity, and each body's shape,
+motion, mass and inertia, so changing any of them rebuilds the cache.  It
+holds
 
-`assemble_problem` runs the collision pass, which returns the contacts as
-arrays (`collision.ContactSet`), and freezes one StepProblem in array form,
-built in one vectorized pass over all bodies and all contacts:
+- the mass arrays (`World.mass_arrays`): the free-body index and slot
+  arrays, the dense block-diagonal mass matrix A (n_v, n_v), the inverse
+  mass blocks and the gravity acceleration A^-1 f_ext.  Every mass block
+  comes from `mass_blocks`: diag(m, m, I) in 2D, diag(m 1, I 1) in 3D for a
+  scalar inertia I, which no rotation changes, and diag(m 1, R I R') for a
+  3x3 body-frame inertia I, the only rows rotated and inverted again on
+  every step;
+- the contact candidates (`World.contact_candidates`, a
+  `collision.CandidateTable`), built at the first detection.
+
+A world needs at least one free body.
+
+`assemble_problem` checks the model id, runs the collision pass on the
+cached candidates, which returns the contacts as arrays
+(`collision.ContactSet`), and freezes one StepProblem in array form, built
+in one vectorized pass over all bodies and all contacts:
 
 - A, shared with the world's cached mass arrays and read-only;
 - the free-motion velocity v* = v0 + dt * A^-1 * f_ext;
@@ -44,8 +52,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .batch import FrictionParams, HuntCrossley
-from .collision import HalfSpace, Shape, detect_contacts, quaternion_matrix
+from .batch import FrictionParams, HuntCrossley, model_id
+from .collision import CandidateTable, HalfSpace, Shape, detect_contacts, quaternion_matrix
 
 __all__ = [
     "Body",
@@ -113,8 +121,8 @@ class World:
     friction: FrictionParams = field(default_factory=lambda: FrictionParams(mu=0.5))
     margin: float = 1e-3
     time: float = 0.0
-    # (key, MassArrays) of the last `mass_arrays` build.
-    _mass: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # [key, MassArrays, CandidateTable or None] of the last build; see `_constants`.
+    _cache: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -141,20 +149,37 @@ class World:
     def nv_per_body(self) -> int:
         return 3 if self.dim == 2 else 6
 
+    def _constants(self) -> list:
+        """[key, MassArrays, CandidateTable or None] of the current layout.
+
+        The key is the dimension, gravity and each body's shape, motion,
+        mass and inertia; a change to any of them rebuilds the mass arrays
+        and drops the candidate table.  A float inertia is keyed by value,
+        any other by its bytes, so that an array changed in place is seen.
+        """
+        key = (self.dim, np.asarray(self.gravity, dtype=float).tobytes(),
+               [(b.shape, b.motion, b.mass, b.inertia if isinstance(b.inertia, float)
+                 else np.asarray(b.inertia, dtype=float).tobytes()) for b in self.bodies])
+        if self._cache is None or self._cache[0] != key:
+            self._cache = [key, _build_mass_arrays(self), None]
+        return self._cache
+
     def mass_arrays(self) -> "MassArrays":
         """The free bodies' mass arrays at the current orientations.
 
-        Built once and rebuilt only when the free indices, a free body's
-        mass or inertia, or gravity change; rows with a 3x3 inertia are
+        Built once per layout (`_constants`); rows with a 3x3 inertia are
         rotated to the current orientation on every call.
         """
-        key = (self.dim, len(self.bodies), np.asarray(self.gravity, dtype=float).tobytes(),
-               [(i, b.mass, np.asarray(b.inertia, dtype=float).tobytes())
-                for i, b in enumerate(self.bodies) if b.motion == "free"])
-        if self._mass is None or self._mass[0] != key:
-            self._mass = (key, _build_mass_arrays(self))
-        arrays = self._mass[1]
+        arrays = self._constants()[1]
         return _rotated(self, arrays) if len(arrays.rotating) else arrays
+
+    def contact_candidates(self) -> CandidateTable:
+        """The bodies' contact candidates (`collision.CandidateTable`), built
+        at the first call for the current layout (`_constants`)."""
+        constants = self._constants()
+        if constants[2] is None:
+            constants[2] = CandidateTable.build(self.bodies)
+        return constants[2]
 
 
 @dataclass(frozen=True)
@@ -300,6 +325,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _build_mass_arrays(world: World) -> MassArrays:
     dim, nvb = world.dim, world.nv_per_body
     free = world.free_bodies
+    if not free:
+        raise ValueError("world has no free body: there is nothing to step")
     bodies = [world.bodies[i] for i in free]
     n_free = len(free)
     blocks = _checked_blocks(bodies, dim)
@@ -342,6 +369,7 @@ def assemble_problem(world: World, dt: float, model: str,
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    model_id(model)
     prev_impulses = prev_impulses or {}
     dim, nvb = world.dim, world.nv_per_body
     bodies = world.bodies
@@ -352,7 +380,7 @@ def assemble_problem(world: World, dt: float, model: str,
     v0 = np.array([bodies[i].velocity for i in mass.free]).reshape(n_free, nvb)
     v_star = v0 + dt * mass.accel
 
-    found = detect_contacts(bodies, world.margin)
+    found = detect_contacts(bodies, world.margin, world.contact_candidates())
     n = len(found)
     # Spatial velocity entering the bias: zero unless prescribed with one.
     position = np.array([b.position for b in bodies])
@@ -413,7 +441,7 @@ def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ]).T
 
 
-def advance_state(bodies, v_next: np.ndarray, dt: float) -> None:
+def advance_state(bodies, v_next: np.ndarray, dt: float) -> Optional[tuple]:
     """First-order state advance of many bodies in one pass: explicit
     position update from the new velocities.
 
@@ -421,14 +449,16 @@ def advance_state(bodies, v_next: np.ndarray, dt: float) -> None:
     velocity per body, in order ((n * nv_body,) or (n, nv_body)).
     Prescribed bodies keep their state.  A non-finite new pose (a
     non-finite velocity gives one) raises ValueError naming the body, before
-    any body is written.
+    any body is written.  Returns the new state of the free bodies, one row
+    per body, as (q, v): position then orientation, and velocity; copies
+    that no body shares.  None when no body is free.
     """
     bodies = [bodies] if isinstance(bodies, Body) else bodies
     free = [body.motion == "free" for body in bodies]
     v_next = np.array(v_next, dtype=float).reshape(len(bodies), -1)[free]
     bodies = [body for body, moving in zip(bodies, free) if moving]
     if not bodies:
-        return
+        return None
     dim = bodies[0].position.size
     position = np.array([b.position for b in bodies]) + dt * v_next[:, :dim]
     if dim == 2:
@@ -446,3 +476,5 @@ def advance_state(bodies, v_next: np.ndarray, dt: float) -> None:
                          f"after the state advance")
     for body, p, o, v in zip(bodies, position, orientation, v_next):
         body.position, body.orientation, body.velocity = p, o, v
+    return (np.concatenate([position, orientation.reshape(len(bodies), -1)], axis=1),
+            v_next.copy())

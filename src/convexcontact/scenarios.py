@@ -395,11 +395,13 @@ class Simulation:
         v_c = problem.contact_velocities(sol.v)
         gammas = sol.impulses
         gamma_n = gammas[:, -1]
+        # The v_t and f_t row norms in one call.
+        slip = safe_norm(np.concatenate([v_c[:, :-1], gammas[:, :-1]]), axis=1)
         rows = np.column_stack([
             v_c[:, -1],
-            safe_norm(v_c[:, :-1], axis=1),
+            slip[:len(v_c)],
             gamma_n / dt,
-            safe_norm(gammas[:, :-1], axis=1) / dt,
+            slip[len(v_c):] / dt,
             problem.x0,
             sol.stiction_tolerance,
         ])
@@ -410,7 +412,7 @@ class Simulation:
                                 f"x0, eps_s), cost or condition number; "
                                 f"config {self.spec.as_dict()}")
         try:
-            advance_state(self._free, sol.v, dt)
+            state = advance_state(self._free, sol.v, dt)
         except ValueError as err:
             raise ScenarioError(f"{where}: {err}; config {self.spec.as_dict()}") from err
         self.memory = dict(zip(problem.keys, gamma_n.tolist()))
@@ -418,7 +420,7 @@ class Simulation:
         self.step_index += 1
         self._records.append((problem.keys, rows, sol.iterations, sol.condition_number,
                               sol.cost))
-        self._states.append(self._state_row())
+        self._states.append(state)
         return sol
 
     def run(self) -> "Trajectory":

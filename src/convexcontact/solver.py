@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvalsh_lo
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .batch import ContactBatch
@@ -402,16 +403,20 @@ def condition_number(problem: StepProblem, v: np.ndarray,
 
     hessians, when given, are the contact Hessians G at v (the solver hands
     over the ones it holds at its final iterate); otherwise they are
-    evaluated here.  A non-finite matrix or an eigensolver failure raises
-    `SolverFailure`.
+    evaluated here.  A non-finite matrix, or eigenvalues that do not
+    converge or are not finite, raise `SolverFailure`.
     """
     if hessians is None:
         hessians = ContactBatch.build(problem).terms(problem.contact_velocities(v))[2]
     matrix = _newton_matrix(problem, hessians)
     if not np.isfinite(matrix).all():
         raise SolverFailure("non-finite Newton matrix")
-    try:
-        eigs = np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as err:
-        raise SolverFailure(f"condition number: {err}") from err
+    # The gufunc behind np.linalg.eigvalsh, the same LAPACK call and bits
+    # without the wrapper's checks (the matrix is a finite float64 square).
+    # Where LAPACK does not converge it returns NaN and raises the invalid
+    # flag, which would otherwise warn.
+    with np.errstate(invalid="ignore"):
+        eigs = eigvalsh_lo(matrix, signature="d->d")
+    if not np.isfinite(eigs).all():
+        raise SolverFailure("condition number: eigenvalues did not converge or overflowed")
     return float(eigs[-1] / eigs[0])

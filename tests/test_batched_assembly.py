@@ -287,13 +287,41 @@ def case(request):
 
 # -- comparisons -------------------------------------------------------------
 
+def check_detection(world, x0_atol=None):
+    """A table built from the body list and the world's cached table both
+    give the reference loop's contacts, and the same bits.  x0_atol, when
+    given, is the absolute tolerance of x0 in place of `close`'s."""
+    want = ref_detect(world.bodies, world.margin)
+    got = detect_contacts(world.bodies, world.margin)
+    cached = detect_contacts(world.bodies, world.margin, world.contact_candidates())
+    assert got.keys == [(c.body_a, c.body_b, c.feature) for c in want]
+    close(got.point, [c.point for c in want])
+    close(got.normal, [c.normal for c in want])
+    if x0_atol is None:
+        close(got.x0, [c.x0 for c in want])
+    else:
+        np.testing.assert_allclose(got.x0, [c.x0 for c in want], rtol=RTOL, atol=x0_atol)
+    for field in ("pair", "point", "normal", "x0", "feature"):
+        np.testing.assert_array_equal(getattr(cached, field), getattr(got, field))
+
+
 def test_detection_keys_order_and_geometry(case):
     world, _, _ = case
-    got = detect_contacts(world.bodies, world.margin)
-    want = ref_detect(world.bodies, world.margin)
-    assert got.keys == [(c.body_a, c.body_b, c.feature) for c in want]
-    for field in ("point", "normal", "x0"):
-        close(getattr(got, field), [getattr(c, field) for c in want])
+    check_detection(world)
+
+
+@pytest.mark.parametrize("scenario,steps", [("clutter", 60), ("belt", 30)])
+def test_cached_table_along_a_run(scenario, steps):
+    sim = Simulation(ScenarioSpec(scenario, seed=4))
+    table = sim.world.contact_candidates()
+    for step in range(steps + 1):
+        if step % 15 == 0:
+            # x0 is a difference of coordinates: near touch its round-off
+            # is relative to the positions, not to x0 itself.
+            scale = max(np.abs(b.position).max() for b in sim.world.bodies)
+            check_detection(sim.world, x0_atol=RTOL * scale)
+        sim.step()
+    assert sim.world.contact_candidates() is table
 
 
 def test_frames_jacobians_and_bias(case):

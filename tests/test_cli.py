@@ -255,6 +255,11 @@ def test_sweep_runs_entries(tmp_path, capsys, monkeypatch):
     assert lines[0].startswith("model,dt,mean_penetration")
     assert len(lines) == 2
     assert "entries=1" in stdout
+    # 40 steps, all before the phase boundary: the settled columns read nan,
+    # and the summary says why.
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["mean_iterations_settled"] == "nan"
+    assert "\nphase_boundary=2\nimpact_steps=40\nsettled_steps=0\n" in stdout
 
 
 def test_sweep_rejects_non_clutter(capsys):
@@ -292,13 +297,14 @@ def test_read_config_strictness(tmp_path):
 def test_sweep_worker_pool(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("IRC_THREADS", "2")
     out = tmp_path / "sweep.csv"
-    code, _ = run_cli([
+    code, stdout = run_cli([
         "sweep", "--scenario", "clutter", "--parameter", "stiffness",
         "--values", "1e6,1e8", "--models", "lagged", "--duration", "0.2",
         "--n-bodies", "4", "--tail", "0.1", "--out", str(out)], capsys)
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
+    assert "\nimpact_steps=100,100\nsettled_steps=0,0\n" in stdout
     # Rows in submission order, higher stiffness -> smaller penetration.
     first = float(lines[1].split(",")[2])
     second = float(lines[2].split(",")[2])

@@ -152,6 +152,9 @@ def test_detect_contacts_dispatch_and_feature_stability():
     ]
     keys = set(detect_contacts([ground, box], margin=1e-3).keys)
     assert keys == {(1, 0, 0), (1, 0, 1)}  # two box corners
+    # A margin wider than the box: its four corners meet the ground, never
+    # each other.
+    assert detect_contacts([ground, box], margin=0.1).keys == [(1, 0, f) for f in range(4)]
     keys_b = set(detect_contacts([ground] + balls, margin=1e-3).keys)
     assert keys_b == {(1, 0, 0), (1, 2, 0)}  # lower ball on ground + pair
     # Same topology, slightly moved: identical keys.

@@ -1,9 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from convexcontact import dynamics
-from convexcontact.batch import FrictionParams
-from convexcontact.collision import Box, HalfSpace, Sphere, detect_contacts
+from convexcontact.batch import MODEL_IDS, FrictionParams
+from convexcontact.collision import Box, HalfSpace, Rod, Sphere, detect_contacts
 from convexcontact.dynamics import (
     Body,
     World,
@@ -12,6 +16,7 @@ from convexcontact.dynamics import (
     mass_blocks,
 )
 from convexcontact.scenarios import ScenarioSpec, Simulation
+from convexcontact.solver import SolveOptions, SolverFailure, solve_step
 
 
 def disk_world(y=0.05, vel=(0.0, 0.0, 0.0), mu=0.5, d=0.0):
@@ -71,6 +76,27 @@ class TestAssembly:
         with pytest.raises(ValueError, match="ball"):
             assemble_problem(World(dim=3, bodies=[ground, ball]), 1e-3, "lagged")
 
+    @pytest.mark.parametrize("shape", [Sphere(0.05), Box((0.1, 0.1, 0.1))])
+    def test_world_without_free_body_rejected(self, shape):
+        ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
+        held = Body("held", shape, np.array([0.0, 0.0, 0.04]), motion="prescribed")
+        with pytest.raises(ValueError, match="no free body"):
+            assemble_problem(World(dim=3, bodies=[ground, held]), 1e-3, "lagged")
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="'nope'"):
+            assemble_problem(disk_world(), 1e-3, "nope")
+
+    @pytest.mark.parametrize("shape", [Rod(0.5), Box((0.1, 0.1)), HalfSpace((0.0, 1.0))])
+    def test_shape_of_another_dimension_rejected(self, shape):
+        ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
+        body = Body("odd", shape, np.array([0.0, 0.0, 0.2]), np.array([1.0, 0, 0, 0]),
+                    motion="prescribed")
+        ball = Body("ball", Sphere(0.05), np.array([0.5, 0.0, 0.04]), np.array([1.0, 0, 0, 0]),
+                    mass=1.0, inertia=1e-3)
+        with pytest.raises(ValueError, match="'odd'.*3D world"):
+            assemble_problem(World(dim=3, bodies=[ground, body, ball]), 1e-3, "lagged")
+
     def test_zero_mass_free_body_rejected(self):
         with pytest.raises(ValueError):
             Body("bad", Sphere(0.1), np.zeros(2), 0.0, mass=0.0)
@@ -118,9 +144,41 @@ class TestMassArrays:
         monkeypatch.setattr(dynamics, "mass_blocks", counted("mass_blocks", mass_blocks))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
         sim = Simulation(ScenarioSpec("clutter", n_bodies=4))
+        table = sim.world.contact_candidates()
         for _ in range(10):
             sim.step()
         assert calls == {"mass_blocks": 1, "inv": 1}
+        assert sim.world.contact_candidates() is table
+
+    def test_changed_shape_or_motion_is_picked_up(self):
+        # Each assembly's contacts equal those of a table built from the
+        # bodies as they are now, never a table cached for an old layout.
+        sim = Simulation(ScenarioSpec("clutter", n_bodies=4))
+        sim.step()
+        world = sim.world
+
+        def assembled():
+            problem = sim.assemble()
+            fresh = detect_contacts(world.bodies, world.margin)
+            assert problem.keys == fresh.keys
+            np.testing.assert_array_equal(problem.x0, fresh.x0)
+            return problem
+
+        first = assembled()
+        floor_key = (5, 0, 0)  # the lowest sphere on the floor
+        low = world.bodies[5]
+        low.shape = Sphere(0.06)
+        grown = assembled()
+        row = first.keys.index(floor_key)
+        assert grown.x0[grown.keys.index(floor_key)] == pytest.approx(first.x0[row] + 0.01)
+        top = world.bodies[8]
+        top.motion = "prescribed"
+        held = assembled()
+        assert held.n_v == first.n_v - 6
+        assert [k for k in held.keys if 8 in k[:2]] == [(7, 8, 0)]
+        top.motion = "free"
+        low.shape = Sphere(0.05)
+        assert assembled().keys == first.keys
 
     def test_changed_mass_or_inertia_is_picked_up(self):
         sim = Simulation(ScenarioSpec("clutter", n_bodies=2))
@@ -284,3 +342,73 @@ def test_mass_matrix_3d_rotates_inertia():
     np.testing.assert_allclose(m[3:, 3:], m[3:, 3:].T)
     assert np.linalg.eigvalsh(m[3:, 3:])[0] == pytest.approx(0.1)
     assert m[3:, 3:][2, 2] == pytest.approx(0.3)
+
+
+# -- a random small world through one step ------------------------------------
+
+# numpy's own messages: a world that reaches one of these was let through
+# to array code that cannot hold it.
+_NUMPY_ERRORS = re.compile(r"cannot reshape|could not be broadcast|out of bounds|"
+                           r"shape mismatch|mismatch in its core dimension|setting an array")
+
+
+@st.composite
+def _small_world(draw):
+    """2D or 3D: up to two half-spaces, up to three spheres and maybe one box
+    or rod, each body free or prescribed; shapes of the other dimension
+    included."""
+    dim = draw(st.sampled_from([2, 3]))
+    coord = st.floats(-0.2, 0.2)
+
+    def pose():
+        if dim == 2:
+            return draw(st.floats(-3.0, 3.0))
+        q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+        return q / np.linalg.norm(q) if np.linalg.norm(q) > 0.1 else np.array([1.0, 0, 0, 0])
+
+    def body(name, shape):
+        free = draw(st.sampled_from([True, True, False]))
+        return Body(name, shape, np.array(draw(st.lists(coord, min_size=dim, max_size=dim))),
+                    pose(),
+                    velocity=np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=3 * dim - 3,
+                                                    max_size=3 * dim - 3))),
+                    mass=1.0 if free else 0.0, inertia=1e-3 if free else 0.0,
+                    motion="free" if free else "prescribed")
+
+    bodies = []
+    for i in range(draw(st.integers(0, 2))):
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        normal = (np.sin(angle), np.cos(angle)) + ((0.0,) if dim == 3 else ())
+        bodies.append(Body(f"plane{i}", HalfSpace(normal[::-1] if i else normal,
+                                                  draw(st.floats(-0.1, 0.1))),
+                           np.zeros(dim), motion="prescribed"))
+    for i in range(draw(st.integers(0, 3))):
+        bodies.append(body(f"sphere{i}", Sphere(draw(st.floats(0.01, 0.1)))))
+    solid = draw(st.sampled_from(["none", "box", "rod"]))
+    if solid == "box":
+        extents = draw(st.lists(st.floats(0.01, 0.1), min_size=2, max_size=3))
+        bodies.append(body("box", Box(tuple(extents))))
+    elif solid == "rod":
+        bodies.append(body("rod", Rod(draw(st.floats(0.05, 0.5)))))
+    draw(st.randoms()).shuffle(bodies)
+    return dim, bodies, draw(st.floats(0.0, 0.05)), draw(st.sampled_from(MODEL_IDS))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=_small_world())
+def test_small_world_steps_or_names_its_error(case):
+    # One step of any small world gives finite values, or a ValueError,
+    # NotImplementedError (an unsupported shape pair) or SolverFailure with
+    # its own message; never an error from inside numpy.
+    dim, bodies, margin, model = case
+    try:
+        world = World(dim=dim, bodies=bodies, margin=margin)
+        problem = assemble_problem(world, 1e-3, model)
+        sol = solve_step(problem, SolveOptions(compute_condition_number=True))
+    except (ValueError, NotImplementedError, SolverFailure) as err:
+        event(type(err).__name__)
+        assert str(err) and not _NUMPY_ERRORS.search(str(err)), err
+        return
+    event(f"{len(problem.keys)} contacts")
+    assert np.isfinite(sol.v).all() and np.isfinite(sol.impulses).all()
+    assert math.isfinite(sol.cost) and math.isfinite(sol.condition_number)

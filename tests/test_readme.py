@@ -1,6 +1,7 @@
 """The README's Python examples run as written, every name a module
 exports in its __all__ exists, every attribute the benchmark's tracer
-wraps exists, and the validation checks load without scipy."""
+wraps exists and is the one the library calls, and the validation checks
+load without scipy."""
 
 import importlib
 import importlib.util
@@ -46,6 +47,27 @@ def test_tracer_targets_resolve():
     assert tracing.TARGETS
     assert [(owner.__name__, attribute) for owner, attribute, *_ in tracing.TARGETS
             if inspect.getattr_static(owner, attribute, missing) is missing] == []
+
+
+def test_traced_attributes_are_the_ones_called(monkeypatch):
+    # The tracer times collision and the condition number by wrapping
+    # dynamics.detect_contacts and solver.condition_number; a call that
+    # bypassed those attributes would leave their spans reading 0.
+    from convexcontact import dynamics, solver
+    from convexcontact.scenarios import ScenarioSpec, Simulation
+
+    calls = []
+    for owner, name in ((dynamics, "detect_contacts"), (solver, "condition_number")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    sim = Simulation(ScenarioSpec("clutter", n_bodies=4))
+    calls.clear()
+    problem = sim.assemble()
+    assert calls == ["detect_contacts"]
+    sol = solver.solve_step(problem, sim.options)
+    assert calls == ["detect_contacts", "condition_number"] and sol.condition_number > 1.0
 
 
 def test_validation_imports_no_scipy():

@@ -110,6 +110,34 @@ def test_condition_number_without_contacts_is_mass_anisotropy():
     assert cond == pytest.approx(m / inertia, rel=1e-12)
 
 
+def test_condition_number_eigenvalues_equal_eigvalsh_bitwise():
+    # condition_number calls the gufunc behind np.linalg.eigvalsh directly;
+    # a numpy whose private gufunc moved or changed would fail here first.
+    sim = Simulation(ScenarioSpec("clutter", seed=3))
+    for _ in range(30):
+        sim.step()
+    problem = sim.assemble()
+    sol = solve_step(problem, SolveOptions())
+    hessians = ContactBatch.build(problem).terms(problem.contact_velocities(sol.v))[2]
+    matrix = solver_module._newton_matrix(problem, hessians)
+    eigs = np.linalg.eigvalsh(matrix)
+    assert len(problem.keys) > 30
+    np.testing.assert_array_equal(solver_module.eigvalsh_lo(matrix, signature="d->d"), eigs)
+    assert condition_number(problem, sol.v, hessians=hessians) == float(eigs[-1] / eigs[0])
+
+
+def test_condition_number_failure_is_a_solver_failure(monkeypatch):
+    # LAPACK's non-convergence reaches condition_number as NaN eigenvalues
+    # and the invalid flag (here from 0 / 0), which must not warn.
+    problem = assemble_problem(resting_disk_world(), 1e-3, "lagged")
+    monkeypatch.setattr(solver_module, "eigvalsh_lo",
+                        lambda a, signature: np.zeros(len(a)) / 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure, match="condition number"):
+            condition_number(problem, problem.v0)
+
+
 def test_max_iters_reports_non_convergence():
     world = resting_disk_world(x0=-5e-4)
     world.bodies[1].velocity = np.array([2.0, -1.0, 0.0])
