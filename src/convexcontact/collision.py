@@ -11,24 +11,27 @@ one step early; force laws clamp to zero until actual overlap.  Contact
 normals point from body b towards body a.
 
 `detect_contacts` returns a `ContactSet`: n contacts as arrays, pair (n, 2)
-(body a, body b), point (n, dim), normal (n, dim), x0 (n,) and feature (n,),
-built without a Python object per contact.  Every scenario contact is
-sphere against sphere, or a vertex with a radius r against a half-space:
-x0 = r + o - n . p at the point p - r n.  A vertex is a sphere center with
-its radius, or a box corner or rod endpoint with radius 0.
+(body a, body b), point (n, dim), normal (n, dim), x0 (n,), feature (n,)
+and key (n,), built without a Python object per contact.  Every scenario
+contact is sphere against sphere, or a vertex with a radius r against a
+half-space: x0 = r + o - n . p at the point p - r n.  A vertex is a sphere
+center with its radius, or a box corner or rod endpoint with radius 0.
 
 What a body layout fixes -- which bodies are half-spaces, spheres, a box or
 a rod, which are free, the radii, plane normals and offsets, and the order
 of the output -- is a `CandidateTable`, built once per layout
 (`dynamics.World` caches it).  It lists every (vertex, half-space) pair and
-every sphere pair with a free body, in output order.  Per step, each of the
-two kinds is one broadcast over the current vertices, and one mask keeps
-the candidates with x0 > -margin.
+every sphere pair with a free body, in output order.  Per step, the sphere
+centers are one gather from the bodies' position array (a world's state
+array, `dynamics.World.position`), each of the two kinds is one broadcast
+over the current vertices, and one mask keeps the candidates with
+x0 > -margin.
 
 Feature ids are stable while the contact topology is unchanged: spheres
 have a single feature 0, box corners and rod endpoints use their local
 vertex index.  The stepping layer keys previous-step impulses on
-(body_a, body_b, feature).
+(body_a, body_b, feature), packed into one int64 per contact (`pack_keys`,
+21 bits each), so that packed keys sort as the tuples do.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ __all__ = [
     "ContactSet",
     "CandidateTable",
     "detect_contacts",
+    "pack_keys",
+    "unpack_keys",
     "DEFAULT_MARGIN",
 ]
 
@@ -55,6 +60,23 @@ log = logging.getLogger(__name__)
 
 # Contacts are created 1 mm before touch by default.
 DEFAULT_MARGIN = 1e-3
+
+# Bits of each of body a, body b and feature in a packed contact key.
+_KEY_BITS = 21
+
+
+def pack_keys(a, b, feature) -> np.ndarray:
+    """Contact keys (body a, body b, feature), each part in [0, 2**21), as
+    one int64 per contact; packed keys sort as the tuples do."""
+    return ((np.asarray(a, dtype=np.int64) << 2 * _KEY_BITS)
+            | (np.asarray(b, dtype=np.int64) << _KEY_BITS) | feature)
+
+
+def unpack_keys(key: np.ndarray) -> list:
+    """The (body a, body b, feature) tuples of packed keys (`pack_keys`)."""
+    low = (1 << _KEY_BITS) - 1
+    return list(zip((key >> 2 * _KEY_BITS).tolist(), ((key >> _KEY_BITS) & low).tolist(),
+                    (key & low).tolist()))
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,7 @@ class ContactSet:
     normal: np.ndarray  # (n, dim)
     x0: np.ndarray  # (n,)
     feature: np.ndarray  # (n,)
+    key: np.ndarray  # (n,) packed (body a, body b, feature), `pack_keys`
 
     def __len__(self) -> int:
         return len(self.x0)
@@ -130,7 +153,7 @@ class ContactSet:
     @property
     def keys(self) -> list:
         """(body a, body b, feature) per contact, as tuples of ints."""
-        return list(zip(*self.pair.T.tolist(), self.feature.tolist()))
+        return unpack_keys(self.key)
 
 
 # Corner sign patterns of a box, in feature order.
@@ -158,17 +181,20 @@ def _corners(body) -> np.ndarray:
 
 
 def detect_contacts(bodies, margin: float = DEFAULT_MARGIN,
-                    table: Optional["CandidateTable"] = None) -> ContactSet:
+                    table: Optional["CandidateTable"] = None,
+                    position: Optional[np.ndarray] = None) -> ContactSet:
     """All contacts of a body list, in (lower, higher) body-index pair order.
 
     Bodies expose name/shape/position/orientation/motion attributes.  table is
-    the bodies' `CandidateTable` (`dynamics.World` caches one); without it,
-    one is built from the bodies first.  Within a pair, contacts come in
-    feature order.
+    the bodies' `CandidateTable` and position their positions (n_bodies,
+    dim), as `dynamics.World` holds them; without them, both are built from
+    the bodies first.  Within a pair, contacts come in feature order.
     """
     if table is None:
         table = CandidateTable.build(bodies)
-    return table.detect(bodies, margin)
+    if position is None:
+        position = np.array([b.position for b in bodies], dtype=float).reshape(len(bodies), -1)
+    return table.detect(bodies, position, margin)
 
 
 @dataclass(frozen=True)
@@ -187,10 +213,11 @@ class CandidateTable:
     """
 
     dim: int
-    spheres: tuple  # body index of each vertex, when the vertices are sphere centers
+    spheres: np.ndarray  # body index of each vertex, when the vertices are sphere centers
     corners: Optional[int]  # the box or rod whose corners are the vertices, if any
     pair: np.ndarray  # (m, 2) body a, body b
     feature: np.ndarray  # (m,)
+    key: np.ndarray  # (m,) packed (body a, body b, feature)
     normal: np.ndarray  # (m, dim) the half-space normals; sphere-pair rows 0
     # (vertex, half-space) candidates: radius plus offset (n_vertex,
     # n_plane), the plane normals (n_plane, dim), and per candidate its
@@ -218,6 +245,8 @@ class CandidateTable:
         geometries only ever need sphere/sphere and shape/half-space
         queries."""
         dim = bodies[0].position.size
+        if len(bodies) > 1 << _KEY_BITS:
+            raise ValueError(f"{len(bodies)} bodies; contact keys hold at most {1 << _KEY_BITS}")
         for b in bodies:
             size = (len(b.shape.normal) if isinstance(b.shape, HalfSpace)
                     else len(b.shape.half_extents) if isinstance(b.shape, Box)
@@ -263,23 +292,25 @@ class CandidateTable:
         rows[order] = np.arange(len(order))
         normal = np.zeros((len(order), dim))
         normal[rows[:len(v)]] = plane_normal[h]
-        return cls(dim=dim, spheres=tuple(spheres), corners=corners, pair=pair[order],
-                   feature=feature[order], normal=normal,
+        pair, feature = pair[order], feature[order]
+        return cls(dim=dim, spheres=np.array(spheres, dtype=int), corners=corners, pair=pair,
+                   feature=feature, key=pack_keys(pair[:, 0], pair[:, 1], feature), normal=normal,
                    base=radius[:, None] + offset, plane_normal=plane_normal,
                    vp=v * len(planes) + h, vp_vertex=v,
                    vp_offset=radius[v, None] * plane_normal[h], vp_rows=rows[:len(v)],
                    a=a, b=b, radius_a=radius[a, None], radius_b=radius[b, None],
                    reach=radius[a] + radius[b], ss_rows=rows[len(v):])
 
-    def detect(self, bodies, margin: float) -> ContactSet:
-        """The candidates with x0 > -margin at the bodies' current poses.
+    def detect(self, bodies, position: np.ndarray, margin: float) -> ContactSet:
+        """The candidates with x0 > -margin at the bodies' current poses,
+        with position (n_bodies, dim) the bodies' positions.
 
         Two broadcasts give every x0, as vertex against half-space,
         x0 = r + o - n . p at the point p - r n, and as sphere against
         sphere; one mask keeps the contacts.
         """
         if self.corners is None:
-            vertex = np.array([bodies[i].position for i in self.spheres]).reshape(-1, self.dim)
+            vertex = position[self.spheres]
         else:
             vertex = _corners(bodies[self.corners])
         x0 = np.empty(len(self.pair))
@@ -306,7 +337,7 @@ class CandidateTable:
                                          + (center_a - self.radius_a * unit))
         keep = np.flatnonzero(~(x0 <= -margin))
         return ContactSet(self.pair[keep], point[keep], normal[keep], x0[keep],
-                          self.feature[keep])
+                          self.feature[keep], self.key[keep])
 
 
 def quaternion_matrix(q) -> np.ndarray:

@@ -29,20 +29,27 @@ action-at-distance contacts stay in the active set at the largest study
 time steps.  The per-scenario defaults (`_DEFAULTS`) are read in one place,
 `ScenarioSpec.__post_init__`: a spec holds its resolved values from the
 moment it is built.
+
+`Simulation.step` assembles, solves and advances the world through the
+module attributes `assemble_problem`, `solve_step` and `advance_state`,
+once each.  It keeps the impulse memory as a `dynamics.ImpulseMemory`
+(packed contact keys and their impulses), records each step's packed keys
+and contact channels as arrays, and takes the state rows from the world's
+state arrays; `trajectory()` unpacks the keys once, at the end of a run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley
-from .collision import Box, HalfSpace, Rod, Sphere, quaternion_matrix
-from .dynamics import Body, World, advance_state, assemble_problem
+from .collision import Box, HalfSpace, Rod, Sphere, quaternion_matrix, unpack_keys
+from .dynamics import (Body, ImpulseMemory, NonFinitePose, World, advance_state,
+                       assemble_problem)
 from .solver import SolveOptions, SolverFailure, safe_norm, solve_step
 
 __all__ = [
@@ -339,7 +346,9 @@ CHANNELS = ("v_n", "v_t", "f_n", "f_t", "x0", "eps_s")
 
 
 class Simulation:
-    """Owns the world, the contact-impulse memory and the recorders."""
+    """Owns the world, the contact-impulse memory (an `ImpulseMemory`) and
+    the recorders, which take each step's state rows from the world's state
+    arrays."""
 
     def __init__(self, spec: ScenarioSpec, options: Optional[SolveOptions] = None):
         self.spec = spec
@@ -347,13 +356,12 @@ class Simulation:
         self.options = options or SolveOptions(compute_condition_number=True)
         self.memory = self._seed_memory()
         self.step_index = 0
-        self._free = [self.world.bodies[i] for i in self.world.free_bodies]
-        # Per step: contact keys (a list of n tuples), channels (n, 6) in
-        # CHANNELS order, iterations, condition number and cost.
+        # Per step: packed contact keys (n,), channels (n, 6) in CHANNELS
+        # order, iterations, condition number and cost.
         self._records: list = []
-        self._states = [self._state_row()]
+        self._states = [self.world.free_state()]
 
-    def _seed_memory(self) -> dict:
+    def _seed_memory(self) -> ImpulseMemory:
         """Previous-step impulses for contacts already present at t = 0.
 
         A body initialized resting or sliding has been in contact before the
@@ -365,31 +373,29 @@ class Simulation:
         problem = assemble_problem(self.world, self.spec.dt, self.spec.model)
         v_n = problem.contact_velocities(problem.v0)[:, -1]
         impulses = ContactBatch.build(problem).normal_impulse(v_n)
-        return dict(zip(problem.keys, impulses.tolist()))
-
-    def _state_row(self):
-        """(q, v) of the free bodies, one row per body: position then
-        orientation, and generalized velocity."""
-        n = len(self._free)
-        position = np.array([b.position for b in self._free]).reshape(n, -1)
-        orientation = np.array([b.orientation for b in self._free], dtype=float).reshape(n, -1)
-        return (np.concatenate([position, orientation], axis=1),
-                np.array([b.velocity for b in self._free]))
+        return ImpulseMemory.of(problem.key, impulses)
 
     def assemble(self):
         return assemble_problem(self.world, self.spec.dt, self.spec.model,
                                 prev_impulses=self.memory)
 
+    def _error(self, message: str) -> ScenarioError:
+        """A ScenarioError for the current step: its index and time, then
+        message, then the config."""
+        return ScenarioError(f"step {self.step_index} (t = {self.world.time:.6g}){message}; "
+                             f"config {self.spec.as_dict()}")
+
     def step(self):
-        problem = self.assemble()
-        where = f"step {self.step_index} (t = {self.world.time:.6g})"
+        try:
+            problem = self.assemble()
+        except NonFinitePose as err:
+            raise self._error(f": {err}") from err
         try:
             sol = solve_step(problem, opts=self.options)
         except SolverFailure as err:
-            raise ScenarioError(f"{where}: {err}; config {self.spec.as_dict()}") from err
+            raise self._error(f": {err}") from err
         if not sol.converged:
-            raise ScenarioError(f"{where} did not converge: {sol.diagnostic}; "
-                                f"config {self.spec.as_dict()}")
+            raise self._error(f" did not converge: {sol.diagnostic}")
 
         dt = self.spec.dt
         v_c = problem.contact_velocities(sol.v)
@@ -408,17 +414,16 @@ class Simulation:
         cond = sol.condition_number
         if not (np.isfinite(rows).all() and math.isfinite(sol.cost)
                 and (cond is None or math.isfinite(cond))):
-            raise ScenarioError(f"{where}: non-finite contact channel (v_n, v_t, f_n, f_t, "
-                                f"x0, eps_s), cost or condition number; "
-                                f"config {self.spec.as_dict()}")
+            raise self._error(": non-finite contact channel (v_n, v_t, f_n, f_t, x0, eps_s), "
+                              "cost or condition number")
         try:
-            state = advance_state(self._free, sol.v, dt)
+            state = advance_state(self.world, sol.v, dt)
         except ValueError as err:
-            raise ScenarioError(f"{where}: {err}; config {self.spec.as_dict()}") from err
-        self.memory = dict(zip(problem.keys, gamma_n.tolist()))
+            raise self._error(f": {err}") from err
+        self.memory = ImpulseMemory.of(problem.key, gamma_n)
         self.world.time += dt
         self.step_index += 1
-        self._records.append((problem.keys, rows, sol.iterations, sol.condition_number,
+        self._records.append((problem.key, rows, sol.iterations, sol.condition_number,
                               sol.cost))
         self._states.append(state)
         return sol
@@ -438,7 +443,7 @@ class Simulation:
 
         layout, col = [], 0
         masses, inertias = [], []
-        for body in self._free:
+        for body in (self.world.bodies[i] for i in self.world.free_bodies):
             kind = "2d" if self.world.dim == 2 else "3d"
             layout.append((body.name, kind, col))
             col += 3 if kind == "2d" else 7
@@ -446,17 +451,16 @@ class Simulation:
             inertias.append(body.inertia)
 
         records = self._records
-        # Sorted unique keys (lexicographic, as for tuples) and the column of
-        # every recorded contact among them.
-        every_key = np.array(list(chain.from_iterable(r[0] for r in records)),
-                             dtype=int).reshape(-1, 3)
-        keys, column = np.unique(every_key, axis=0, return_inverse=True)
+        # Sorted unique packed keys (lexicographic, as for the tuples) and the
+        # column of every recorded contact among them.
+        every_key = np.concatenate([r[0] for r in records] + [np.zeros(0, dtype=np.int64)])
+        keys, column = np.unique(every_key, return_inverse=True)
         step = np.repeat(np.arange(n), [len(r[0]) for r in records])
         chan = np.full((len(CHANNELS), n, len(keys)), np.nan)
-        chan[:, step, column.ravel()] = np.concatenate(
+        chan[:, step, column] = np.concatenate(
             [r[1] for r in records] + [np.zeros((0, len(CHANNELS)))]).T
         chan = dict(zip(CHANNELS, chan))
-        keys = list(map(tuple, keys.tolist()))
+        keys = unpack_keys(keys)
         iters = np.array([r[2] for r in records], dtype=int)
         cond = np.array([np.nan if r[3] is None else r[3] for r in records], dtype=float)
         cost = np.array([r[4] for r in records], dtype=float)

@@ -120,8 +120,8 @@ class CheckData:
     dim: int = 3
 
     def __post_init__(self):
-        if self.gamma_n0 < 0.0:
-            raise ValueError(f"gamma_n0 must be >= 0, got {self.gamma_n0}")
+        if not 0.0 <= self.gamma_n0 < math.inf:
+            raise ValueError(f"gamma_n0 must be finite and >= 0, got {self.gamma_n0}")
         if not self.w > 0.0:
             raise ValueError(f"w must be positive, got {self.w}")
         if self.dim not in (2, 3):
@@ -167,6 +167,12 @@ def sample_states(data: CheckData, spec: SamplingSpec):
     (sliding), then the tangent.  Only the draws run per state; the values
     of rng.uniform and rng.choice are mapped from them afterwards, on arrays.
     """
+    return _sampled(data, spec)[:2]
+
+
+def _sampled(data: CheckData, spec: SamplingSpec):
+    """sample_states, plus the lagged kernel over x0 that the sliding
+    regime builds for vhat (None for mixed states)."""
     rng, signs = np.random.default_rng(spec.seed), (-1.0, 1.0)  # rng.choice(signs)
     tdim, eps, mixed = data.dim - 1, data.friction.v_s, spec.regime == "mixed"
     u, tangents = [], []
@@ -181,12 +187,14 @@ def sample_states(data: CheckData, spec: SamplingSpec):
         [[max(100.0 * eps, 1e-3), 1e-2], [spec.speed_high, 1.0]])[..., None]
     speed_t, speed_n = np.exp(_uniform(u[[2, 4] if mixed else [1, 2]], lo, hi))
     if mixed:
+        lagged = None
         vt_mag, v_n = np.where(u[1] < 0.25, _uniform(u[2], 0.0, eps), speed_t), u[3] * speed_n
     else:
-        vt_mag, v_n = speed_t, data.kernel("lagged", x0).vhat - speed_n
+        lagged = data.kernel("lagged", x0)
+        vt_mag, v_n = speed_t, lagged.vhat - speed_n
     if tdim > 1:
         tangents = tangents / _norms(tangents)[:, None]
-    return x0, np.concatenate((vt_mag[:, None] * tangents, v_n[:, None]), axis=1)
+    return x0, np.concatenate((vt_mag[:, None] * tangents, v_n[:, None]), axis=1), lagged
 
 
 def _fd_step(v_c, feature_scale):
@@ -243,9 +251,9 @@ def _fd_states(field_id: str, data: CheckData, states: SamplingSpec):
     field on the stencils of the rest, in one call.  Returns (x0, v_c, h) of
     the kept states, a report that counts them and the evaluation: the
     impulses of the naive field, (costs, impulses, Hessians) of a model."""
-    x0, v_c = sample_states(data, states)
+    x0, v_c, lagged = _sampled(data, states)
     model = "lagged" if field_id == "naive" else field_id
-    params = data.kernel(model, x0)
+    params = lagged if model == "lagged" and lagged is not None else data.kernel(model, x0)
     h = _fd_step(v_c, params.eps)
     skip = kink_distance(params, v_c) < 10.0 * h
     if skip.any():

@@ -1,5 +1,9 @@
+import copy
+import gc
 import math
+import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -7,9 +11,12 @@ from hypothesis import event, given, settings, strategies as st
 
 from convexcontact import dynamics
 from convexcontact.batch import MODEL_IDS, FrictionParams
-from convexcontact.collision import Box, HalfSpace, Rod, Sphere, detect_contacts
+from convexcontact.collision import (Box, HalfSpace, Rod, Sphere, detect_contacts, pack_keys,
+                                     unpack_keys)
 from convexcontact.dynamics import (
     Body,
+    ImpulseMemory,
+    NonFinitePose,
     World,
     advance_state,
     assemble_problem,
@@ -60,8 +67,30 @@ class TestAssembly:
         world = disk_world(y=0.025 - 1e-6)
         problem = assemble_problem(world, 1e-3, "lagged", prev_impulses={(1, 0, 0): 0.25})
         assert problem.gamma_n0[0] == 0.25
-        fresh = assemble_problem(world, 1e-3, "lagged")
-        assert fresh.gamma_n0[0] == 0.0
+        for none in (None, {}):
+            assert assemble_problem(world, 1e-3, "lagged", none).gamma_n0.tolist() == [0.0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3])
+    @pytest.mark.parametrize("as_memory", [False, True])
+    def test_non_finite_or_negative_previous_impulse_rejected(self, value, as_memory):
+        world = disk_world(y=0.025 - 1e-6)
+        memory = {(1, 0, 0): value}
+        if as_memory:
+            memory = ImpulseMemory.of(pack_keys([1], [0], [0]), np.array([value]))
+        with pytest.raises(ValueError, match=r"contact \(1, 0, 0\) must be finite and >= 0"):
+            assemble_problem(world, 1e-3, "lagged", prev_impulses=memory)
+
+    def test_impulse_memory_matches_by_key(self):
+        # A contact the memory holds gets its impulse, any other 0; keys the
+        # step does not have are ignored, whatever their value.
+        world = disk_world(y=0.025 - 1e-6)
+        key = pack_keys([0, 1, 1], [1, 0, 0], [0, 0, 1])
+        memory = ImpulseMemory.of(key, np.array([np.nan, 0.25, -1.0]))
+        assert assemble_problem(world, 1e-3, "lagged", memory).gamma_n0.tolist() == [0.25]
+        memory = ImpulseMemory.of(pack_keys([0], [1], [0]), np.array([0.5]))
+        assert assemble_problem(world, 1e-3, "lagged", memory).gamma_n0.tolist() == [0.0]
+        empty = ImpulseMemory.of(np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert assemble_problem(world, 1e-3, "lagged", empty).gamma_n0.tolist() == [0.0]
 
     @pytest.mark.parametrize("inertia,orientation", [
         (np.diag([1e-3, -1e-3, 1e-3]), [1.0, 0.0, 0.0, 0.0]),  # indefinite inertia
@@ -218,6 +247,178 @@ class TestMassArrays:
         np.testing.assert_array_equal(second.A[6:, 6:], held[6:, 6:])
 
 
+class TestWorldState:
+    """A world holds its bodies' state as arrays, and each Body's fields are
+    views of its rows."""
+
+    def test_fields_are_views_of_the_world_arrays(self):
+        world = Simulation(ScenarioSpec("clutter", n_bodies=4)).world
+        for row, i in enumerate(world.free_bodies):
+            body = world.bodies[i]
+            assert np.shares_memory(body.position, world.position[i])
+            assert np.shares_memory(body.orientation, world.orientation[row])
+            assert np.shares_memory(body.velocity, world.velocity[row])
+
+    def test_state_set_between_steps_is_what_the_next_step_reads(self):
+        sim = Simulation(ScenarioSpec("clutter", n_bodies=4))
+        sim.step()
+        world = sim.world
+        ball = world.bodies[world.free_bodies[1]]
+        ball.position = ball.position + np.array([0.0, 0.0, 0.3])
+        ball.velocity[:] = 1.0
+        problem = sim.assemble()
+        np.testing.assert_array_equal(problem.v0[6:12], np.ones(6))
+        fresh = detect_contacts(list(world.bodies), world.margin)
+        assert problem.keys == fresh.keys
+        np.testing.assert_array_equal(problem.x0, fresh.x0)
+
+    def test_problem_arrays_do_not_alias_the_state(self):
+        sim = Simulation(ScenarioSpec("clutter", n_bodies=4))
+        world = sim.world
+        problem = sim.assemble()
+        names = ("v0", "v_star", "J", "bias", "x0", "gamma_n0", "w")
+        held = {name: getattr(problem, name).copy() for name in names}
+        for _ in range(3):
+            sim.step()
+        for name in names:
+            np.testing.assert_array_equal(getattr(problem, name), held[name])
+            assert not any(np.shares_memory(getattr(problem, name), state)
+                           for state in (world.position, world.orientation, world.velocity))
+
+    def test_advancing_one_body_of_a_world_matches_the_world_advance(self):
+        # The criterion-7 pattern, advance_state(body, ...) on one body of a
+        # world, writes the same bits as the world's one-assignment advance.
+        worlds = [disk_world(y=0.025 - 1e-5, vel=(0.3, -0.1, 2.0)) for _ in range(2)]
+        for _ in range(20):
+            for world, target in zip(worlds, (worlds[0], worlds[1].bodies[1])):
+                sol = solve_step(assemble_problem(world, 1e-3, "lagged"))
+                advance_state(target, sol.v, 1e-3)
+        a, b = (world.bodies[1] for world in worlds)
+        assert a.position.tobytes() == b.position.tobytes()
+        assert a.orientation == b.orientation
+        assert a.velocity.tobytes() == b.velocity.tobytes()
+
+    def test_body_outside_a_world(self):
+        p = np.array([0.0, 0.2])
+        disk = Body("disk", Sphere(0.025), p, 0.3, velocity=[1.0, 0.0, 2.0], mass=0.5,
+                    inertia=1e-4)
+        p[0] = 9.0  # the body holds a copy
+        assert disk.position[0] == 0.0
+        disk.velocity[1] = -1.0
+        advance_state(disk, disk.velocity, 0.1)
+        np.testing.assert_allclose(disk.position, [0.1, 0.1])
+        assert disk.orientation == pytest.approx(0.5)
+        ground = Body("ground", HalfSpace((0.0, 1.0)), np.zeros(2), motion="prescribed")
+        disk.position = [0.0, 0.02]
+        assert detect_contacts([ground, disk], 1e-3).x0 == pytest.approx([0.005])
+        with pytest.raises(ValueError, match="'disk': velocity must be 3 values"):
+            disk.velocity = np.zeros(6)
+
+    def test_appended_body_is_not_served_from_a_stale_cache(self):
+        sim = Simulation(ScenarioSpec("clutter", n_bodies=2))
+        sim.step()
+        world = sim.world
+        first = sim.assemble()
+        extra = Body("extra", Sphere(0.05), np.array([0.25, 0.25, 0.049]),
+                     np.array([1.0, 0.0, 0.0, 0.0]), velocity=np.full(6, 0.5), mass=0.5,
+                     inertia=1e-3)
+        world.bodies.append(extra)
+        grown = sim.assemble()
+        assert grown.n_v == first.n_v + 6
+        np.testing.assert_array_equal(grown.v0[-6:], np.full(6, 0.5))
+        floor_key = (len(world.bodies) - 1, 0, 0)
+        assert floor_key in grown.keys
+        extra.position = [0.25, 0.25, 0.5]
+        assert floor_key not in sim.assemble().keys
+        sim.step()  # in free flight: the advance writes the appended body's rows
+        dt = sim.spec.dt
+        assert extra.position[2] == pytest.approx(0.5 + dt * (0.5 - 9.81 * dt), rel=1e-12)
+
+    def test_prescribed_velocity_set_later_enters_the_bias(self):
+        world = disk_world(y=0.025 - 1e-6)
+        assert not assemble_problem(world, 1e-3, "lagged").bias.any()
+        world.bodies[0].prescribed_velocity = lambda t: np.array([1.5, 0.0, 0.0])
+        assert abs(assemble_problem(world, 1e-3, "lagged").bias[0, 0]) == pytest.approx(1.5)
+        world.bodies[0].prescribed_velocity = None
+        assert not assemble_problem(world, 1e-3, "lagged").bias.any()
+
+    def test_replaced_or_shared_body_is_rebound(self):
+        # A body that replaced one of the same layout, or that another world
+        # has bound since, is read as it is now, never from a stale row.
+        a, b = disk_world(y=0.5), disk_world(y=0.5)
+        assemble_problem(a, 1e-3, "lagged")
+        assemble_problem(b, 1e-3, "lagged")
+        disk = a.bodies[1]
+        b.bodies[1] = disk
+        disk.position = [0.0, 0.025 - 1e-6]
+        assert len(assemble_problem(b, 1e-3, "lagged").keys) == 1
+        disk.position = [0.0, 0.3]
+        assert assemble_problem(a, 1e-3, "lagged").keys == []
+        assert assemble_problem(b, 1e-3, "lagged").keys == []
+
+    def test_body_replaced_between_assembly_and_advance_is_advanced(self):
+        # advance_state(world, ...) checks the layout itself: the new body's
+        # fields become views of the rows it writes, and the next step
+        # reads the advanced state.
+        world = disk_world(y=0.5, vel=(0.5, 0.0, 0.0))
+        sol = solve_step(assemble_problem(world, 1e-3, "lagged"))
+        old = world.bodies[1]
+        new = Body("disk2", Sphere(0.025), np.array([1.0, 0.5]), 0.0, mass=0.5, inertia=1e-4)
+        world.bodies[1] = new
+        advance_state(world, sol.v, 1e-3)
+        np.testing.assert_array_equal(new.velocity, sol.v)
+        np.testing.assert_array_equal(new.position, [1.0 + 1e-3 * sol.v[0], 0.5 + 1e-3 * sol.v[1]])
+        assert np.shares_memory(new.position, world.position[1])
+        assert old.position.tolist() == [0.0, 0.5]
+        np.testing.assert_array_equal(assemble_problem(world, 1e-3, "lagged").v0, sol.v)
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle", "copy"])
+    def test_a_copied_world_reads_its_own_bodies(self, how):
+        sim = Simulation(ScenarioSpec("clutter", n_bodies=2))
+        sim.step()
+        world = sim.world
+        copied = {"deepcopy": copy.deepcopy, "copy": copy.copy,
+                  "pickle": lambda w: pickle.loads(pickle.dumps(w))}[how](world)
+        ball = copied.bodies[-1]
+        ball.position = ball.position + np.array([0.0, 0.0, 1.0])
+        lifted = assemble_problem(copied, sim.spec.dt, "lagged")
+        fresh = detect_contacts(list(copied.bodies), copied.margin)
+        assert lifted.keys == fresh.keys
+        np.testing.assert_array_equal(lifted.x0, fresh.x0)
+        # The original reads its own state again: the same bodies after a
+        # shallow copy, its own otherwise.
+        again = sim.assemble()
+        mine = detect_contacts(list(world.bodies), world.margin)
+        assert again.keys == mine.keys
+        np.testing.assert_array_equal(again.x0, mine.x0)
+
+    def test_a_stepped_world_is_freed_without_the_cycle_collector(self):
+        # A body refers to its world's token, not to the world: no reference
+        # cycle keeps a finished simulation's arrays in memory.
+        gc.disable()
+        try:
+            sim = Simulation(ScenarioSpec("clutter", n_bodies=4))
+            sim.step()
+            world = weakref.ref(sim.world)
+            del sim
+            assert world() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("model", ["lagged", "sap"])
+    def test_array_memory_matches_dict_memory_bitwise(self, model):
+        # A dict memory is converted to an ImpulseMemory (`from_any`); over
+        # 60 clutter steps the conversion matches the memory bit for bit.
+        sim = Simulation(ScenarioSpec("clutter", model=model))
+        for _ in range(60):
+            as_dict = dict(zip(unpack_keys(sim.memory.key), sim.memory.gamma.tolist()))
+            got = sim.assemble().gamma_n0
+            want = assemble_problem(sim.world, sim.spec.dt, model, prev_impulses=as_dict).gamma_n0
+            assert got.tobytes() == want.tobytes()
+            sim.step()
+        assert sim.memory.gamma.any()
+
+
 class TestJacobians:
     def test_gap_rate_matches_normal_velocity_rows(self):
         # d x0 / dt along the motion equals -v_n as reported by J v + b.
@@ -333,6 +534,22 @@ class TestAdvance:
         np.testing.assert_allclose(ground.position, np.zeros(2))
 
 
+def test_quaternion_product_matches_the_hamilton_formula_bitwise():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = rng.integers(1, 20)
+        p = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-8, 8, size=(n, 4))
+        q = rng.normal(size=(n, 4))
+        p[rng.random((n, 4)) < 0.2] = 0.0
+        q[rng.random((n, 4)) < 0.2] = -0.0
+        (pw, px, py, pz), (qw, qx, qy, qz) = p.T, q.T
+        want = np.array([pw * qw - px * qx - py * qy - pz * qz,
+                         pw * qx + px * qw + py * qz - pz * qy,
+                         pw * qy - px * qz + py * qw + pz * qx,
+                         pw * qz + px * qy - py * qx + pz * qw]).T
+        assert dynamics._quat_mul(p, q).tobytes() == want.tobytes()
+
+
 def test_mass_matrix_3d_rotates_inertia():
     q = np.array([np.cos(0.3), 0.0, 0.0, np.sin(0.3)])  # rotation about z
     body = Body("b", Sphere(0.1), np.zeros(3), q, mass=2.0,
@@ -391,24 +608,41 @@ def _small_world(draw):
     elif solid == "rod":
         bodies.append(body("rod", Rod(draw(st.floats(0.05, 0.5)))))
     draw(st.randoms()).shuffle(bodies)
-    return dim, bodies, draw(st.floats(0.0, 0.05)), draw(st.sampled_from(MODEL_IDS))
+    # Set between the two steps: one field of one body moved by a shift.
+    change = (draw(st.integers(0, max(len(bodies) - 1, 0))),
+              draw(st.sampled_from(["position", "orientation", "velocity"])),
+              draw(st.sampled_from([0.01, -0.05, 0.5, np.nan, np.inf])))
+    return dim, bodies, draw(st.floats(0.0, 0.05)), draw(st.sampled_from(MODEL_IDS)), change
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(case=_small_world())
 def test_small_world_steps_or_names_its_error(case):
-    # One step of any small world gives finite values, or a ValueError,
-    # NotImplementedError (an unsupported shape pair) or SolverFailure with
-    # its own message; never an error from inside numpy.
-    dim, bodies, margin, model = case
+    # Two steps of any small world, with one body's position, orientation
+    # or velocity shifted between them (by NaN or inf too), give finite
+    # values, or a ValueError, NotImplementedError (an unsupported shape
+    # pair) or SolverFailure with its own message; never an error from
+    # inside numpy.  A non-finite pose is named as one before the step.
+    dim, bodies, margin, model, (index, field_name, shift) = case
+    body = None
     try:
         world = World(dim=dim, bodies=bodies, margin=margin)
-        problem = assemble_problem(world, 1e-3, model)
-        sol = solve_step(problem, SolveOptions(compute_condition_number=True))
+        for step in range(2):
+            if step:
+                advance_state(world, sol.v, 1e-3)
+                body = world.bodies[index]
+                setattr(body, field_name, getattr(body, field_name) + shift)
+            problem = assemble_problem(world, 1e-3, model)
+            sol = solve_step(problem, SolveOptions(compute_condition_number=True))
+            assert np.isfinite(sol.v).all() and np.isfinite(sol.impulses).all()
+            assert math.isfinite(sol.cost) and math.isfinite(sol.condition_number)
     except (ValueError, NotImplementedError, SolverFailure) as err:
         event(type(err).__name__)
         assert str(err) and not _NUMPY_ERRORS.search(str(err)), err
+        # A prescribed body's orientation is never read.
+        if (body is not None and not math.isfinite(shift)
+                and (field_name == "position" or field_name == "orientation"
+                     and body.motion == "free")):
+            assert isinstance(err, NonFinitePose) and repr(body.name) in str(err), err
         return
     event(f"{len(problem.keys)} contacts")
-    assert np.isfinite(sol.v).all() and np.isfinite(sol.impulses).all()
-    assert math.isfinite(sol.cost) and math.isfinite(sol.condition_number)

@@ -51,13 +51,18 @@ def test_tracer_targets_resolve():
 
 def test_traced_attributes_are_the_ones_called(monkeypatch):
     # The tracer times collision and the condition number by wrapping
-    # dynamics.detect_contacts and solver.condition_number; a call that
-    # bypassed those attributes would leave their spans reading 0.
-    from convexcontact import dynamics, solver
+    # dynamics.detect_contacts and solver.condition_number, and a step's
+    # assembly, solve and advance by wrapping scenarios.assemble_problem,
+    # solve_step and advance_state; a call that bypassed one of those
+    # attributes would leave its span reading 0, and a second call would
+    # misstate it.
+    from convexcontact import dynamics, scenarios, solver
     from convexcontact.scenarios import ScenarioSpec, Simulation
 
     calls = []
-    for owner, name in ((dynamics, "detect_contacts"), (solver, "condition_number")):
+    for owner, name in ((dynamics, "detect_contacts"), (solver, "condition_number"),
+                        (scenarios, "assemble_problem"), (scenarios, "solve_step"),
+                        (scenarios, "advance_state")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -65,9 +70,15 @@ def test_traced_attributes_are_the_ones_called(monkeypatch):
     sim = Simulation(ScenarioSpec("clutter", n_bodies=4))
     calls.clear()
     problem = sim.assemble()
-    assert calls == ["detect_contacts"]
+    assert calls == ["assemble_problem", "detect_contacts"]
+    calls.clear()
     sol = solver.solve_step(problem, sim.options)
-    assert calls == ["detect_contacts", "condition_number"] and sol.condition_number > 1.0
+    assert calls == ["condition_number"] and sol.condition_number > 1.0
+    for _ in range(3):
+        calls.clear()
+        sim.step()
+        assert calls == ["assemble_problem", "detect_contacts", "solve_step",
+                         "condition_number", "advance_state"]
 
 
 def test_validation_imports_no_scipy():

@@ -66,7 +66,7 @@ def test_belt_world_two_corner_contacts():
 def test_belt_seeded_lag_matches_static_load():
     spec = ScenarioSpec("belt", model="lagged")
     sim = Simulation(spec)
-    for gamma in sim.memory.values():
+    for gamma in sim.memory.gamma:
         assert gamma / spec.dt == pytest.approx(0.5 * 9.81, rel=1e-6)
 
 
@@ -155,7 +155,7 @@ def test_non_finite_state_aborts_with_step_index():
 
 def test_non_finite_pose_aborts_before_it_is_recorded():
     """A NaN orientation set between steps never reaches the trajectory: the
-    advance rejects the pose and names the body, and the failed step keeps
+    step rejects the pose and names the body, and the failed step keeps
     the impulse memory of the last good one."""
     sim = Simulation(ScenarioSpec("clutter", duration=0.02))
     sim.step()
@@ -169,6 +169,23 @@ def test_non_finite_pose_aborts_before_it_is_recorded():
     assert sim.step_index == 1 and sim.memory is memory
     traj = sim.trajectory()
     assert len(traj.times) == 2 and np.isfinite(traj.q).all()
+
+
+@pytest.mark.parametrize("scenario,model", [("clutter", "lagged"), ("clutter", "sap"),
+                                            ("sliding_rod", "lagged")])
+def test_non_finite_position_between_steps_names_the_body(scenario, model):
+    # Checked once per assembly, before collision: the error names the body
+    # and the step, instead of a contact with no effective mass.
+    sim = Simulation(ScenarioSpec(scenario, model=model, duration=0.02))
+    sim.step()
+    body = sim.world.bodies[sim.world.free_bodies[-1]]
+    body.position = np.full(body.position.size, np.nan)
+    with pytest.raises(ScenarioError,
+                       match=rf"^step 1 .*non-finite pose of body '{body.name}' at the start "
+                             r"of the step; config") as err:
+        sim.step()
+    assert isinstance(err.value.__cause__, ValueError)
+    assert sim.step_index == 1 and len(sim.trajectory().times) == 2
 
 
 def test_non_finite_contact_channel_aborts_with_step_index(monkeypatch):

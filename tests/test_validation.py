@@ -241,3 +241,28 @@ def test_array_checks_match_per_state_loop(field_id, dim):
         for name, check in checks.items():
             got = check(field_id, data, spec).as_dict()
             assert got == _reference_check(name, field_id, data, spec).as_dict(), (name, spec)
+
+
+@pytest.mark.parametrize("gamma_n0", [np.nan, np.inf, -1e-3])
+def test_check_data_rejects_a_non_finite_or_negative_gamma_n0(gamma_n0):
+    with pytest.raises(ValueError, match="gamma_n0 must be finite and >= 0"):
+        replace(canonical_data(), gamma_n0=gamma_n0)
+
+
+@pytest.mark.parametrize("field_id,builds", [("naive", 2), ("lagged", 2), ("similar", 3)])
+def test_sliding_checks_build_the_lagged_kernel_once(field_id, builds, monkeypatch):
+    # The sliding states' vhat and the FD steps share one lagged kernel over
+    # x0; the stencil gets its own.  Another model builds its own for the
+    # FD steps.
+    from convexcontact.batch import ContactBatch
+
+    built = []
+    init = ContactBatch.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContactBatch, "__init__", counted)
+    check_curl(field_id, canonical_data(), SamplingSpec(samples=50, seed=2, regime="sliding"))
+    assert len(built) == builds
