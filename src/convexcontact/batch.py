@@ -11,13 +11,15 @@ separation velocity last), to
 * impulses (n, dim)      -- minus the cost gradients
 * Hessians (n, dim, dim) -- symmetric positive semi-definite
 
-It is the only implementation of the models, and of the pieces they share:
-the discrete Hunt & Crossley impulse n(v_n) with its transition velocity
-vhat, derivative n' and antiderivative N, and the soft norm of the
-regularized friction.  The solver builds one per step from its StepProblem
-(`ContactBatch.build`); criterion 1's checks build theirs from sampled
-states.  Three convex models are provided, plus one deliberately
-non-integrable impulse field used as a negative control:
+It is the only implementation of the models, and of the pieces they share,
+each computed once per call: the discrete Hunt & Crossley impulse n(v_n)
+with its transition velocity vhat, derivative n' and antiderivative N, all
+three from one clamp (`ContactBatch.hunt_crossley`), and the soft norm of
+the regularized friction with its gradient and Hessian block.  The solver
+builds one per step from its StepProblem (`ContactBatch.build`); criterion
+1's checks build theirs from sampled states.  Three convex models are
+provided, plus one deliberately non-integrable impulse field used as a
+negative control:
 
 lagged
     Friction sees the previous-step normal impulse gamma_n0; the normal
@@ -43,7 +45,8 @@ naive_impulse
     force pasted into regularized Coulomb friction.  Its velocity Jacobian
     is not symmetric whenever n'(v_n) != 0, so no potential generates it.
 
-The model id is resolved once, in the constructor: "lagged_regularized"
+The model id is resolved once, in the constructor, which binds the model's
+evaluation function and computes the per-batch constants: "lagged_regularized"
 runs the lagged kernel with the impact-softened stiction tolerance.
 """
 
@@ -173,6 +176,12 @@ class ContactBatch:
             self.r_n = np.float64(1.0) / (dt * (dt + friction.tau_d) * self.k)
             self.vhat_n = x0 / (dt + friction.tau_d)
             self.mu_hat = self.mu * self.r_t / self.r_n
+        # Per-batch constants of the formulas below.
+        self._eps2 = self.eps * self.eps
+        self._mu_g0 = self.mu * gamma_n0
+        self._dtk = dt * self.k
+        self._eye = np.eye(dim - 1)
+        self._kernel = self._KERNELS[self.model]
 
     @classmethod
     def build(cls, problem) -> "ContactBatch":
@@ -190,11 +199,7 @@ class ContactBatch:
         if v_c.shape != (len(self.x0), self.dim):
             raise ValueError(f"expected contact velocities of shape ({len(self.x0)}, {self.dim}), "
                              f"got {v_c.shape}")
-        if self.model == "lagged":
-            return self._lagged(v_c)
-        if self.model == "similar":
-            return self._similar(v_c)
-        return self._sap(v_c)
+        return self._kernel(self, v_c)
 
     def stiction_tolerance(self, gamma_n):
         """Per-contact stick-slip transition speed for the recorded eps_s.
@@ -210,8 +215,8 @@ class ContactBatch:
     def breakpoints(self, v_c, dv_c):
         """Each contact's regime switches along the ray v_c + a*dv_c.
 
-        Returns (stick, width, on), each (n,), nan where a contact has none,
-        or None for SAP, whose regimes change on cone boundaries.  stick is
+        Returns (stick, width, on), each (n,), nan where a contact has none;
+        all nan for SAP, whose regimes change on cone boundaries.  stick is
         the stiction point of the lagged and similar friction, the
         a at which the slip velocity v_t + a*dv_t passes closest to zero,
         -(v_t . dv_t) / |dv_t|^2.  Around it the friction impulse turns over
@@ -222,7 +227,7 @@ class ContactBatch:
         similar, from z at a = 0 and 1 by linear interpolation.
         """
         if self.model == "sap":
-            return None
+            return tuple(np.full((3, len(v_c)), np.nan))
         v_t, dv_t = v_c[:, :-1], dv_c[:, :-1]
         rate2 = np.einsum("ij,ij->i", dv_t, dv_t)
         ahead = np.einsum("ij,ij->i", v_t, dv_t)
@@ -236,15 +241,9 @@ class ContactBatch:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             stick = -ahead / rate2
             # speed2 + ahead * stick is the closest approach squared, d^2.
-            width = np.sqrt((speed2 + ahead * stick + self.eps * self.eps) / rate2)
+            width = np.sqrt((speed2 + ahead * stick + self._eps2) / rate2)
             on = np.where(z1 < z0, (z0 - self.vhat) / (z0 - z1), np.nan)
         return stick, width, on
-
-    def normal_impulse(self, v_n):
-        """n(v_n) = dt * f_n(x0 - dt*v_n, -v_n); zero at and beyond vhat."""
-        return np.where(v_n < self.vhat,
-                        self.dt * (self.f0 - self.dt * self.k * v_n) * (1.0 - self.d * v_n),
-                        0.0)
 
     def naive_impulse(self, v_c):
         """Impulses (n, dim) of the naive field at v_c (n, dim); no cost.
@@ -254,8 +253,8 @@ class ContactBatch:
         Not the gradient of any potential: the tangential block depends on
         v_n through n(v_n) while the normal impulse ignores v_t.
         """
-        n_v = self.normal_impulse(v_c[:, -1])
-        _, unit, _ = self._soft(v_c[:, :-1])
+        n_v = self.hunt_crossley(v_c[:, -1])[1]
+        unit = self._soft(v_c[:, :-1])[1]
         gam = np.empty_like(v_c)
         gam[:, :-1] = (-self.mu * n_v)[:, None] * unit
         gam[:, -1] = n_v
@@ -267,35 +266,39 @@ class ContactBatch:
 
     # -- shared pieces ----------------------------------------------------
 
-    def _impulse_derivative(self, v_n):
-        """n'(v_n); the active-side value at the kink v_n = vhat, so that the
-        Hessians built from -n' stay positive semi-definite."""
-        slope = -self.dt * (self.dt * self.k * (1.0 - self.d * v_n)
-                            + self.d * (self.f0 - self.dt * self.k * v_n))
-        return np.where(v_n <= self.vhat, slope, 0.0)
+    def hunt_crossley(self, v):
+        """(N, n, n') of the discrete Hunt & Crossley impulse at v (n,).
 
-    def _antiderivative(self, v_n):
-        """N(v_n) with N' = n, constant past vhat.  With w = min(v_n, vhat)
-        and df = -dt*k*w, N = dt * [w*(f0 + df/2) - d*w^2/2 * (f0 + 2*df/3)]."""
-        w = np.minimum(v_n, self.vhat)
-        df = -self.dt * self.k * w
-        return self.dt * (w * (self.f0 + 0.5 * df)
-                          - self.d * 0.5 * w * w * (self.f0 + (2.0 / 3.0) * df))
+        n(v) = dt * f_n(x0 - dt*v, -v) = dt * (f0 - dt*k*v) * (1 - d*v) is
+        zero at and beyond vhat.  n' takes its active-side value at the kink
+        v = vhat, so that the Hessians built from -n' stay positive
+        semi-definite.  N, with N' = n, is constant past vhat.  All three
+        come from one clamp w = min(v, vhat), which equals v wherever n and
+        n' are not zero, and the factors f0 - dt*k*w and 1 - d*w; with
+        df = -dt*k*w, N = dt * [w*(f0 + df/2) - d*w^2/2 * (f0 + 2*df/3)].
+        """
+        w = np.minimum(v, self.vhat)
+        df = -self._dtk * w
+        force = self.f0 + df
+        damp = 1.0 - self.d * w
+        antiderivative = self.dt * (w * (self.f0 + 0.5 * df)
+                                    - self.d * 0.5 * w * w * (self.f0 + (2.0 / 3.0) * df))
+        impulse = np.where(v < self.vhat, self.dt * force * damp, 0.0)
+        slope = np.where(v <= self.vhat, -self.dt * (self._dtk * damp + self.d * force), 0.0)
+        return antiderivative, impulse, slope
 
     def _soft_norm(self, nt2):
         """Soft norm sqrt(nt2 + eps^2) - eps of |v_t|^2 = nt2
         (cancellation-free) and its denominator sqrt(nt2 + eps^2)."""
-        den = np.sqrt(nt2 + self.eps * self.eps)
+        den = np.sqrt(nt2 + self._eps2)
         return nt2 / (den + self.eps), den
 
     def _soft(self, v_t):
-        """Soft norm of v_t, its gradient and the shared denominator."""
+        """Soft norm of v_t (n, dim - 1), its gradient, the shared denominator
+        and its Hessian blocks (I - u u') / den for the gradient u."""
         soft, den = self._soft_norm(np.einsum("ij,ij->i", v_t, v_t))
-        return soft, v_t / den[:, None], den
-
-    def _soft_hessian_block(self, unit, den):
-        eye = np.eye(self.dim - 1)
-        return (eye[None, :, :] - unit[:, :, None] * unit[:, None, :]) / den[:, None, None]
+        unit = v_t / den[:, None]
+        return soft, unit, den, (self._eye - unit[:, :, None] * unit[:, None, :]) / den[:, None, None]
 
     # -- the models -------------------------------------------------------
 
@@ -303,34 +306,31 @@ class ContactBatch:
         """Friction sees the previous-step normal impulse gamma_n0; the normal
         impulse stays implicit.  Cost -N(v_n) + mu*gamma_n0*|v_t|_soft
         separates, so the Hessian is block diagonal."""
-        v_t, v_n = v_c[:, :-1], v_c[:, -1]
-        soft, unit, den = self._soft(v_t)
-        mu_g0 = self.mu * self.gamma_n0
-        costs = -self._antiderivative(v_n) + mu_g0 * soft
+        v_t = v_c[:, :-1]
+        soft, _, den, block = self._soft(v_t)
+        antiderivative, impulse, slope = self.hunt_crossley(v_c[:, -1])
+        costs = -antiderivative + self._mu_g0 * soft
         gam = np.empty_like(v_c)
-        gam[:, :-1] = -(mu_g0 / den)[:, None] * v_t
-        gam[:, -1] = self.normal_impulse(v_n)
+        gam[:, :-1] = -(self._mu_g0 / den)[:, None] * v_t
+        gam[:, -1] = impulse
         hess = np.zeros((len(v_c), self.dim, self.dim))
-        hess[:, :-1, :-1] = mu_g0[:, None, None] * self._soft_hessian_block(unit, den)
-        hess[:, -1, -1] = -self._impulse_derivative(v_n)
+        hess[:, :-1, :-1] = self._mu_g0[:, None, None] * block
+        hess[:, -1, -1] = -slope
         return costs, gam, hess
 
     def _similar(self, v_c):
         """Cost -N(z) in the grouped variable z = v_n - mu*|v_t|_soft, so
         gamma = n(z) * dz/dv_c and the Hessian is -n'(z) g g' plus the
         curvature of z weighted by mu * n(z)."""
-        v_t, v_n = v_c[:, :-1], v_c[:, -1]
-        soft, unit, den = self._soft(v_t)
-        z = v_n - self.mu * soft
-        n_z = self.normal_impulse(z)
-        costs = -self._antiderivative(z)
+        soft, unit, _, block = self._soft(v_c[:, :-1])
+        antiderivative, n_z, slope = self.hunt_crossley(v_c[:, -1] - self.mu * soft)
         g = np.empty_like(v_c)
         g[:, :-1] = -self.mu * unit
         g[:, -1] = 1.0
         gam = n_z[:, None] * g
-        hess = (-self._impulse_derivative(z))[:, None, None] * g[:, :, None] * g[:, None, :]
-        hess[:, :-1, :-1] += (self.mu * n_z)[:, None, None] * self._soft_hessian_block(unit, den)
-        return costs, gam, hess
+        hess = (-slope)[:, None, None] * g[:, :, None] * g[:, None, :]
+        hess[:, :-1, :-1] += (self.mu * n_z)[:, None, None] * block
+        return -antiderivative, gam, hess
 
     def _sap(self, v_c):
         """Projection of y onto the friction cone in the metric
@@ -361,19 +361,18 @@ class ContactBatch:
 
         hess = np.zeros((len(v_c), self.dim, self.dim))
         tdim = self.dim - 1
-        eye = np.eye(tdim)
         inv_rt = 1.0 / self.r_t
         st = np.flatnonzero(stick)
         if st.size:
-            # Stiction: identity in the R metric.
-            for a in range(tdim):
-                hess[st, a, a] = inv_rt[st]
+            # Stiction: identity in the R metric, diag(1/R_t, .., 1/R_n).
+            tangent = np.arange(tdim)
+            hess[st[:, None], tangent, tangent] = inv_rt[st, None]
             hess[st, -1, -1] = 1.0 / self.r_n
         sl = np.flatnonzero(slide)
         if sl.size:
             th = t_hat[sl]
             p_t = th[:, :, None] * th[:, None, :]
-            p_perp = eye[None, :, :] - p_t
+            p_perp = self._eye - p_t
             coeff_t = scale[sl] * self.mu * self.mu_hat[sl] * inv_rt[sl]
             coeff_perp = self.mu * gn_slide[sl] / (ny_t[sl] * self.r_t[sl])
             hess[sl, :tdim, :tdim] = (coeff_t[:, None, None] * p_t
@@ -383,3 +382,6 @@ class ContactBatch:
             hess[sl, -1, :tdim] = cross
             hess[sl, -1, -1] = scale[sl] / self.r_n
         return costs, gam, hess
+
+    # The evaluation function of each resolved model id, bound once per batch.
+    _KERNELS = {"lagged": _lagged, "similar": _similar, "sap": _sap}

@@ -29,7 +29,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import analysis, validation
-from .scenarios import CHANNELS, MODEL_IDS, SCENARIO_IDS, ScenarioSpec, ScenarioError, run_scenario
+from .batch import MODEL_IDS, model_id
+from .scenarios import CHANNELS, SCENARIO_IDS, ScenarioSpec, ScenarioError, run_scenario
 
 SCHEMA_VERSION = 1
 
@@ -202,8 +203,7 @@ def cmd_study(args) -> int:
     spec = _spec_from(args, read_config(args.config) if args.config else {})
     models = [m.strip() for m in args.models.split(",")]
     for model in models:
-        if model not in MODEL_IDS:
-            raise ConfigError(f"unknown model {model!r}")
+        _checked(model_id, model)
     dts = _floats("--dts", args.dts)
     for dt in dts:  # reject a bad step size before any run
         _checked(replace, spec, dt=dt)

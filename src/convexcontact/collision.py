@@ -103,10 +103,6 @@ class HalfSpace:
             raise ValueError(f"half-space normal must be unit length, got {self.normal}")
         object.__setattr__(self, "normal", tuple(n))
 
-    @property
-    def n(self) -> np.ndarray:
-        return np.asarray(self.normal)
-
 
 @dataclass(frozen=True)
 class Box:

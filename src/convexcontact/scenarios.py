@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley
+from .batch import ContactBatch, FrictionParams, HuntCrossley, model_id
 from .collision import Box, HalfSpace, Rod, Sphere, quaternion_matrix, unpack_keys
 from .dynamics import (Body, ImpulseMemory, NonFinitePose, World, advance_state,
                        assemble_problem)
@@ -105,8 +105,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIO_IDS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_IDS}")
-        if self.model not in MODEL_IDS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_IDS}")
+        model_id(self.model)
         for name, default in zip(_DEFAULTED, _DEFAULTS[self.scenario]):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
@@ -372,7 +371,7 @@ class Simulation:
         """
         problem = assemble_problem(self.world, self.spec.dt, self.spec.model)
         v_n = problem.contact_velocities(problem.v0)[:, -1]
-        impulses = ContactBatch.build(problem).normal_impulse(v_n)
+        impulses = ContactBatch.build(problem).hunt_crossley(v_n)[1]
         return ImpulseMemory.of(problem.key, impulses)
 
     def assemble(self):

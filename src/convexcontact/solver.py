@@ -28,7 +28,10 @@ switches on -- are known before any probe.  A failed full step places its
 next probe from them, at the jump or smooth piece of phi' that holds the
 root, and safeguarded Newton steps finish there: most searches that cut
 the step short take three probes, instead of bisecting [0, 1] down to a
-stiction band ~4e-5 wide.  `Solution.probes` records each search's count.
+stiction band ~4e-5 wide.  The search has one rule for every model: SAP's
+kernel reports no breakpoints (all nan), so its searches run the same
+Newton steps under the same rtsafe safeguard from a = 1.
+`Solution.probes` records each search's count.
 
 The stopping criterion is the momentum-balance residual in relative form:
 
@@ -189,11 +192,12 @@ def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, s
     jump crosses zero, or at the model's root on its smooth piece.  From
     then on Newton steps on phi' -- taken in the slip-direction coordinate of
     a stiction point within _NEAR band widths (`_newton_step`) -- run inside
-    the sign-change bracket.  A Newton point outside the bracket, one that
-    makes no progress over two probes (a step longer than half the one
-    before last; for SAP, a bracket that has not halved), or an underflowed
-    phi'' gives way to the middle stiction point inside the bracket, else to
-    bisection.  The
+    the sign-change bracket.  One safeguard serves every model: a Newton
+    point outside the bracket, one that makes no progress over two probes (a
+    step longer than half the one before last, as in rtsafe), or an
+    underflowed phi'' gives way to the middle stiction point inside the
+    bracket, else to bisection.  SAP reports no breakpoints (all nan), so its
+    searches go from a = 1 by Newton steps under the same safeguard.  The
     search ends when |phi'(a)| <= tol*|phi'(0)| or the bracket reaches float
     resolution; every probe lies strictly inside the bracket.  Returns
     (a, trial, probe terms at trial, probe count); the caller reuses the
@@ -222,27 +226,21 @@ def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, s
         return alpha, trial, out, probes
     d2phi = curvature(out[2])
 
-    points = batch.breakpoints(problem.contact_velocities(v), dv_c)
-    stick, newton = [], None
-    if points is not None:
-        at, width, on = points
-        # phi' jumps at a stiction point by its contact's friction turnover,
-        # the change of -gamma_t . dv_t from a = 0 to a = 1.  Kept: points
-        # inside (0, 1) with a narrow band and a jump above the tolerance.
-        turn = np.einsum("ij,ij->i", (gammas - out[1])[:, :-1], dv_c[:, :-1])
-        rows = np.flatnonzero((np.abs(turn) > target) & (width <= _BAND)
-                              & (at > 0.0) & (at < 1.0))
-        rows = rows[np.argsort(at[rows])]
-        stick = list(zip(at[rows].tolist(), width[rows].tolist()))
-        on = on[(on > 0.0) & (on < 1.0)]
-        newton = _first_step(stick, turn[rows].tolist(), float(on.max()) if on.size else None,
-                             slope, dphi, d2phi)
+    at, width, on = batch.breakpoints(problem.contact_velocities(v), dv_c)
+    # phi' jumps at a stiction point by its contact's friction turnover,
+    # the change of -gamma_t . dv_t from a = 0 to a = 1.  Kept: points
+    # inside (0, 1) with a narrow band and a jump above the tolerance.
+    turn = np.einsum("ij,ij->i", (gammas - out[1])[:, :-1], dv_c[:, :-1])
+    rows = np.flatnonzero((np.abs(turn) > target) & (width <= _BAND)
+                          & (at > 0.0) & (at < 1.0))
+    rows = rows[np.argsort(at[rows])]
+    stick = list(zip(at[rows].tolist(), width[rows].tolist()))
+    on = on[(on > 0.0) & (on < 1.0)]
+    newton = _first_step(stick, turn[rows].tolist(), float(on.max()) if on.size else None,
+                         slope, dphi, d2phi)
     # A Newton point is taken inside the bracket if it makes progress over
-    # two probes.  Where friction can turn over along the line (lagged,
-    # similar), Newton converges from one side of the turnover, so its step
-    # must be at most half the step before last (rtsafe); for SAP, whose
-    # kernel reports no breakpoints, the bracket must halve.
-    one_sided = points is not None
+    # two probes: Newton converges from one side of a friction turnover, so
+    # its step must be at most half the step before last (rtsafe).
     progress, progress_before = np.inf, np.inf
     while True:
         if dphi < 0.0:
@@ -253,12 +251,11 @@ def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, s
             break
         if newton is None:
             newton = _newton_step(alpha, dphi, d2phi, stick)
-        if not (lo < newton < hi and (abs(newton - alpha) if one_sided else hi - lo)
-                <= 0.5 * progress_before):
+        if not (lo < newton < hi and abs(newton - alpha) <= 0.5 * progress_before):
             # The middle stiction point inside the bracket, else its midpoint.
             inside = [a for a, _ in stick if lo < a < hi]
             newton = inside[len(inside) // 2] if inside else 0.5 * (lo + hi)
-        progress, progress_before = abs(newton - alpha) if one_sided else hi - lo, progress
+        progress, progress_before = abs(newton - alpha), progress
         alpha, newton = newton, None
         trial, out, dphi = probe(alpha)
         probes += 1

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley
+from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley, model_id
 
 __all__ = [
     "CheckData",
@@ -280,8 +280,7 @@ def _worst(errors, x0, v_c, lowest=False):
 
 def check_gradient(model: str, data: CheckData, states: SamplingSpec) -> ValidationReport:
     """Worst relative mismatch between -FD(cost gradient) and the impulse."""
-    if model not in MODEL_IDS:
-        raise ValueError(f"unknown model id {model!r}")
+    model_id(model)
     x0, v_c, h, report, (costs, gammas, _) = _fd_states(model, data, states)
     gamma = gammas[::1 + 4 * data.dim]
     grad = _fd(costs.reshape(len(x0), 1 + 4 * data.dim), h)
@@ -321,8 +320,7 @@ def check_psd(model: str, data: CheckData, states: SamplingSpec) -> ValidationRe
     Pass criterion: min eigenvalue >= -1e-10 * |H| per state, tracked by
     min_scaled_eigenvalue >= -1e-10.
     """
-    if model not in MODEL_IDS:
-        raise ValueError(f"unknown model id {model!r}")
+    model_id(model)
     x0, v_c = sample_states(data, states)
     hess = evaluate(data.kernel(model, x0), v_c)[2]
     eig = np.linalg.eigvalsh(hess)[:, 0]

@@ -135,12 +135,15 @@ def test_breakpoints_along_a_ray(model):
     """Stiction points are where the slip passes closest to zero, and the
     lagged friction turns over there as s / sqrt(1 + s^2) in band widths s;
     at a switch-on point the normal impulse turns on (exactly there for
-    lagged); SAP reports neither."""
+    lagged); SAP reports neither: three all-nan (n,) arrays."""
     n = 64
     kernel = kernel_params(model, make_data(3), n)
     v_c, dv_c = np.random.default_rng(4).normal(scale=0.1, size=(2, n, 3))
     if model == "sap":
-        assert kernel.breakpoints(v_c, dv_c) is None
+        points = kernel.breakpoints(v_c, dv_c)
+        assert len(points) == 3
+        for point in points:
+            assert point.shape == (n,) and np.isnan(point).all()
         return
     stick, width, on = kernel.breakpoints(v_c, dv_c)
 

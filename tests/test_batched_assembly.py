@@ -76,8 +76,9 @@ def as_ref_contacts(found):
 
 
 def ref_sphere_halfspace(center, radius, hs, margin):
-    x0 = radius + hs.offset - float(hs.n @ center)
-    return [] if x0 <= -margin else [(center - radius * hs.n, hs.n, x0, 0)]
+    normal = np.asarray(hs.normal)
+    x0 = radius + hs.offset - float(normal @ center)
+    return [] if x0 <= -margin else [(center - radius * normal, normal, x0, 0)]
 
 
 def ref_sphere_sphere(ca, ra, cb, rb, margin):
@@ -109,11 +110,11 @@ def ref_corners(body):
 
 
 def ref_vertex_halfspace(vertices, hs, margin):
-    found = []
+    found, normal = [], np.asarray(hs.normal)
     for feature, p in enumerate(vertices):
-        x0 = hs.offset - float(hs.n @ p)
+        x0 = hs.offset - float(normal @ p)
         if x0 > -margin:
-            found.append((p, hs.n, x0, feature))
+            found.append((p, normal, x0, feature))
     return found
 
 

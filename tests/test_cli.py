@@ -12,7 +12,8 @@ from hypothesis import event, given, settings, strategies as st
 
 import convexcontact
 from convexcontact.cli import main, read_config
-from convexcontact.scenarios import MODEL_IDS, SCENARIO_IDS, ScenarioSpec
+from convexcontact.batch import MODEL_IDS
+from convexcontact.scenarios import SCENARIO_IDS, ScenarioSpec
 
 
 def run_cli(argv, capsys):

@@ -22,14 +22,18 @@ class HcNormal:
                                    x0=np.array([x0]), gamma_n0=np.zeros(1), w=np.ones(1))
         self.vhat = float(self.kernel.vhat[0])
 
+    def pieces(self, v_n):
+        """(N, n, n') at v_n, from the kernel's one Hunt & Crossley function."""
+        return [float(piece[0]) for piece in self.kernel.hunt_crossley(np.array([v_n]))]
+
     def n(self, v_n):
-        return float(self.kernel.normal_impulse(np.array([v_n]))[0])
+        return self.pieces(v_n)[1]
 
     def slope(self, v_n):
-        return float(self.kernel._impulse_derivative(np.array([v_n]))[0])
+        return self.pieces(v_n)[2]
 
     def N(self, v_n):
-        return float(self.kernel._antiderivative(np.array([v_n]))[0])
+        return self.pieces(v_n)[0]
 
     def reference(self, v_n):
         """The defining n(v_n) = dt * f_n(x0 - dt*v_n, -v_n)."""
@@ -96,7 +100,7 @@ class TestDiscreteImpulse:
             dn = HcNormal(k=10.0 ** rng.uniform(3, 7), d=10.0 ** rng.uniform(-3, 2),
                     x0=rng.uniform(0.0, 1e-3))
             vs = np.sort(rng.uniform(dn.vhat - 2.0, dn.vhat + 1.0, size=32))
-            ns = dn.kernel.normal_impulse(vs)
+            ns = dn.kernel.hunt_crossley(vs)[1]
             assert ns.min() >= 0.0
             below = ns[vs < dn.vhat]
             assert all(a >= b - 1e-12 for a, b in zip(below, below[1:]))

@@ -83,9 +83,13 @@ def test_traced_attributes_are_the_ones_called(monkeypatch):
 
 def test_validation_imports_no_scipy():
     # Criterion 1 needs numpy and the kernel only; scipy would add most of
-    # its start-up time and memory to every process that runs the checks.
+    # its start-up time and memory to every process that runs the checks,
+    # and so would any other module of the package.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, convexcontact.validation; print('scipy' in sys.modules)"
+    code = ("import sys, convexcontact.validation; print('scipy' in sys.modules); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'convexcontact'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    scipy, package = out.stdout.splitlines()
+    assert scipy == "False"
+    assert package == str(["convexcontact", "convexcontact.batch", "convexcontact.validation"])

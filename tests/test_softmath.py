@@ -13,26 +13,25 @@ from convexcontact.validation import CheckData
 from fd import fd_gradient, fd_jacobian, fd_step
 
 
-def _kernel(x, eps):
+def _soft(x, eps):
+    """(soft norm, gradient, denominator, Hessian block) of one vector x."""
     x = np.asarray(x, dtype=float)
     batch = ContactBatch("lagged", x.size + 1, 0.01, HuntCrossley(1e4),
                          FrictionParams(mu=0.5, v_s=eps),
                          x0=np.zeros(1), gamma_n0=np.zeros(1), w=np.ones(1))
-    soft, unit, den = batch._soft(x[None, :])
-    return batch, soft, unit, den
+    return [piece[0] for piece in batch._soft(x[None, :])]
 
 
 def soft_norm(x, eps):
-    return float(_kernel(x, eps)[1][0])
+    return float(_soft(x, eps)[0])
 
 
 def soft_unit(x, eps):
-    return _kernel(x, eps)[2][0]
+    return _soft(x, eps)[1]
 
 
 def soft_norm_hessian(x, eps):
-    batch, _, unit, den = _kernel(x, eps)
-    return batch._soft_hessian_block(unit, den)[0]
+    return _soft(x, eps)[3]
 
 
 def test_zero_vector_is_exactly_zero():

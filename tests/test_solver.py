@@ -350,6 +350,16 @@ def test_impact_step_searches_across_breakpoints(monkeypatch):
     assert max(sol.probes) <= 3
 
 
+def test_sap_search_takes_the_rule_of_every_model():
+    """SAP clutter seed 0, step 98: SAP reports no breakpoints, so its
+    searches are Newton steps from a = 1.  A rule of its own that demanded
+    the bracket halve took 10 probes in the second search; the rtsafe
+    safeguard every model shares takes at most four in each."""
+    sol = solve_step(impact_problem("clutter", "sap", 98))
+    assert sol.converged and sol.iterations == 5
+    assert max(sol.probes) <= 4
+
+
 def test_overflowing_residuals_do_not_read_as_converged(monkeypatch):
     """At k = 1e300 the impulses are too large to square.  Every step the
     solver calls converged must meet rel_tol in the overflow-free residual,
