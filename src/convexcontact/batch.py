@@ -15,11 +15,13 @@ It is the only implementation of the models, and of the pieces they share,
 each computed once per call: the discrete Hunt & Crossley impulse n(v_n)
 with its transition velocity vhat, derivative n' and antiderivative N, all
 three from one clamp (`ContactBatch.hunt_crossley`), and the soft norm of
-the regularized friction with its gradient and Hessian block.  The solver
-builds one per step from its StepProblem (`ContactBatch.build`); criterion
-1's checks build theirs from sampled states.  Three convex models are
-provided, plus one deliberately non-integrable impulse field used as a
-negative control:
+the regularized friction with its gradient and Hessian block.  It also says
+where each model's regimes switch: along a line search's ray (`breakpoints`)
+and as the distance from a point to its nearest kink (`kink_distance`).  The
+solver builds one per step from its StepProblem (`ContactBatch.build`); each
+of criterion 1's checks builds one from its sampled states.  Three convex
+models are provided, plus one deliberately non-integrable impulse field used
+as a negative control:
 
 lagged
     Friction sees the previous-step normal impulse gamma_n0; the normal
@@ -46,8 +48,9 @@ naive_impulse
     is not symmetric whenever n'(v_n) != 0, so no potential generates it.
 
 The model id is resolved once, in the constructor, which binds the model's
-evaluation function and computes the per-batch constants: "lagged_regularized"
-runs the lagged kernel with the impact-softened stiction tolerance.
+evaluation function and computes the per-batch constants (SAP's 1/R_t, 1/R_n
+and 1/(1 + mu*mu_hat) among them): "lagged_regularized" runs the lagged
+kernel with the impact-softened stiction tolerance.
 """
 
 from __future__ import annotations
@@ -176,6 +179,9 @@ class ContactBatch:
             self.r_n = np.float64(1.0) / (dt * (dt + friction.tau_d) * self.k)
             self.vhat_n = x0 / (dt + friction.tau_d)
             self.mu_hat = self.mu * self.r_t / self.r_n
+            self._inv_rt = 1.0 / self.r_t
+            self._inv_rn = 1.0 / self.r_n
+            self._scale = 1.0 / (1.0 + self.mu * self.mu_hat)
         # Per-batch constants of the formulas below.
         self._eps2 = self.eps * self.eps
         self._mu_g0 = self.mu * gamma_n0
@@ -245,6 +251,24 @@ class ContactBatch:
             on = np.where(z1 < z0, (z0 - self.vhat) / (z0 - z1), np.nan)
         return stick, width, on
 
+    def kink_distance(self, v_c):
+        """(n,) velocity-space distance from each v_c[i] (n, dim) to its nearest
+        Hessian kink: SAP's cone boundaries, in the y and |y_t| that `_sap`
+        classifies with; else the impulse's kinks x0/dt and 1/d (the smaller
+        is vhat) in v_n, or in the similar model's z, scaled by sqrt(1 + mu^2)."""
+        if self.model == "sap":
+            y_t, y_n, ny_t = self._sap_cone(v_c)
+            return np.minimum(
+                np.abs(ny_t - self.mu * y_n) / np.hypot(self._inv_rt, self.mu / self.r_n),
+                np.abs(y_n + self.mu_hat * ny_t) / np.hypot(self.mu_hat / self.r_t, self._inv_rn))
+        z, similar = v_c[:, -1], self.model == "similar"
+        if similar:
+            z = z - self.mu * self._soft_norm(np.einsum("ij,ij->i", v_c[:, :-1], v_c[:, :-1]))[0]
+        dist = np.abs(z - self.x0 / self.dt)
+        if self.d > 0.0:
+            dist = np.minimum(dist, np.abs(z - 1.0 / self.d))
+        return dist / np.sqrt(1.0 + self.mu ** 2) if similar else dist
+
     def naive_impulse(self, v_c):
         """Impulses (n, dim) of the naive field at v_c (n, dim); no cost.
 
@@ -263,6 +287,11 @@ class ContactBatch:
     def sap_y(self, v_c):
         """SAP's unconstrained impulse y = (-v_t / R_t, (vhat_n - v_n) / R_n)."""
         return -v_c[:, :-1] / self.r_t[:, None], (self.vhat_n - v_c[:, -1]) / self.r_n
+
+    def _sap_cone(self, v_c):
+        """SAP's y_t, y_n and |y_t|, which place v_c (n, dim) in its regions."""
+        y_t, y_n = self.sap_y(v_c)
+        return y_t, y_n, np.linalg.norm(y_t, axis=1)
 
     # -- shared pieces ----------------------------------------------------
 
@@ -338,15 +367,13 @@ class ContactBatch:
         cone -> stiction, gamma = y (the stiction Hessian also holds on the
         cone boundary); y in the polar cone -> separation, gamma = 0;
         otherwise sliding, gamma on the cone surface."""
-        y_t, y_n = self.sap_y(v_c)
-        ny_t = np.linalg.norm(y_t, axis=1)
+        y_t, y_n, ny_t = self._sap_cone(v_c)
         # y_n >= 0 matters only for mu = 0, where the cone is the ray y_t = 0.
         stick = (ny_t <= self.mu * y_n) & (y_n >= 0.0)
         away = ~stick & (y_n <= -self.mu_hat * ny_t)
         slide = ~stick & ~away
 
-        scale = 1.0 / (1.0 + self.mu * self.mu_hat)
-        gn_slide = scale * (y_n + self.mu_hat * ny_t)
+        gn_slide = self._scale * (y_n + self.mu_hat * ny_t)
         gam_n = np.where(stick, y_n, np.where(slide, gn_slide, 0.0))
         # Sliding has ny_t > 0: y_t = 0 lands in one of the other regions.
         safe_ny = np.where(ny_t > 0.0, ny_t, 1.0)
@@ -361,26 +388,25 @@ class ContactBatch:
 
         hess = np.zeros((len(v_c), self.dim, self.dim))
         tdim = self.dim - 1
-        inv_rt = 1.0 / self.r_t
         st = np.flatnonzero(stick)
         if st.size:
             # Stiction: identity in the R metric, diag(1/R_t, .., 1/R_n).
             tangent = np.arange(tdim)
-            hess[st[:, None], tangent, tangent] = inv_rt[st, None]
-            hess[st, -1, -1] = 1.0 / self.r_n
+            hess[st[:, None], tangent, tangent] = self._inv_rt[st, None]
+            hess[st, -1, -1] = self._inv_rn
         sl = np.flatnonzero(slide)
         if sl.size:
             th = t_hat[sl]
             p_t = th[:, :, None] * th[:, None, :]
             p_perp = self._eye - p_t
-            coeff_t = scale[sl] * self.mu * self.mu_hat[sl] * inv_rt[sl]
+            coeff_t = self._scale[sl] * self.mu * self.mu_hat[sl] * self._inv_rt[sl]
             coeff_perp = self.mu * gn_slide[sl] / (ny_t[sl] * self.r_t[sl])
             hess[sl, :tdim, :tdim] = (coeff_t[:, None, None] * p_t
                                       + coeff_perp[:, None, None] * p_perp)
-            cross = (scale[sl] * self.mu / self.r_n)[:, None] * th
+            cross = (self._scale[sl] * self.mu / self.r_n)[:, None] * th
             hess[sl, :tdim, -1] = cross
             hess[sl, -1, :tdim] = cross
-            hess[sl, -1, -1] = scale[sl] / self.r_n
+            hess[sl, -1, -1] = self._scale[sl] / self.r_n
         return costs, gam, hess
 
     # The evaluation function of each resolved model id, bound once per batch.

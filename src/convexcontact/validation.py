@@ -10,13 +10,15 @@ Three checks run over a deterministic cloud of randomized contact states:
 * check_psd      -- the analytic Hessian is positive semi-definite (the
   potential is convex).
 
-Each check runs on arrays of states.  `CheckData` holds what a check keeps
-fixed, and `CheckData.kernel` builds the solver's array kernel
-(`batch.ContactBatch`) over the sampled previous-step penetrations x0: one
-build gives every state's finite-difference step and regime-boundary
-distance, and one call of `ContactBatch.evaluate` (or `naive_impulse`) on a
-second build evaluates the stencils of all kept states, each state and its
-4 * dim offset points.  So the checks certify the code that steps the
+Each check runs on arrays of states and builds one kernel.  `CheckData`
+holds what a check keeps fixed, and `CheckData.kernel` builds the solver's
+array kernel (`batch.ContactBatch`) over the sampled previous-step
+penetrations x0, each repeated once per stencil point (a state and its
+4 * dim offset points).  That one build gives the sliding states' vhat,
+every state's finite-difference step and its distance to the kernel's own
+kinks (`ContactBatch.kink_distance`), and one call of `evaluate` (or
+`naive_impulse`) covers every stencil; the rows of skipped states are
+dropped afterwards.  So the checks certify the code that steps the
 simulations, with its one normal law (`batch.HuntCrossley`); they need
 nothing beyond numpy and `batch`.  NaN-propagating reductions make a
 non-finite error fail.
@@ -41,16 +43,8 @@ import numpy as np
 
 from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley, model_id
 
-__all__ = [
-    "CheckData",
-    "SamplingSpec",
-    "ValidationReport",
-    "FIELD_IDS",
-    "check_gradient",
-    "check_curl",
-    "check_psd",
-    "canonical_data",
-]
+__all__ = ["CheckData", "SamplingSpec", "ValidationReport", "FIELD_IDS", "check_gradient",
+           "check_curl", "check_psd", "canonical_data"]
 
 # Impulse fields accepted by check_curl; the potential-backed models plus the
 # naive coupled field that serves as the negative control.
@@ -81,6 +75,11 @@ class SamplingSpec:
             raise ValueError(f"need samples > 0 and seed >= 0, got {self.samples}, {self.seed}")
         if self.regime not in ("mixed", "sliding"):
             raise ValueError(f"unknown regime {self.regime!r}")
+        if not 0.0 < self.speed_low <= self.speed_high < math.inf:
+            raise ValueError(f"need 0 < speed_low <= speed_high < inf, "
+                             f"got {self.speed_low}, {self.speed_high}")
+        if not -math.inf < self.x0_low <= self.x0_high < math.inf:
+            raise ValueError(f"need finite x0_low <= x0_high, got {self.x0_low}, {self.x0_high}")
 
 
 @dataclass
@@ -120,6 +119,8 @@ class CheckData:
     dim: int = 3
 
     def __post_init__(self):
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 <= self.gamma_n0 < math.inf:
             raise ValueError(f"gamma_n0 must be finite and >= 0, got {self.gamma_n0}")
         if not self.w > 0.0:
@@ -170,9 +171,10 @@ def sample_states(data: CheckData, spec: SamplingSpec):
     return _sampled(data, spec)[:2]
 
 
-def _sampled(data: CheckData, spec: SamplingSpec):
-    """sample_states, plus the lagged kernel over x0 that the sliding
-    regime builds for vhat (None for mixed states)."""
+def _sampled(data: CheckData, spec: SamplingSpec, model: str = "lagged", width: int = 1):
+    """sample_states, plus the check's one kernel: the model's over
+    x0.repeat(width), width rows per state (one per stencil point, or
+    width 1).  The sliding regime reads vhat from it."""
     rng, signs = np.random.default_rng(spec.seed), (-1.0, 1.0)  # rng.choice(signs)
     tdim, eps, mixed = data.dim - 1, data.friction.v_s, spec.regime == "mixed"
     u, tangents = [], []
@@ -182,19 +184,18 @@ def _sampled(data: CheckData, spec: SamplingSpec):
         tangents.append(signs[rng.integers(2)] if tdim == 1 else rng.normal(size=tdim))
     u, tangents = np.array(u).T, np.array(tangents).reshape(-1, tdim)
     x0 = _uniform(u[0], spec.x0_low, spec.x0_high)
+    kernel = data.kernel(model, x0.repeat(width))
     # Log-uniform: |v_t| and |v_n| (mixed), or |v_t| and v_n's offset below vhat.
     lo, hi = (np.log(spec.speed_low), np.log(spec.speed_high)) if mixed else np.log(
         [[max(100.0 * eps, 1e-3), 1e-2], [spec.speed_high, 1.0]])[..., None]
     speed_t, speed_n = np.exp(_uniform(u[[2, 4] if mixed else [1, 2]], lo, hi))
     if mixed:
-        lagged = None
         vt_mag, v_n = np.where(u[1] < 0.25, _uniform(u[2], 0.0, eps), speed_t), u[3] * speed_n
     else:
-        lagged = data.kernel("lagged", x0)
-        vt_mag, v_n = speed_t, lagged.vhat - speed_n
+        vt_mag, v_n = speed_t, kernel.vhat[::width] - speed_n
     if tdim > 1:
         tangents = tangents / _norms(tangents)[:, None]
-    return x0, np.concatenate((vt_mag[:, None] * tangents, v_n[:, None]), axis=1), lagged
+    return x0, np.concatenate((vt_mag[:, None] * tangents, v_n[:, None]), axis=1), kernel
 
 
 def _fd_step(v_c, feature_scale):
@@ -208,62 +209,35 @@ def _fd_step(v_c, feature_scale):
     return np.minimum(1e-6 * np.maximum(1.0, _norms(v_c)), np.maximum(cap, 1e-9))
 
 
-def kink_distance(params, v_c):
-    """(N,) velocity-space distance from each v_c[i] (N, dim) to the nearest
-    Hessian discontinuity, from the kernel parameters of the N states."""
-    if params.model == "sap":
-        mu, r_t, r_n, mu_hat = params.mu, params.r_t, params.r_n, params.mu_hat
-        y_t, y_n = params.sap_y(v_c)
-        ny_t = _norms(y_t)
-        d_stick = np.abs(ny_t - mu * y_n) / np.hypot(1.0 / r_t, mu / r_n)
-        d_sep = np.abs(y_n + mu_hat * ny_t) / np.hypot(mu_hat / r_t, 1.0 / r_n)
-        return np.minimum(d_stick, d_sep)
-    # The impulse's kinks x0/dt and 1/d (the smaller one is vhat), in v_n or
-    # in the similar model's z, whose distances scale by sqrt(1 + mu^2).
-    similar = params.model == "similar"
-    z = v_c[:, -1] - params.mu * params._soft(v_c[:, :-1])[0] if similar else v_c[:, -1]
-    dist = np.abs(z - params.x0 / params.dt)
-    if params.d > 0.0:
-        dist = np.minimum(dist, np.abs(z - 1.0 / params.d))
-    return dist / np.sqrt(1.0 + params.mu ** 2) if similar else dist
-
-
 # Stencil offsets in steps h: the state, then k * e_j for k = -2, -1, 1, 2 and each axis j.
 _OFFSETS = {dim: np.vstack((np.zeros(dim), np.kron([[-2.0], [-1.0], [1.0], [2.0]], np.eye(dim))))
             for dim in (2, 3)}
 
 
-def _stencil(v_c, h):
-    """(N, 1 + 4*dim, dim): each v_c[i] and its points v_c[i] + _OFFSETS * h[i]."""
-    return v_c[:, None, :] + _OFFSETS[v_c.shape[1]] * h[:, None, None]
-
-
 def _fd(values, h):
     """4th-order central derivatives from values (N, 1 + 4*dim, ...) at the
-    _stencil points; [i, j] is state i's derivative along axis j."""
+    points v_c[i] + _OFFSETS * h[i]; [i, j] is state i's derivative along axis j."""
     n, dim, tail = len(values), (values.shape[1] - 1) // 4, values.shape[2:]
     fm2, fm1, fp1, fp2 = values[:, 1:].reshape(n, 4, dim, *tail).swapaxes(0, 1)
     return ((fm2 - fp2) + 8.0 * (fp1 - fm1)) / (12.0 * h.reshape(n, 1, *[1] * len(tail)))
 
 
 def _fd_states(field_id: str, data: CheckData, states: SamplingSpec):
-    """Sample the states, drop those within 10 * h of a kink and evaluate the
-    field on the stencils of the rest, in one call.  Returns (x0, v_c, h) of
-    the kept states, a report that counts them and the evaluation: the
-    impulses of the naive field, (costs, impulses, Hessians) of a model."""
-    x0, v_c, lagged = _sampled(data, states)
-    model = "lagged" if field_id == "naive" else field_id
-    params = lagged if model == "lagged" and lagged is not None else data.kernel(model, x0)
-    h = _fd_step(v_c, params.eps)
-    skip = kink_distance(params, v_c) < 10.0 * h
-    if skip.any():
-        x0, v_c, h = x0[~skip], v_c[~skip], h[~skip]
+    """Sample the states and evaluate the field on all their stencils in one
+    call, then drop the states within 10 * h of a kink.  Returns (x0, v_c,
+    h) of the kept states, a report that counts them and the evaluation,
+    each array (kept, 1 + 4*dim, ...): the impulses of the naive field,
+    (costs, impulses, Hessians) of a model."""
+    width = 1 + 4 * data.dim
+    x0, v_c, kernel = _sampled(data, states, "lagged" if field_id == "naive" else field_id, width)
+    h = _fd_step(v_c, kernel.eps[::width])
+    # Each state's stencil, whose first point is the state itself.
+    points = (v_c[:, None, :] + _OFFSETS[data.dim] * h[:, None, None]).reshape(-1, data.dim)
+    keep = ~(kernel.kink_distance(points)[::width] < 10.0 * h)
+    out = (kernel.naive_impulse(points),) if field_id == "naive" else evaluate(kernel, points)
+    out = [values.reshape(len(x0), width, *values.shape[1:])[keep] for values in out]
+    x0, v_c, h = x0[keep], v_c[keep], h[keep]
     report = ValidationReport(samples=len(x0), skipped=states.samples - len(x0), seed=states.seed)
-    # Built from the model id, not params.model: the constructor resolves
-    # lagged_regularized to lagged.
-    kernel = data.kernel(model, x0.repeat(1 + 4 * data.dim))
-    points = _stencil(v_c, h).reshape(-1, data.dim)
-    out = kernel.naive_impulse(points) if field_id == "naive" else evaluate(kernel, points)
     return x0, v_c, h, report, out
 
 
@@ -282,9 +256,8 @@ def check_gradient(model: str, data: CheckData, states: SamplingSpec) -> Validat
     """Worst relative mismatch between -FD(cost gradient) and the impulse."""
     model_id(model)
     x0, v_c, h, report, (costs, gammas, _) = _fd_states(model, data, states)
-    gamma = gammas[::1 + 4 * data.dim]
-    grad = _fd(costs.reshape(len(x0), 1 + 4 * data.dim), h)
-    err = _norms(grad + gamma) / np.maximum(_norms(gamma), 1e-12)
+    gamma = gammas[:, 0]
+    err = _norms(_fd(costs, h) + gamma) / np.maximum(_norms(gamma), 1e-12)
     report.max_gradient_error, report.worst_case_state = _worst(err, x0, v_c)
     return report
 
@@ -299,16 +272,16 @@ def check_curl(impulse_field: str, data: CheckData, states: SamplingSpec) -> Val
     if impulse_field not in FIELD_IDS:
         raise ValueError(f"unknown impulse field {impulse_field!r}")
     x0, v_c, h, report, out = _fd_states(impulse_field, data, states)
-    gammas = out if impulse_field == "naive" else out[1]
+    gammas = out[0] if impulse_field == "naive" else out[1]
     # fd[:, i, j] = d gamma_j / d v_i, so the Jacobian is fd_t.  np.linalg.norm
     # reads a transposed Jacobian in memory order, which is fd's order.
-    fd = _fd(gammas.reshape(len(x0), 1 + 4 * data.dim, data.dim), h)
+    fd = _fd(gammas, h)
     fd_t = fd.transpose(0, 2, 1)
     njac = _norms(fd)
     asym = _norms(fd_t - fd) / np.where(njac > 0.0, njac, 1.0)
     report.max_curl_asymmetry, report.worst_case_state = _worst(asym, x0, v_c)
     if impulse_field != "naive":
-        hess = out[2][::1 + 4 * data.dim]
+        hess = out[2][:, 0]
         herr = _norms(fd_t + hess) / np.maximum(_norms(hess), 1e-9)
         report.max_hessian_error = _worst(herr, x0, v_c)[0]
     return report
@@ -320,9 +293,8 @@ def check_psd(model: str, data: CheckData, states: SamplingSpec) -> ValidationRe
     Pass criterion: min eigenvalue >= -1e-10 * |H| per state, tracked by
     min_scaled_eigenvalue >= -1e-10.
     """
-    model_id(model)
-    x0, v_c = sample_states(data, states)
-    hess = evaluate(data.kernel(model, x0), v_c)[2]
+    x0, v_c, kernel = _sampled(data, states, model)
+    hess = evaluate(kernel, v_c)[2]
     eig = np.linalg.eigvalsh(hess)[:, 0]
     scaled = eig / np.maximum(_norms(hess), 1e-30)
     report = ValidationReport(samples=len(x0), seed=states.seed)

@@ -172,6 +172,60 @@ def test_breakpoints_along_a_ray(model):
         np.testing.assert_allclose(along(on)[hit, -1], kernel.vhat[hit], rtol=1e-12)
 
 
+def test_kink_distance_flags_transition_velocity():
+    data = validation.canonical_data()
+    vhat = 5e-4 / data.dt  # 0.05; 1/d = 0.02
+    v_c = np.array([[0.0, 0.0, vhat], [0.0, 0.0, 0.02], [0.0, 0.0, vhat + 0.01]])
+    dist = data.kernel("lagged", np.full(3, 5e-4)).kink_distance(v_c)
+    assert dist[0] == 0.0 and dist[1] == 0.0
+    assert dist[2] == pytest.approx(0.01)
+
+
+def _switch(changed, lo, hi):
+    """The point on the segment [lo, hi] (dim,) where changed(v) first holds,
+    to machine precision, by bisection; changed(lo) is False, changed(hi) True."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.array_equal(mid, lo) or np.array_equal(mid, hi):
+            break
+        lo, hi = (lo, mid) if changed(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("model", ["lagged", "similar", "sap"])
+def test_kink_distance_vanishes_where_the_kernel_switches(model, dim):
+    """At the point where the kernel's own regime test flips -- SAP's
+    stick/slide and slide/away, the Hunt & Crossley slope at vhat -- the
+    kink distance is zero to round-off, so criterion 1 skips what the
+    kernel treats as a kink."""
+    data = make_data(dim)
+    kernel = kernel_params(model, data)
+    rng = np.random.default_rng(dim)
+
+    def region(v):
+        if model == "sap":  # stick, slide and away differ in H_nn: 1/R_n, scale/R_n, 0
+            return kernel.evaluate(v[None])[2][0, -1, -1]
+        z = v[-1] - (kernel.mu * kernel._soft_norm(v[None, :-1] @ v[:-1])[0][0]
+                     if model == "similar" else 0.0)
+        return kernel.hunt_crossley(np.array([z]))[2][0] == 0.0
+
+    for _ in range(20):
+        v_t = rng.normal(size=dim - 1)
+        if model == "sap":
+            # Along v_n at fixed v_t the region runs stick -> slide -> away.
+            stuck, away = np.append(v_t, -1e5), np.append(v_t, 1e5)
+            slip = _switch(lambda v: region(v) != region(stuck), stuck, away)
+            pairs = [(stuck, slip), (slip, away)]
+        else:
+            pairs = [(np.append(v_t, -10.0), np.append(v_t, 10.0))]
+        for lo, hi in pairs:
+            at = _switch(lambda v: region(v) != region(lo), lo, hi)
+            assert region(at) != region(lo)
+            scale = np.linalg.norm(at)
+            assert kernel.kink_distance(at[None])[0] <= 1e-12 * scale, (lo, at)
+
+
 @pytest.mark.parametrize("model", MODEL_IDS)
 def test_non_hunt_crossley_law_is_unsupported(model):
     # The kernel takes HuntCrossley itself, not any object with its fields.

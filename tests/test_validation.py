@@ -13,7 +13,6 @@ from convexcontact.validation import (
     check_curl,
     check_gradient,
     check_psd,
-    kink_distance,
     sample_states,
 )
 
@@ -87,15 +86,6 @@ def test_sampling_is_deterministic_and_covers_regimes():
     assert (slip > 100 * eps).any()      # sliding
     assert (vs[:, 2] < 0).any()          # approach
     assert (vs[:, 2] > 0.5).any()        # separation
-
-
-def test_kink_distance_flags_transition_velocity():
-    data = canonical_data()
-    vhat = 5e-4 / data.dt  # 0.05; 1/d = 0.02
-    v_c = np.array([[0.0, 0.0, vhat], [0.0, 0.0, 0.02], [0.0, 0.0, vhat + 0.01]])
-    dist = kink_distance(data.kernel("lagged", np.full(3, 5e-4)), v_c)
-    assert dist[0] == 0.0 and dist[1] == 0.0
-    assert dist[2] == pytest.approx(0.01)
 
 
 def test_non_finite_errors_fail_the_checks():
@@ -249,11 +239,29 @@ def test_check_data_rejects_a_non_finite_or_negative_gamma_n0(gamma_n0):
         replace(canonical_data(), gamma_n0=gamma_n0)
 
 
-@pytest.mark.parametrize("field_id,builds", [("naive", 2), ("lagged", 2), ("similar", 3)])
-def test_sliding_checks_build_the_lagged_kernel_once(field_id, builds, monkeypatch):
-    # The sliding states' vhat and the FD steps share one lagged kernel over
-    # x0; the stencil gets its own.  Another model builds its own for the
-    # FD steps.
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+def test_check_data_rejects_a_non_finite_or_non_positive_dt(dt):
+    # At dt = 0 every impulse is 0, so criterion 1 would pass vacuously.
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        replace(canonical_data(), dt=dt)
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"speed_low": 0.0}, "speed_low"), ({"speed_low": -1.0}, "speed_low"),
+    ({"speed_low": np.nan}, "speed_low"), ({"speed_high": np.inf}, "speed_high"),
+    ({"speed_low": 2.0, "speed_high": 1.0}, "speed_low"),
+    ({"x0_low": 2e-3}, "x0_low"), ({"x0_low": -np.inf}, "x0_low"),
+    ({"x0_high": np.nan}, "x0_high"), ({"x0_high": np.inf}, "x0_high")])
+def test_sampling_spec_rejects_bad_ranges(fields, name):
+    # Speeds are log-uniform, so a bound <= 0 or inf would make every report NaN.
+    with pytest.raises(ValueError, match=name):
+        SamplingSpec(**fields)
+
+
+@pytest.mark.parametrize("field_id", FIELD_IDS)
+def test_every_check_builds_one_contact_batch(field_id, monkeypatch):
+    # One kernel serves a check's sliding vhat, FD steps, kink test and
+    # stencil evaluation (or, for psd, its Hessians).
     from convexcontact.batch import ContactBatch
 
     built = []
@@ -264,5 +272,9 @@ def test_sliding_checks_build_the_lagged_kernel_once(field_id, builds, monkeypat
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ContactBatch, "__init__", counted)
-    check_curl(field_id, canonical_data(), SamplingSpec(samples=50, seed=2, regime="sliding"))
-    assert len(built) == builds
+    checks = (check_curl,) if field_id == "naive" else (check_gradient, check_curl, check_psd)
+    for regime in ("mixed", "sliding"):
+        for check in checks:
+            built.clear()
+            check(field_id, canonical_data(), SamplingSpec(samples=50, seed=2, regime=regime))
+            assert built == ["lagged" if field_id == "naive" else field_id], (check, regime)
