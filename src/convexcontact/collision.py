@@ -303,21 +303,30 @@ class CandidateTable:
 
         Two broadcasts give every x0, as vertex against half-space,
         x0 = r + o - n . p at the point p - r n, and as sphere against
-        sphere; one mask keeps the contacts.
+        sphere; one mask keeps the contacts, and only the kept rows get a
+        point and a normal (gathered by `take`, cheaper than fancy indexing).
         """
         if self.corners is None:
-            vertex = position[self.spheres]
+            vertex = position.take(self.spheres, 0)
         else:
             vertex = _corners(bodies[self.corners])
         x0 = np.empty(len(self.pair))
+        x0[self.vp_rows] = (self.base - vertex @ self.plane_normal.T).ravel()[self.vp]
+        if len(self.ss_rows):
+            center_a, center_b = vertex.take(self.a, 0), vertex.take(self.b, 0)
+            delta = center_a - center_b
+            # np.linalg.norm(delta, axis=1), bitwise, without its wrapper.
+            dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
+            x0[self.ss_rows] = self.reach - dist
+        keep = ~(x0 <= -margin)
         point = np.empty(self.normal.shape)
         normal = self.normal.copy()
-        x0[self.vp_rows] = (self.base - vertex @ self.plane_normal.T).ravel()[self.vp]
-        point[self.vp_rows] = vertex[self.vp_vertex] - self.vp_offset
-        if len(self.ss_rows):
-            center_a, center_b = vertex[self.a], vertex[self.b]
-            delta = center_a - center_b
-            dist = np.linalg.norm(delta, axis=1)
+        vp = np.flatnonzero(keep[self.vp_rows])
+        point[self.vp_rows[vp]] = vertex.take(self.vp_vertex[vp], 0) - self.vp_offset.take(vp, 0)
+        ss = np.flatnonzero(keep[self.ss_rows])
+        if len(ss):
+            center_a, center_b = center_a.take(ss, 0), center_b.take(ss, 0)
+            delta, dist = delta.take(ss, 0), dist[ss]
             coincident = dist < 1e-12
             unit = delta / np.where(coincident, 1.0, dist)[:, None]
             if coincident.any():
@@ -326,14 +335,13 @@ class CandidateTable:
                 for ca in center_a[coincident]:
                     log.warning("coincident sphere centers at %s; using fallback normal %s",
                                 ca, up)
-            x0[self.ss_rows] = self.reach - dist
-            normal[self.ss_rows] = unit
+            normal[self.ss_rows[ss]] = unit
             # Midpoint of the overlap segment between the two surface points.
-            point[self.ss_rows] = 0.5 * ((center_b + self.radius_b * unit)
-                                         + (center_a - self.radius_a * unit))
-        keep = np.flatnonzero(~(x0 <= -margin))
-        return ContactSet(self.pair[keep], point[keep], normal[keep], x0[keep],
-                          self.feature[keep], self.key[keep])
+            point[self.ss_rows[ss]] = 0.5 * ((center_b + self.radius_b.take(ss, 0) * unit)
+                                             + (center_a - self.radius_a.take(ss, 0) * unit))
+        keep = np.flatnonzero(keep)
+        return ContactSet(self.pair.take(keep, 0), point.take(keep, 0), normal.take(keep, 0),
+                          x0[keep], self.feature[keep], self.key[keep])
 
 
 def quaternion_matrix(q) -> np.ndarray:

@@ -7,15 +7,16 @@ Minimizes
 which is strongly convex whenever every per-contact cost is convex.  The
 Newton system (A + J' G J) dv = -grad uses the per-contact model Hessians G,
 so the system matrix is symmetric positive definite and a Cholesky solve
-applies.  The matrix is built in one shot from the problem's stacked J:
-one batched product G_i @ J_i over the (n, dim, dim) Hessian blocks, then
-one GEMM J' (G J) added to the world's cached dense A.  The solver checks
-that matrix for non-finite entries itself (a `SolverFailure`), then factors
-and solves it with LAPACK's dpotrf / dpotrs called directly (`cho_factor`,
-`cho_solve`), without scipy's wrappers and their checks.  The per-step
-condition number reuses the Hessians the solver holds at its final iterate,
-and the per-contact stiction tolerances of `Solution` come from the same
-kernel build, the one of the step.
+applies.  The matrix is built in one shot from the problem's stacked J
+over the contacts whose Hessian block is not all zero (the others add
+exact zeros): one batched product G_i @ J_i, then one GEMM J' (G J) added
+to the world's cached dense A.  The solver checks that matrix for
+non-finite entries itself (a `SolverFailure`), then factors and solves it
+with LAPACK's dpotrf / dpotrs called directly (`cho_factor`, `cho_solve`),
+without scipy's wrappers and their checks.  The per-step condition number
+reuses the Hessians the solver holds at its final iterate and runs the
+eigensolve on the coupled dofs only.  The per-contact stiction tolerances
+of `Solution` come from the same kernel build, the one of the step.
 
 Line search: exact, on the convex section phi(a) = l_p(v + a*step), and
 driven by phi'(a) alone (see _line_search).  The per-contact potentials sit
@@ -158,9 +159,14 @@ _NEAR = 5.0
 
 
 def _newton_matrix(problem: StepProblem, hessians: np.ndarray) -> np.ndarray:
-    """A + J' G J with G = blockdiag(hessians): one batched G @ J_i, one GEMM."""
-    j3 = problem.J.reshape(len(hessians), problem.dim, problem.n_v)
-    return problem.A + problem.J.T @ (hessians @ j3).reshape(problem.J.shape)
+    """A + J' G J with G = blockdiag(hessians), summed over the contacts whose
+    block is not all zero (a NaN block counts): bitwise the full product."""
+    active = np.flatnonzero(hessians.any(axis=(1, 2)))
+    if not active.size:
+        return problem.A
+    j3 = problem.J.reshape(len(hessians), problem.dim, problem.n_v)[active]
+    j_a = j3.reshape(-1, problem.n_v)
+    return problem.A + j_a.T @ (hessians[active] @ j3).reshape(j_a.shape)
 
 
 def _line_search(problem: StepProblem, batch: ContactBatch, v, step, momentum, slope, gammas):
@@ -400,7 +406,9 @@ def condition_number(problem: StepProblem, v: np.ndarray,
 
     hessians, when given, are the contact Hessians G at v (the solver hands
     over the ones it holds at its final iterate); otherwise they are
-    evaluated here.  A non-finite matrix, or eigenvalues that do not
+    evaluated here.  A dof with no nonzero entry off the diagonal in its row
+    or column gives its diagonal entry as an eigenvalue; the eigensolve runs
+    on the other dofs only.  A non-finite matrix, or eigenvalues that do not
     converge or are not finite, raise `SolverFailure`.
     """
     if hessians is None:
@@ -408,12 +416,19 @@ def condition_number(problem: StepProblem, v: np.ndarray,
     matrix = _newton_matrix(problem, hessians)
     if not np.isfinite(matrix).all():
         raise SolverFailure("non-finite Newton matrix")
-    # The gufunc behind np.linalg.eigvalsh, the same LAPACK call and bits
-    # without the wrapper's checks (the matrix is a finite float64 square).
-    # Where LAPACK does not converge it returns NaN and raises the invalid
-    # flag, which would otherwise warn.
-    with np.errstate(invalid="ignore"):
-        eigs = eigvalsh_lo(matrix, signature="d->d")
-    if not np.isfinite(eigs).all():
-        raise SolverFailure("condition number: eigenvalues did not converge or overflowed")
-    return float(eigs[-1] / eigs[0])
+    # Coupling on the symmetric pattern: LAPACK reads the lower triangle only.
+    off = matrix != 0.0
+    np.fill_diagonal(off, False)
+    coupled = (off | off.T).any(axis=1)
+    eigs = matrix.diagonal()[~coupled]
+    if coupled.any():
+        rows = np.flatnonzero(coupled)
+        # The gufunc behind np.linalg.eigvalsh, its LAPACK call and bits
+        # without the wrapper's checks.  Where LAPACK does not converge it
+        # returns NaN and raises the invalid flag, which would otherwise warn.
+        with np.errstate(invalid="ignore"):
+            sub = eigvalsh_lo(matrix.take(rows, 0).take(rows, 1), signature="d->d")
+        if not np.isfinite(sub).all():
+            raise SolverFailure("condition number: eigenvalues did not converge or overflowed")
+        eigs = np.concatenate([eigs, sub])
+    return float(eigs.max() / eigs.min())

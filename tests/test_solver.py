@@ -101,41 +101,116 @@ def test_condition_number_increases_with_stiffness():
     assert conds[1] > conds[0]
 
 
-def test_condition_number_without_contacts_is_mass_anisotropy():
+def test_condition_number_without_contacts_is_mass_anisotropy(monkeypatch):
+    # No dof is coupled (H = A = diag(m, m, I)), so no eigensolve runs and
+    # the result is exactly max(diag) / min(diag).
     world = resting_disk_world()
     world.bodies[1].position = np.array([0.0, 2.0])
     problem = assemble_problem(world, 1e-3, "lagged")
+
+    def no_eigensolve(a, signature):
+        raise AssertionError("eigensolve on a decoupled matrix")
+
+    monkeypatch.setattr(solver_module, "eigvalsh_lo", no_eigensolve)
     cond = condition_number(problem, problem.v_star)
     m, inertia = 0.5, 0.5 * 0.5 * 0.025 ** 2
     assert cond == pytest.approx(m / inertia, rel=1e-12)
+    diag = problem.A.diagonal()
+    assert cond == float(diag.max() / diag.min())
+
+
+def coupled_dofs(matrix):
+    """Dofs with a nonzero entry off the diagonal in their row or column."""
+    off = matrix != 0.0
+    np.fill_diagonal(off, False)
+    return off.any(axis=0) | off.any(axis=1)
 
 
 def test_condition_number_eigenvalues_equal_eigvalsh_bitwise():
-    # condition_number calls the gufunc behind np.linalg.eigvalsh directly;
-    # a numpy whose private gufunc moved or changed would fail here first.
+    # condition_number runs the gufunc behind np.linalg.eigvalsh on the
+    # coupled dofs only, and takes each decoupled dof's diagonal entry as an
+    # eigenvalue; a numpy whose private gufunc moved or changed would fail
+    # here first.
     sim = Simulation(ScenarioSpec("clutter", seed=3))
-    for _ in range(30):
-        sim.step()
-    problem = sim.assemble()
-    sol = solve_step(problem, SolveOptions())
-    hessians = ContactBatch.build(problem).terms(problem.contact_velocities(sol.v))[2]
+    problem = sim.assemble()  # free fall: every contact is still apart
+    hessians = ContactBatch.build(problem).terms(problem.contact_velocities(problem.v0))[2]
     matrix = solver_module._newton_matrix(problem, hessians)
+    assert len(problem.keys) > 30 and not coupled_dofs(matrix).any()
     eigs = np.linalg.eigvalsh(matrix)
-    assert len(problem.keys) > 30
-    np.testing.assert_array_equal(solver_module.eigvalsh_lo(matrix, signature="d->d"), eigs)
-    assert condition_number(problem, sol.v, hessians=hessians) == float(eigs[-1] / eigs[0])
+    assert condition_number(problem, problem.v0, hessians=hessians) == float(eigs[-1] / eigs[0])
+    for steps in (20, 10):  # the first impacts, then mid-pile
+        for _ in range(steps):
+            sim.step()
+        problem = sim.assemble()
+        sol = solve_step(problem, SolveOptions())
+        hessians = ContactBatch.build(problem).terms(problem.contact_velocities(sol.v))[2]
+        matrix = solver_module._newton_matrix(problem, hessians)
+        coupled = coupled_dofs(matrix)
+        assert 0 < coupled.sum() < len(coupled)
+        eigs = np.concatenate([np.linalg.eigvalsh(matrix[np.ix_(coupled, coupled)]),
+                               matrix.diagonal()[~coupled]])
+        cond = condition_number(problem, sol.v, hessians=hessians)
+        assert cond == float(eigs.max() / eigs.min())
+        full = np.linalg.eigvalsh(matrix)
+        tol = 8 * len(matrix) * np.finfo(float).eps * full[-1]
+        assert abs(eigs.min() - full[0]) <= tol
+        assert abs(eigs.max() - full[-1]) <= tol
 
 
 def test_condition_number_failure_is_a_solver_failure(monkeypatch):
     # LAPACK's non-convergence reaches condition_number as NaN eigenvalues
-    # and the invalid flag (here from 0 / 0), which must not warn.
-    problem = assemble_problem(resting_disk_world(), 1e-3, "lagged")
+    # and the invalid flag (here from 0 / 0), which must not warn.  The
+    # previous impulse makes friction couple vx and the spin, so the
+    # eigensolve runs.
+    problem = assemble_problem(resting_disk_world(), 1e-3, "lagged",
+                               prev_impulses={(1, 0, 0): 1e-3 * 0.5 * 9.81})
+    hessians = ContactBatch.build(problem).terms(problem.contact_velocities(problem.v0))[2]
+    assert coupled_dofs(solver_module._newton_matrix(problem, hessians)).any()
     monkeypatch.setattr(solver_module, "eigvalsh_lo",
                         lambda a, signature: np.zeros(len(a)) / 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverFailure, match="condition number"):
             condition_number(problem, problem.v0)
+
+
+def full_newton_matrix(problem, hessians):
+    """A + J' G J summed over every contact."""
+    j3 = problem.J.reshape(len(hessians), problem.dim, problem.n_v)
+    return problem.A + problem.J.T @ (hessians @ j3).reshape(problem.J.shape)
+
+
+def test_newton_matrix_over_active_contacts_is_the_full_product():
+    # The contacts whose Hessian block is all zero are left out of J' G J;
+    # the matrix must stay bitwise the all-contact product.
+    seen = {"partial": 0, "none": 0}
+    for model in ("lagged", "similar", "sap"):
+        sim = Simulation(ScenarioSpec("clutter", seed=3, model=model))
+        for steps in (0, 30):  # at release, then mid-pile
+            for _ in range(steps):
+                sim.step()
+            problem = sim.assemble()
+            batch = ContactBatch.build(problem)
+            sol = solve_step(problem, SolveOptions())
+            for v in (problem.v0, sol.v):
+                hessians = batch.terms(problem.contact_velocities(v))[2]
+                active = hessians.any(axis=(1, 2))
+                matrix = solver_module._newton_matrix(problem, hessians)
+                assert np.array_equal(matrix, full_newton_matrix(problem, hessians))
+                if not active.any():
+                    seen["none"] += 1
+                    assert np.array_equal(matrix, problem.A)  # all zero: H is A
+                seen["partial"] += 0 < active.sum() < len(active)
+    assert seen["partial"] and seen["none"]
+    # A world with no contact at all.
+    world = resting_disk_world()
+    world.bodies[1].position = np.array([0.0, 1.0])
+    problem = assemble_problem(world, 1e-3, "lagged")
+    hessians = ContactBatch.build(problem).terms(problem.contact_velocities(problem.v0))[2]
+    assert problem.J.shape == (0, problem.n_v) and hessians.shape == (0, 2, 2)
+    matrix = solver_module._newton_matrix(problem, hessians)
+    assert np.array_equal(matrix, full_newton_matrix(problem, hessians))
+    assert np.array_equal(matrix, problem.A)
 
 
 def test_max_iters_reports_non_convergence():
