@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .batch import model_id
 from .scenarios import ScenarioSpec, Trajectory, run_scenario
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "slide_roll_transition",
     "stiction_dwell",
     "peak_force",
+    "BASELINE_FRACTION",
     "force_amplification",
     "contact_breaks_after_peak",
     "PHASE_BOUNDARY",
@@ -179,6 +181,8 @@ def gliding_offset(traj: Trajectory, window) -> dict:
 
 def predicted_gliding_offset(model: str, mu: float, dt: float, tau_d: float,
                              slip: float) -> float:
+    """The gliding offset that model predicts; an unknown model id raises."""
+    model = model_id(model)
     if model == "sap":
         return mu * (dt + tau_d) * slip
     if model == "similar":
@@ -227,13 +231,17 @@ def peak_force(traj: Trajectory) -> dict:
     return {"index": i, "time": float(traj.step_times[i]), "force": float(f[i])}
 
 
-def force_amplification(traj: Trajectory, baseline_fraction: float = 0.3) -> float:
+# Share of the contact-to-peak span whose median force is the early-slide baseline.
+BASELINE_FRACTION = 0.3
+
+
+def force_amplification(traj: Trajectory) -> float:
     """Peak normal force over its early-slide baseline (median of the first
-    fraction of the contact-to-peak span, robust to impact ringing)."""
+    BASELINE_FRACTION of the contact-to-peak span, robust to impact ringing)."""
     f = np.nan_to_num(traj.f_n, nan=0.0).max(axis=1)
     peak = peak_force(traj)
     i_contact = np.flatnonzero(f > 0.0)[0]
-    i_base = i_contact + max(int(baseline_fraction * (peak["index"] - i_contact)), 1)
+    i_base = i_contact + max(int(BASELINE_FRACTION * (peak["index"] - i_contact)), 1)
     baseline = np.median(f[i_contact:i_base][f[i_contact:i_base] > 0.0])
     return peak["force"] / baseline
 
@@ -247,19 +255,18 @@ def contact_breaks_after_peak(traj: Trajectory) -> bool:
 PHASE_BOUNDARY = 2.0
 
 
-def phase_steps(traj: Trajectory, phase_boundary: float = PHASE_BOUNDARY) -> tuple:
-    """(steps in the impact phase, t < phase_boundary, steps after it)."""
-    impact = int((traj.step_times < phase_boundary).sum())
+def phase_steps(traj: Trajectory) -> tuple:
+    """(steps in the impact phase, t < PHASE_BOUNDARY, steps after it)."""
+    impact = int((traj.step_times < PHASE_BOUNDARY).sum())
     return impact, len(traj.step_times) - impact
 
 
-def clutter_metrics(traj: Trajectory, tail: float = 1.25,
-                    phase_boundary: float = PHASE_BOUNDARY) -> dict:
+def clutter_metrics(traj: Trajectory, tail: float = 1.25) -> dict:
     """Summary metrics for the clutter runs.
 
     Mean penetration is averaged over actually penetrating samples in the
     trailing window; iteration and conditioning means are split into the
-    impact phase (t < phase_boundary) and the settled phase; a phase with
+    impact phase (t < PHASE_BOUNDARY) and the settled phase; a phase with
     no step (`phase_steps`) reads nan.
     """
     t = traj.step_times
@@ -268,7 +275,7 @@ def clutter_metrics(traj: Trajectory, tail: float = 1.25,
     tail_mask = t >= (traj.spec.duration - tail)
     x0 = traj.x0[tail_mask]
     pen = x0[np.nan_to_num(x0, nan=-1.0) > 0.0]
-    impact = t < phase_boundary
+    impact = t < PHASE_BOUNDARY
     settled = ~impact
     eps = traj.eps_s
 

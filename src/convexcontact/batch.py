@@ -56,12 +56,13 @@ kernel with the impact-softened stiction tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["ContactBatch", "FrictionParams", "HuntCrossley", "UnsupportedLaw", "MODEL_IDS",
-           "model_id"]
+           "model_id", "check_integer"]
 
 # Model ids accepted by the stepping pipeline.  "lagged_regularized" is the
 # lagged model with the impact-softened stiction tolerance switched on.
@@ -135,6 +136,15 @@ def model_id(model: str) -> str:
     if model not in MODEL_IDS:
         raise ValueError(f"unknown model id {model!r}; expected one of {MODEL_IDS}")
     return model
+
+
+def check_integer(name: str, value) -> None:
+    """A ValueError naming the field unless value is an integer, as
+    operator.index takes it (numpy integers included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class ContactBatch:

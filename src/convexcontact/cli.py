@@ -7,7 +7,8 @@ Subcommands
     validate  potential-existence checks -> key=value report
 
 Configs are flat key=value text files whose keys are exactly the
-`ScenarioSpec` fields; command-line flags override file entries, unknown
+`ScenarioSpec` fields, each also a flag (--tau-d for tau_d) and read as the
+field's type (str, int, else float); flags override file entries, unknown
 keys are rejected, and the output paths (--out, --summary) are flags only.
 Every run's effective configuration is echoed into the summary header.
 CSV files carry a header row first and print floats with 17 significant
@@ -25,6 +26,7 @@ import os
 import sys
 import tempfile
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,9 +36,11 @@ from .scenarios import CHANNELS, SCENARIO_IDS, ScenarioSpec, ScenarioError, run_
 
 SCHEMA_VERSION = 1
 
-_SPEC_KEYS = tuple(f.name for f in fields(ScenarioSpec))
-_INT_KEYS = {"seed", "n_bodies"}
-_STR_KEYS = {"scenario", "model"}
+_HINTS = get_type_hints(ScenarioSpec)
+# ScenarioSpec's fields in order, each with the type of its flag and config entry.
+_SPEC_TYPES = {f.name: _HINTS[f.name] if _HINTS[f.name] in (str, int) else float
+               for f in fields(ScenarioSpec)}
+_CHOICES = {"scenario": SCENARIO_IDS, "model": MODEL_IDS}
 
 
 class ConfigError(ValueError):
@@ -68,26 +72,24 @@ def read_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SPEC_KEYS:
+        if key not in _SPEC_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
 
 
 def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in _STR_KEYS:
+    if not isinstance(value, str):
         return value
     try:
-        return int(value) if key in _INT_KEYS else float(value)
+        return _SPEC_TYPES[key](value)
     except ValueError as err:
         raise ConfigError(f"{key}: {err}") from err
 
 
 def _spec_from(args, file_cfg: dict) -> ScenarioSpec:
     merged = dict(file_cfg)
-    for key in _SPEC_KEYS:
+    for key in _SPEC_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -305,19 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_spec_flags(p):
         p.add_argument("--config", help="flat key=value parameter file")
-        p.add_argument("--scenario", choices=SCENARIO_IDS)
-        p.add_argument("--model", choices=MODEL_IDS)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--duration", type=float)
-        p.add_argument("--stiffness", type=float)
-        p.add_argument("--dissipation", type=float)
-        p.add_argument("--tau-d", dest="tau_d", type=float)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--v-s", dest="v_s", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--n-bodies", dest="n_bodies", type=int)
-        p.add_argument("--margin", type=float)
+        for name, kind in _SPEC_TYPES.items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                           choices=_CHOICES.get(name))
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--summary", help="summary text path (stdout either way)")
 

@@ -17,11 +17,11 @@ world under one key, checked once per step: its dimension, gravity, and
 each body's shape, motion, mass, inertia and prescribed velocity, and
 whether the world holds the body's state (an appended or replaced body does
 not yet).  Changing any of them rebuilds the cache and binds the state
-arrays again.  It holds
+arrays again.  This layout (`_Layout`, built by `_build_layout`) holds
 
-- the mass arrays (`MassArrays`): the free-body index and slot
-  arrays, the dense block-diagonal mass matrix A (n_v, n_v), the inverse
-  mass blocks and the gravity acceleration A^-1 f_ext.  Every mass block
+- the mass data in dof order: the free-body index and slot arrays, the
+  dense block-diagonal mass matrix A (n_v, n_v), the inverse mass blocks
+  and the gravity acceleration A^-1 f_ext.  Every mass block
   comes from `mass_blocks`: diag(m, m, I) in 2D, diag(m 1, I 1) in 3D for a
   scalar inertia I, which no rotation changes, and diag(m 1, R I R') for a
   3x3 body-frame inertia I, the only rows rotated and inverted again on
@@ -39,7 +39,7 @@ cached candidates and the world's position array, which returns the
 contacts as arrays (`collision.ContactSet`), and freezes one StepProblem in
 array form, built in one vectorized pass over all bodies and all contacts:
 
-- A, shared with the world's cached mass arrays and read-only;
+- A, shared with the world's cached layout and read-only;
 - v0, a copy of the world's velocity array, and the free-motion velocity
   v* = v0 + dt * A^-1 * f_ext;
 - J (n * dim, n_v), the contact frame Jacobians stacked row-wise: rows
@@ -53,9 +53,9 @@ array form, built in one vectorized pass over all bodies and all contacts:
 - per contact, its key (body a, body b, feature), packed into one int64
   (`collision.pack_keys`; `StepProblem.keys` gives the tuples), the
   penetration x0 (n,) and the previous-step normal impulse gamma_n0 (n,),
-  matched by key in the previous step's `ImpulseMemory` (one
-  np.searchsorted; a dict is converted to one first), and zero for fresh
-  contacts;
+  matched by key in the previous step's `ImpulseMemory`, that step's own
+  keys and impulses in contact order (one np.intersect1d; a dict is
+  converted to one first), and zero for fresh contacts;
 - the world's one contact material: its Hunt & Crossley law and friction
   parameters, from which `batch.ContactBatch.build` makes the kernel
   parameters.
@@ -72,14 +72,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .batch import FrictionParams, HuntCrossley, model_id
+from .batch import FrictionParams, HuntCrossley, check_integer, model_id
 from .collision import (CandidateTable, HalfSpace, Shape, detect_contacts, pack_keys,
                         quaternion_matrix, unpack_keys)
 
 __all__ = [
     "Body",
     "World",
-    "MassArrays",
     "ImpulseMemory",
     "NonFinitePose",
     "StepProblem",
@@ -198,6 +197,7 @@ class World:
     _token: object = field(default_factory=object, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_integer("dim", self.dim)
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.gravity is None:
@@ -242,12 +242,7 @@ class World:
         arrays bound again, whenever its key (`_key`) changes; the one key
         check of a step."""
         if self._cache is None or self._cache.key != self._key():
-            mass = _build_mass_arrays(self)
-            table = CandidateTable.build(self.bodies)
-            self._bind_state(mass.free)
-            self._cache = _Layout(self._key(), mass, table,
-                                  [(i, b.prescribed_velocity) for i, b in enumerate(self.bodies)
-                                   if b.motion != "free" and b.prescribed_velocity is not None])
+            self._cache = _build_layout(self)
         return self._cache
 
     def _bind_state(self, free: np.ndarray) -> None:
@@ -265,7 +260,7 @@ class World:
     def free_state(self) -> tuple:
         """(q, v) of the free bodies, one row per body in dof order:
         position then orientation, and generalized velocity; copies."""
-        free = self._layout().mass.free
+        free = self._layout().free
         return (np.concatenate([self.position[free], self.orientation], axis=1),
                 self.velocity.copy())
 
@@ -276,11 +271,13 @@ class World:
 
 
 @dataclass(frozen=True)
-class MassArrays:
-    """A world's mass data in dof order, built once per layout
-    (`World._layout`); `assemble_problem` rotates the rows with a 3x3
-    inertia to the current orientations on every step."""
+class _Layout:
+    """What a world's body layout holds constant, built once per layout
+    (`World._layout`): the mass data in dof order, the contact candidates
+    and the driven bodies.  `assemble_problem` rotates the rows with a 3x3
+    inertia to the current orientations on every step (`_rotated`)."""
 
+    key: tuple
     free: np.ndarray  # indices of the free bodies
     # Per body, the column block of its dofs; n_free for prescribed bodies,
     # a scratch block that the Jacobian assembly drops.
@@ -291,31 +288,18 @@ class MassArrays:
     a_inv: np.ndarray  # (n_free + 1, nv_body, nv_body)
     accel: np.ndarray  # (n_free, nv_body), A^-1 f_ext per body
     rotating: np.ndarray  # rows of the free bodies with a 3x3 inertia
-
-
-@dataclass
-class _Layout:
-    """What a world's body layout holds constant; see `World._layout`."""
-
-    key: tuple
-    mass: MassArrays
     table: CandidateTable
     driven: list  # (body index, prescribed_velocity) of the prescribed bodies that have one
 
 
 class ImpulseMemory(NamedTuple):
     """The normal impulses of a step's contacts by packed contact key
-    (`collision.pack_keys`), keys sorted: the previous-step impulses that
-    `assemble_problem` matches with one np.searchsorted."""
+    (`collision.pack_keys`), keys unique and in any order (a step keeps its
+    own, in contact order): the previous-step impulses that
+    `assemble_problem` matches by key."""
 
-    key: np.ndarray  # (m,) int64, sorted
+    key: np.ndarray  # (m,) int64, unique
     gamma: np.ndarray  # (m,)
-
-    @classmethod
-    def of(cls, key: np.ndarray, gamma: np.ndarray) -> "ImpulseMemory":
-        """The memory of impulses gamma (n,) by packed keys (n,), in any order."""
-        order = np.argsort(key)
-        return cls(key[order], gamma[order])
 
     @classmethod
     def from_any(cls, memory) -> "ImpulseMemory":
@@ -325,7 +309,7 @@ class ImpulseMemory(NamedTuple):
             return memory
         memory = memory or {}
         parts = np.array(list(memory), dtype=np.int64).reshape(-1, 3).T
-        return cls.of(pack_keys(*parts), np.array(list(memory.values()), dtype=float))
+        return cls(pack_keys(*parts), np.array(list(memory.values()), dtype=float))
 
 
 @dataclass
@@ -457,7 +441,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _build_mass_arrays(world: World) -> MassArrays:
+def _build_layout(world: World) -> _Layout:
+    """The layout constants of world as its bodies are now, after binding
+    its state arrays (`World._bind_state`)."""
     dim, nvb = world.dim, world.nv_per_body
     free = world.free_bodies
     if not free:
@@ -470,28 +456,31 @@ def _build_mass_arrays(world: World) -> MassArrays:
     a4[np.arange(n_free), :, np.arange(n_free), :] = blocks
     slot = np.full(len(world.bodies), n_free)
     slot[free] = np.arange(n_free)
-    free = np.array(free)
     force = np.zeros((n_free, nvb))
     force[:, :dim] = np.array([b.mass for b in bodies])[:, None] * world.gravity
     rotating = [i for i, b in enumerate(bodies) if np.ndim(b.inertia) != 0] if dim == 3 else []
-    return MassArrays(free=_frozen(free), slot=_frozen(slot),
-                      A=_frozen(a4.reshape(nvb * n_free, nvb * n_free)),
-                      a_inv=_frozen(np.concatenate([a_inv, np.zeros((1, nvb, nvb))])),
-                      accel=_frozen(np.einsum("sij,sj->si", a_inv, force)),
-                      rotating=np.array(rotating, dtype=int))
+    table = CandidateTable.build(world.bodies)
+    world._bind_state(free)
+    return _Layout(key=world._key(), free=_frozen(np.array(free)), slot=_frozen(slot),
+                   A=_frozen(a4.reshape(nvb * n_free, nvb * n_free)),
+                   a_inv=_frozen(np.concatenate([a_inv, np.zeros((1, nvb, nvb))])),
+                   accel=_frozen(np.einsum("sij,sj->si", a_inv, force)),
+                   rotating=np.array(rotating, dtype=int), table=table,
+                   driven=[(i, b.prescribed_velocity) for i, b in enumerate(world.bodies)
+                           if b.motion != "free" and b.prescribed_velocity is not None])
 
 
-def _rotated(world: World, arrays: MassArrays) -> MassArrays:
-    """arrays with the rows of a 3x3 inertia rotated to the bodies' current
-    orientations; the cached arrays stay as they are."""
-    rows = arrays.rotating
-    blocks = _checked_blocks([world.bodies[arrays.free[r]] for r in rows], world.dim)
-    a_inv = arrays.a_inv.copy()
+def _rotated(world: World, layout: _Layout) -> _Layout:
+    """layout with the rows of a 3x3 inertia rotated to the bodies' current
+    orientations; the cached layout stays as it is."""
+    rows = layout.rotating
+    blocks = _checked_blocks([world.bodies[layout.free[r]] for r in rows], world.dim)
+    a_inv = layout.a_inv.copy()
     a_inv[rows] = np.linalg.inv(blocks)
-    n_free, nvb = len(arrays.free), world.nv_per_body
-    a4 = arrays.A.reshape(n_free, nvb, n_free, nvb).copy()
+    n_free, nvb = len(layout.free), world.nv_per_body
+    a4 = layout.A.reshape(n_free, nvb, n_free, nvb).copy()
     a4[rows, :, rows, :] = blocks
-    return replace(arrays, A=a4.reshape(arrays.A.shape), a_inv=a_inv)
+    return replace(layout, A=a4.reshape(layout.A.shape), a_inv=a_inv)
 
 
 def assemble_problem(world: World, dt: float, model: str,
@@ -511,15 +500,14 @@ def assemble_problem(world: World, dt: float, model: str,
     model_id(model)
     dim, nvb = world.dim, world.nv_per_body
     layout = world._layout()
-    mass = layout.mass
-    _check_pose(world, mass.free)
-    if len(mass.rotating):
-        mass = _rotated(world, mass)
-    n_free = len(mass.free)
+    _check_pose(world, layout.free)
+    if len(layout.rotating):
+        layout = _rotated(world, layout)
+    n_free = len(layout.free)
     n_v = nvb * n_free
-    slot = mass.slot
+    slot = layout.slot
     v0 = world.velocity.copy()
-    v_star = v0 + dt * mass.accel
+    v_star = v0 + dt * layout.accel
 
     position = world.position
     found = detect_contacts(world.bodies, world.margin, layout.table, position)
@@ -543,9 +531,9 @@ def assemble_problem(world: World, dt: float, model: str,
     j5 = np.zeros((n, dim, n_free + 1, nvb))
     j5[np.arange(n)[:, None], :, slot[pair]] = jac
     J = j5[:, :, :n_free].reshape(n * dim, n_v)
-    a_pair = mass.a_inv[slot[pair]]
+    a_pair = layout.a_inv[slot[pair]]
 
-    return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=mass.A,
+    return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=layout.A,
                        v0=v0.ravel(), v_star=v_star.ravel(), J=J, bias=bias,
                        key=found.key, x0=found.x0,
                        gamma_n0=_previous_impulses(prev_impulses, found),
@@ -572,11 +560,10 @@ def _previous_impulses(memory, found) -> np.ndarray:
     """gamma_n0 (n,): each contact's impulse in memory (`ImpulseMemory.from_any`),
     0 for a contact it does not hold."""
     memory = ImpulseMemory.from_any(memory)
-    at = np.searchsorted(memory.key, found.key)
-    held = at < len(memory.key)
-    held[held] = memory.key[at[held]] == found.key[held]
+    _, held, at = np.intersect1d(memory.key, found.key, assume_unique=True,
+                                 return_indices=True)
     gamma = np.zeros(len(found))
-    gamma[held] = memory.gamma[at[held]]
+    gamma[at] = memory.gamma[held]
     ok = (gamma >= 0.0) & (gamma < np.inf)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -632,7 +619,7 @@ def advance_state(bodies, v_next: np.ndarray, dt: float) -> Optional[tuple]:
     """
     if isinstance(bodies, World):
         world, moving = bodies, None
-        free = world._layout().mass.free
+        free = world._layout().free
         position, orientation = world.position[free], world.orientation
         # A copy that owns its data: the caller keeps it as a state row.
         v_next = np.array(np.reshape(v_next, world.velocity.shape), dtype=float)

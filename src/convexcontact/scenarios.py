@@ -32,8 +32,8 @@ moment it is built.
 
 `Simulation.step` assembles, solves and advances the world through the
 module attributes `assemble_problem`, `solve_step` and `advance_state`,
-once each.  It keeps the impulse memory as a `dynamics.ImpulseMemory`
-(packed contact keys and their impulses), records each step's packed keys
+once each.  Its impulse memory (`dynamics.ImpulseMemory`) is the step's own
+packed contact keys and normal impulses; it records each step's packed keys
 and contact channels as arrays, and takes the state rows from the world's
 state arrays; `trajectory()` unpacks the keys once, at the end of a run.
 """
@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .batch import ContactBatch, FrictionParams, HuntCrossley, model_id
+from .batch import ContactBatch, FrictionParams, HuntCrossley, check_integer, model_id
 from .collision import Box, HalfSpace, Rod, Sphere, quaternion_matrix, unpack_keys
 from .dynamics import (Body, ImpulseMemory, NonFinitePose, World, advance_state,
                        assemble_problem)
@@ -106,6 +106,8 @@ class ScenarioSpec:
         if self.scenario not in SCENARIO_IDS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_IDS}")
         model_id(self.model)
+        for name in ("seed", "n_bodies"):
+            check_integer(name, getattr(self, name))
         for name, default in zip(_DEFAULTED, _DEFAULTS[self.scenario]):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
@@ -372,7 +374,7 @@ class Simulation:
         problem = assemble_problem(self.world, self.spec.dt, self.spec.model)
         v_n = problem.contact_velocities(problem.v0)[:, -1]
         impulses = ContactBatch.build(problem).hunt_crossley(v_n)[1]
-        return ImpulseMemory.of(problem.key, impulses)
+        return ImpulseMemory(problem.key, impulses)
 
     def assemble(self):
         return assemble_problem(self.world, self.spec.dt, self.spec.model,
@@ -419,7 +421,8 @@ class Simulation:
             state = advance_state(self.world, sol.v, dt)
         except ValueError as err:
             raise self._error(f": {err}") from err
-        self.memory = ImpulseMemory.of(problem.key, gamma_n)
+        # A copy: the memory must not alias the Solution that step returns.
+        self.memory = ImpulseMemory(problem.key, gamma_n.copy())
         self.world.time += dt
         self.step_index += 1
         self._records.append((problem.key, rows, sol.iterations, sol.condition_number,

@@ -55,7 +55,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvalsh_lo
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .batch import ContactBatch
+from .batch import ContactBatch, check_integer
 from .dynamics import StepProblem
 
 __all__ = ["SolveOptions", "Solution", "SolverFailure", "solve_step", "condition_number",
@@ -77,6 +77,7 @@ class SolveOptions:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
+        check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley, model_id
+from .batch import MODEL_IDS, ContactBatch, FrictionParams, HuntCrossley, check_integer, model_id
 
 __all__ = ["CheckData", "SamplingSpec", "ValidationReport", "FIELD_IDS", "check_gradient",
            "check_curl", "check_psd", "canonical_data"]
@@ -71,6 +71,8 @@ class SamplingSpec:
     regime: str = "mixed"
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            check_integer(name, getattr(self, name))
         if self.samples <= 0 or self.seed < 0:
             raise ValueError(f"need samples > 0 and seed >= 0, got {self.samples}, {self.seed}")
         if self.regime not in ("mixed", "sliding"):
@@ -125,6 +127,7 @@ class CheckData:
             raise ValueError(f"gamma_n0 must be finite and >= 0, got {self.gamma_n0}")
         if not self.w > 0.0:
             raise ValueError(f"w must be positive, got {self.w}")
+        check_integer("dim", self.dim)
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 

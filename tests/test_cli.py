@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ def test_unknown_config_key_rejected(tmp_path, capsys, monkeypatch):
         assert code == 2
         assert key in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "s.txt").exists()
+
+
+def test_config_entry_and_flag_give_the_same_spec(tmp_path):
+    # Every ScenarioSpec field is both a config key and a flag, read as the
+    # field's type either way.
+    from convexcontact import cli
+
+    values = {"scenario": "belt", "model": "sap", "dt": 0.004, "duration": 0.5,
+              "stiffness": 2e6, "dissipation": 3.0, "tau_d": 2e-4, "mu": 0.4, "v_s": 2e-4,
+              "sigma": 2e-3, "seed": 7, "n_bodies": 5, "margin": 0.04}
+    assert list(values) == [f.name for f in fields(ScenarioSpec)]
+    parser = cli.build_parser()
+    cfg = tmp_path / "spec.cfg"
+    for name, value in values.items():
+        entries = {"scenario": "clutter", name: value}
+        cfg.write_text("".join(f"{key} = {v}\n" for key, v in entries.items()))
+        from_file = cli._spec_from(parser.parse_args(["run", "--config", str(cfg)]),
+                                   read_config(str(cfg)))
+        flags = [arg for key, v in entries.items()
+                 for arg in ("--" + key.replace("_", "-"), str(v))]
+        from_flags = cli._spec_from(parser.parse_args(["run", *flags]), {})
+        assert from_file == from_flags == ScenarioSpec(**entries), name
+        assert type(getattr(from_file, name)) is type(value), name
 
 
 def test_missing_scenario_is_config_error(capsys):

@@ -76,7 +76,7 @@ class TestAssembly:
         world = disk_world(y=0.025 - 1e-6)
         memory = {(1, 0, 0): value}
         if as_memory:
-            memory = ImpulseMemory.of(pack_keys([1], [0], [0]), np.array([value]))
+            memory = ImpulseMemory(pack_keys([1], [0], [0]), np.array([value]))
         with pytest.raises(ValueError, match=r"contact \(1, 0, 0\) must be finite and >= 0"):
             assemble_problem(world, 1e-3, "lagged", prev_impulses=memory)
 
@@ -85,12 +85,15 @@ class TestAssembly:
         # step does not have are ignored, whatever their value.
         world = disk_world(y=0.025 - 1e-6)
         key = pack_keys([0, 1, 1], [1, 0, 0], [0, 0, 1])
-        memory = ImpulseMemory.of(key, np.array([np.nan, 0.25, -1.0]))
+        memory = ImpulseMemory(key, np.array([np.nan, 0.25, -1.0]))
         assert assemble_problem(world, 1e-3, "lagged", memory).gamma_n0.tolist() == [0.25]
-        memory = ImpulseMemory.of(pack_keys([0], [1], [0]), np.array([0.5]))
+        memory = ImpulseMemory(pack_keys([0], [1], [0]), np.array([0.5]))
         assert assemble_problem(world, 1e-3, "lagged", memory).gamma_n0.tolist() == [0.0]
-        empty = ImpulseMemory.of(np.zeros(0, dtype=np.int64), np.zeros(0))
+        empty = ImpulseMemory(np.zeros(0, dtype=np.int64), np.zeros(0))
         assert assemble_problem(world, 1e-3, "lagged", empty).gamma_n0.tolist() == [0.0]
+        # Keys need not be sorted: a memory built straight from unsorted keys matches.
+        unsorted = ImpulseMemory(pack_keys([1, 1], [0, 0], [1, 0]), np.array([0.5, 0.25]))
+        assert assemble_problem(world, 1e-3, "lagged", unsorted).gamma_n0.tolist() == [0.25]
 
     @pytest.mark.parametrize("inertia,orientation", [
         (np.diag([1e-3, -1e-3, 1e-3]), [1.0, 0.0, 0.0, 0.0]),  # indefinite inertia
@@ -136,11 +139,13 @@ class TestAssembly:
         ({"margin": np.inf}, "margin"),
         ({"gravity": [0.0, 0.0]}, "gravity"),
         ({"gravity": [0.0, 0.0, np.nan]}, "gravity"),
+        ({"dim": 3.0}, "dim must be an integer"),
+        ({"dim": "3"}, "dim must be an integer"),
     ])
     def test_bad_world_parameters_rejected(self, kwargs, field):
         ground = Body("g", HalfSpace((0.0, 0.0, 1.0), 0.0), np.zeros(3), motion="prescribed")
         with pytest.raises(ValueError, match=field):
-            World(dim=3, bodies=[ground], **kwargs)
+            World(**{"dim": 3, "bodies": [ground], **kwargs})
 
     @pytest.mark.parametrize("kwargs,field", [
         ({"position": np.array([0.0, 1.0]), "orientation": 0.0}, "position"),  # a 2D body

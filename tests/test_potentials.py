@@ -282,6 +282,8 @@ def test_contact_data_validation():
         make_data(w=0.0)
     with pytest.raises(ValueError):
         make_data(dim=4)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        make_data(dim=3.0)
     with pytest.raises(ValueError):
         FrictionParams(mu=-0.1)
     with pytest.raises(ValueError):

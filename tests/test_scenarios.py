@@ -27,6 +27,11 @@ def test_spec_resolution_and_validation():
         ScenarioSpec("belt", model="bogus")
     # A seed too large for a float is still a valid seed, not an OverflowError.
     assert ScenarioSpec("clutter", seed=10 ** 400).seed == 10 ** 400
+    # An integer field takes any integer, numpy's included, and nothing else.
+    assert ScenarioSpec("clutter", seed=np.int64(3), n_bodies=np.int32(4)).n_bodies == 4
+    for name, value in (("seed", 1.5), ("n_bodies", 2.5), ("seed", "3")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ScenarioSpec("clutter", **{name: value})
     with pytest.raises(ValueError, match="overflows"):
         ScenarioSpec("belt", dt=1e-300, duration=1e10)
 
@@ -335,6 +340,11 @@ class TestAnalysis:
 
     def test_predicted_offsets(self):
         assert analysis.predicted_gliding_offset("lagged", 0.7, 1e-2, 1e-3, 0.3) == 0.0
+        assert analysis.predicted_gliding_offset("lagged_regularized", 0.7, 1e-2, 1e-3, 0.3) == 0.0
+        # A misspelt id is an error, not the lagged model's zero offset.
+        for bad in ("bogus", "Lagged"):
+            with pytest.raises(ValueError, match="unknown model id"):
+                analysis.predicted_gliding_offset(bad, 0.7, 1e-2, 1e-3, 0.3)
         assert analysis.predicted_gliding_offset("similar", 0.7, 1e-2, 1e-3, 0.3) == \
             pytest.approx(0.7 * 1e-2 * 0.3)
         assert analysis.predicted_gliding_offset("sap", 0.7, 1e-2, 1e-3, 0.3) == \

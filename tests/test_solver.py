@@ -227,6 +227,9 @@ def test_option_validation():
         SolveOptions(rel_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        SolveOptions(max_iters=2.5)
+    assert SolveOptions(max_iters=np.int64(2)).max_iters == 2
 
 
 def contact_kernels(problem):

@@ -251,7 +251,8 @@ def test_check_data_rejects_a_non_finite_or_non_positive_dt(dt):
     ({"speed_low": np.nan}, "speed_low"), ({"speed_high": np.inf}, "speed_high"),
     ({"speed_low": 2.0, "speed_high": 1.0}, "speed_low"),
     ({"x0_low": 2e-3}, "x0_low"), ({"x0_low": -np.inf}, "x0_low"),
-    ({"x0_high": np.nan}, "x0_high"), ({"x0_high": np.inf}, "x0_high")])
+    ({"x0_high": np.nan}, "x0_high"), ({"x0_high": np.inf}, "x0_high"),
+    ({"samples": 2.5}, "samples must be an integer"), ({"seed": 1.5}, "seed must be an integer")])
 def test_sampling_spec_rejects_bad_ranges(fields, name):
     # Speeds are log-uniform, so a bound <= 0 or inf would make every report NaN.
     with pytest.raises(ValueError, match=name):
