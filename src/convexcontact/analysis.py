@@ -64,26 +64,25 @@ def position_error(traj: Trajectory, ref: Trajectory, horizon: float) -> float:
     # The physical setup is everything but the model, step and margin.
     if replace(traj.spec, model=ref.spec.model, dt=ref.spec.dt, margin=ref.spec.margin) != ref.spec:
         raise ValueError("trajectories come from different scenario setups")
-    if [l[:2] for l in traj.q_layout] != [l[:2] for l in ref.q_layout]:
+    rows, ref_rows = traj.body_rows(), ref.body_rows()
+    if [r[:2] for r in rows] != [r[:2] for r in ref_rows]:
         raise ValueError("trajectories have mismatched body layouts")
     t = traj.times[traj.times <= horizon + 1e-12]
     if t.size < 2:
         raise ValueError("horizon shorter than one step")
-    ref_q = _interp_rows(ref.times, ref.q, t)
     d2 = np.zeros(t.size)
-    for (_, kind, col) in traj.q_layout:
-        if kind == "2d":
-            diff = traj.q[:t.size, col:col + 2] - ref_q[:, col:col + 2]
-            d2 += np.einsum("ij,ij->i", diff, diff)
-            dth = traj.q[:t.size, col + 2] - ref_q[:, col + 2]
+    for (_, dim, q, _, _), (_, _, q_ref, _, _) in zip(rows, ref_rows):
+        q, q_ref = q[:t.size], _interp_rows(ref.times, q_ref, t)
+        diff = q[:, :dim] - q_ref[:, :dim]
+        d2 += np.einsum("ij,ij->i", diff, diff)
+        if dim == 2:
+            dth = q[:, dim] - q_ref[:, dim]
             d2 += ((dth + np.pi) % (2.0 * np.pi) - np.pi) ** 2
         else:
-            diff = traj.q[:t.size, col:col + 3] - ref_q[:, col:col + 3]
-            d2 += np.einsum("ij,ij->i", diff, diff)
-            quat_ref = ref_q[:, col + 3:col + 7]
+            quat_ref = q_ref[:, dim:]
             norms = np.linalg.norm(quat_ref, axis=1, keepdims=True)
             quat_ref = quat_ref / np.where(norms > 0.0, norms, 1.0)
-            d2 += _quat_geodesic(traj.q[:t.size, col + 3:col + 7], quat_ref) ** 2
+            d2 += _quat_geodesic(q[:, dim:], quat_ref) ** 2
     return math.sqrt(np.trapezoid(d2, t) / (t[-1] - t[0]))
 
 
@@ -190,12 +189,15 @@ def predicted_gliding_offset(model: str, mu: float, dt: float, tau_d: float,
     return 0.0  # lagged models do not glide
 
 
-def first_contact_time(traj: Trajectory) -> float:
-    loaded = traj.active().any(axis=1)
-    idx = np.flatnonzero(loaded)
+def _first_loaded_step(traj: Trajectory) -> int:
+    idx = np.flatnonzero(traj.active().any(axis=1))
     if idx.size == 0:
         raise ValueError("no contact carried load in this run")
-    return float(traj.step_times[idx[0]])
+    return int(idx[0])
+
+
+def first_contact_time(traj: Trajectory) -> float:
+    return float(traj.step_times[_first_loaded_step(traj)])
 
 
 def slide_roll_transition(traj: Trajectory, sustain: int = 5) -> dict:
@@ -240,7 +242,7 @@ def force_amplification(traj: Trajectory) -> float:
     BASELINE_FRACTION of the contact-to-peak span, robust to impact ringing)."""
     f = np.nan_to_num(traj.f_n, nan=0.0).max(axis=1)
     peak = peak_force(traj)
-    i_contact = np.flatnonzero(f > 0.0)[0]
+    i_contact = _first_loaded_step(traj)
     i_base = i_contact + max(int(BASELINE_FRACTION * (peak["index"] - i_contact)), 1)
     baseline = np.median(f[i_contact:i_base][f[i_contact:i_base] > 0.0])
     return peak["force"] / baseline

@@ -152,30 +152,14 @@ def _emit_summary(text: str, path) -> None:
     sys.stdout.write(text)
 
 
-def _state_columns(traj) -> tuple[list, list]:
-    names, cols = [], []
-    q_labels = {"2d": ("x", "y", "th"), "3d": ("x", "y", "z", "qw", "qx", "qy", "qz")}
-    v_labels = {"2d": ("vx", "vy", "w"), "3d": ("vx", "vy", "vz", "wx", "wy", "wz")}
-    vcol = 0
-    for name, kind, col in traj.q_layout:
-        for j, lab in enumerate(q_labels[kind]):
-            names.append(f"{name}_{lab}")
-            cols.append(traj.q[1:, col + j])
-        for j, lab in enumerate(v_labels[kind]):
-            names.append(f"{name}_{lab}")
-            cols.append(traj.v[1:, vcol + j])
-        vcol += len(v_labels[kind])
-    return names, cols
-
-
 def cmd_run(args) -> int:
     spec = _spec_from(args, read_config(args.config) if args.config else {})
     traj = run_scenario(spec)
 
-    header = ["t"]
-    names, cols = _state_columns(traj)
-    header += names
-    columns = [traj.step_times] + cols
+    header, columns = ["t"], [traj.step_times]
+    for name, _, q, v, labels in traj.body_rows():
+        header += [f"{name}_{label}" for label in labels]
+        columns += [*q[1:].T, *v[1:].T]
     for i, _ in enumerate(traj.keys):
         for chan in CHANNELS:
             header.append(f"c{i}_{chan}")

@@ -517,7 +517,7 @@ def assemble_problem(world: World, dt: float, model: str,
     pair = found.pair
     frames = _contact_frames(found.normal)
     jac = _frame_jacobians(np.repeat(frames[:, None], 2, axis=1),
-                           found.point[:, None, :] - position[pair])
+                           found.point[:, None, :] - position.take(pair, axis=0))
     jac[:, 1] *= -1.0
     if layout.driven:
         # Spatial velocity entering the bias: zero unless prescribed with one.
@@ -525,13 +525,13 @@ def assemble_problem(world: World, dt: float, model: str,
         t_mid = world.time + 0.5 * dt
         for idx, velocity in layout.driven:
             spatial[idx] = velocity(t_mid)
-        bias = np.einsum("isdk,isk->id", jac, spatial[pair])
+        bias = np.einsum("isdk,isk->id", jac, spatial.take(pair, axis=0))
     else:
         bias = np.zeros((n, dim))
     j5 = np.zeros((n, dim, n_free + 1, nvb))
     j5[np.arange(n)[:, None], :, slot[pair]] = jac
     J = j5[:, :, :n_free].reshape(n * dim, n_v)
-    a_pair = layout.a_inv[slot[pair]]
+    a_pair = layout.a_inv.take(slot[pair], axis=0)
 
     return StepProblem(dim=dim, dt=dt, model=model, n_v=n_v, A=layout.A,
                        v0=v0.ravel(), v_star=v_star.ravel(), J=J, bias=bias,

@@ -36,6 +36,8 @@ once each.  Its impulse memory (`dynamics.ImpulseMemory`) is the step's own
 packed contact keys and normal impulses; it records each step's packed keys
 and contact channels as arrays, and takes the state rows from the world's
 state arrays; `trajectory()` unpacks the keys once, at the end of a run.
+A `Trajectory` names its free bodies in dof order; `Trajectory.body_rows`
+alone splits their state rows into per-body blocks and labels them.
 """
 
 from __future__ import annotations
@@ -285,7 +287,7 @@ class Trajectory:
     times: np.ndarray
     q: np.ndarray
     v: np.ndarray
-    q_layout: list  # (body name, kind "2d"|"3d", column offset)
+    bodies: list  # free-body names in dof order (`body_rows`)
     masses: list
     inertias: list
     keys: list
@@ -313,6 +315,23 @@ class Trajectory:
         """(n_steps, n_keys) mask of contacts carrying a positive impulse."""
         return np.nan_to_num(self.f_n, nan=0.0) > 0.0
 
+    def body_rows(self) -> list:
+        """Each free body's state rows in dof order: (name, dim, q, v, labels).
+
+        q and v are the body's column blocks of `q` and `v`, the first dim
+        columns of each its translation; labels names the q columns, then
+        the v ones.  A q row is x, y, th in 2D and x, y, z, qw, qx, qy, qz
+        in 3D (`World.free_state`); a v row is vx, vy, w in 2D and
+        vx, vy, vz, wx, wy, wz in 3D.
+        """
+        nv = self.v.shape[1] // len(self.bodies)
+        dim = 2 if nv == 3 else 3
+        labels = (("x", "y", "th", "vx", "vy", "w") if dim == 2 else
+                  ("x", "y", "z", "qw", "qx", "qy", "qz", "vx", "vy", "vz", "wx", "wy", "wz"))
+        nq = len(labels) - nv
+        return [(name, dim, self.q[:, i * nq:(i + 1) * nq], self.v[:, i * nv:(i + 1) * nv], labels)
+                for i, name in enumerate(self.bodies)]
+
     def kinetic_energy(self) -> np.ndarray:
         """Total kinetic energy of the free bodies at every recorded state.
 
@@ -320,25 +339,15 @@ class Trajectory:
         recorded quaternion; a scalar one gives 0.5 I |w|^2.
         """
         ke = np.zeros(self.v.shape[0])
-        col = 0
-        for (name, kind, q_col), mass, inertia in zip(self.q_layout, self.masses, self.inertias):
-            if kind == "2d":
-                vel = self.v[:, col:col + 3]
-                ke += 0.5 * mass * (vel[:, 0] ** 2 + vel[:, 1] ** 2)
-                ke += 0.5 * float(inertia) * vel[:, 2] ** 2
-                col += 3
-                continue
-            vel = self.v[:, col:col + 6]
-            omega = vel[:, 3:]
-            ke += 0.5 * mass * np.einsum("ij,ij->i", vel[:, :3], vel[:, :3])
+        for (_, dim, q, v, _), mass, inertia in zip(self.body_rows(), self.masses, self.inertias):
+            omega = v[:, dim:]
+            ke += 0.5 * mass * np.einsum("ij,ij->i", v[:, :dim], v[:, :dim])
             if np.ndim(inertia) == 0:
                 ke += 0.5 * float(inertia) * np.einsum("ij,ij->i", omega, omega)
             else:
                 # Body-frame angular velocity R' w, one row per state.
-                body = np.einsum("tji,tj->ti", quaternion_matrix(self.q[:, q_col + 3:q_col + 7]),
-                                 omega)
+                body = np.einsum("tji,tj->ti", quaternion_matrix(q[:, dim:]), omega)
                 ke += 0.5 * np.einsum("ti,ij,tj->t", body, np.asarray(inertia, dtype=float), body)
-            col += 6
         return ke
 
 
@@ -443,14 +452,7 @@ class Simulation:
         q = np.array([row[0] for row in self._states]).reshape(n + 1, -1)
         v = np.array([row[1] for row in self._states]).reshape(n + 1, -1)
 
-        layout, col = [], 0
-        masses, inertias = [], []
-        for body in (self.world.bodies[i] for i in self.world.free_bodies):
-            kind = "2d" if self.world.dim == 2 else "3d"
-            layout.append((body.name, kind, col))
-            col += 3 if kind == "2d" else 7
-            masses.append(body.mass)
-            inertias.append(body.inertia)
+        free = [self.world.bodies[i] for i in self.world.free_bodies]
 
         records = self._records
         # Sorted unique packed keys (lexicographic, as for the tuples) and the
@@ -468,8 +470,8 @@ class Simulation:
         cost = np.array([r[4] for r in records], dtype=float)
 
         return Trajectory(
-            spec=spec, times=times, q=q, v=v, q_layout=layout,
-            masses=masses, inertias=inertias, keys=keys,
+            spec=spec, times=times, q=q, v=v, bodies=[b.name for b in free],
+            masses=[b.mass for b in free], inertias=[b.inertia for b in free], keys=keys,
             v_n=chan["v_n"], v_t=chan["v_t"], f_n=chan["f_n"], f_t=chan["f_t"],
             x0=chan["x0"], eps_s=chan["eps_s"],
             iterations=iters, condition_number=cond, cost=cost,

@@ -39,8 +39,8 @@ The stopping criterion is the momentum-balance residual in relative form:
     |A(v - v*) - J' gamma| <= rel_tol * max(|A(v - v*)|, |J' gamma|)
                               + 1e-14 * |A v*|
 
-recorded in Solution.stop_criterion for traceability, since tolerance
-semantics otherwise tend to drift between implementations.  The norms are
+named in every `run` summary (stop_criterion=momentum_residual_relative),
+since tolerance semantics otherwise drift between implementations.  The norms are
 taken by `safe_norm`, so impulses too large to square still compare as
 finite numbers instead of reading inf <= inf.
 """
@@ -60,9 +60,6 @@ from .dynamics import StepProblem
 
 __all__ = ["SolveOptions", "Solution", "SolverFailure", "solve_step", "condition_number",
            "safe_norm"]
-
-STOP_CRITERION = "momentum_residual <= rel_tol*max(|A(v-v*)|,|J'gamma|) + 1e-14*|A v*|"
-
 
 class SolverFailure(RuntimeError):
     """Internal invariant broke (non-finite input, non-PSD or singular system)."""
@@ -94,7 +91,6 @@ class Solution:
     stiction_tolerance: np.ndarray
     cost_history: list = field(default_factory=list)
     condition_number: Optional[float] = None
-    stop_criterion: str = STOP_CRITERION
     diagnostic: str = ""
     step_lengths: list = field(default_factory=list)  # line-search alpha per iteration
     # Kernel calls of each line search, in order; one more entry than

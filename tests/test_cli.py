@@ -44,6 +44,16 @@ def test_run_writes_csv_and_summary(tmp_path, capsys):
     assert stdout == text  # summary mirrored to stdout
 
 
+def test_run_csv_state_columns_of_a_3d_scenario(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code, _ = run_cli(["run", "--scenario", "clutter", "--n-bodies", "2", "--dt", "0.002",
+                       "--duration", "0.004", "--out", str(out)], capsys)
+    assert code == 0
+    header = out.read_text().splitlines()[0].split(",")
+    labels = ["x", "y", "z", "qw", "qx", "qy", "qz", "vx", "vy", "vz", "wx", "wy", "wz"]
+    assert header[:27] == ["t"] + [f"sphere{i}_{label}" for i in (0, 1) for label in labels]
+
+
 def test_csv_round_trips_17_digits(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code, _ = run_cli(["run", "--scenario", "falling_sphere", "--dt", "0.002",

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -258,6 +259,38 @@ def test_trajectory_kinetic_energy_of_a_3x3_inertia():
     assert traj.kinetic_energy()[-1] == pytest.approx(ke, rel=1e-12)
 
 
+def _two_body_trajectory(q, v, bodies=("sphere0", "sphere1")):
+    """Two 3D free bodies held at the state rows q (14,) and v (12,) for
+    five 0.01 s steps: a sphere with a scalar inertia, then a body with
+    the 3x3 inertia diag(1, 2, 3)."""
+    n, empty = 5, np.zeros((5, 0))
+    return Trajectory(spec=ScenarioSpec("clutter", n_bodies=2, dt=0.01, duration=1.0),
+                      times=0.01 * np.arange(n + 1), q=np.tile(q, (n + 1, 1)),
+                      v=np.tile(v, (n + 1, 1)), bodies=list(bodies), masses=[0.5, 2.0],
+                      inertias=[2e-4, np.diag([1.0, 2.0, 3.0])], keys=[], v_n=empty,
+                      v_t=empty, f_n=empty, f_t=empty, x0=empty, eps_s=empty,
+                      iterations=np.zeros(n, dtype=int), condition_number=np.ones(n),
+                      cost=np.zeros(n), rel_tol=1e-5)
+
+
+def test_body_rows_and_kinetic_energy_of_two_3d_bodies():
+    half = math.sqrt(0.5)  # body 1 is turned 90 degrees about z
+    q = np.array([0.0, 0.0, 0.05, 1.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.05, half, 0.0, 0.0, half])
+    v = np.array([1.0, 2.0, 3.0, 0.5, 0.0, -1.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0])
+    traj = _two_body_trajectory(q, v)
+    (name0, dim0, q0, v0, labels), (name1, dim1, q1, v1, _) = traj.body_rows()
+    assert (name0, name1, dim0, dim1) == ("sphere0", "sphere1", 3, 3)
+    assert labels == ("x", "y", "z", "qw", "qx", "qy", "qz",
+                      "vx", "vy", "vz", "wx", "wy", "wz")
+    assert (q0 == q[:7]).all() and (q1 == q[7:]).all()
+    assert (v0 == v[:6]).all() and (v1 == v[6:]).all()
+    # The sphere: 0.5 m |v|^2 + 0.5 I |w|^2.  Body 1 spins about world x,
+    # which is its own -y axis, so its rotational energy is 0.5 * 2 * 1.
+    sphere = 0.5 * 0.5 * 14.0 + 0.5 * 2e-4 * 1.25
+    body = 0.5 * 2.0 * 4.0 + 0.5 * 2.0 * 1.0
+    assert traj.kinetic_energy() == pytest.approx(np.full(6, sphere + body), rel=1e-12)
+
+
 class TestAnalysis:
     def test_position_error_zero_for_identical(self):
         traj = run_scenario(ScenarioSpec("falling_sphere", model="lagged", dt=2e-3, duration=0.1))
@@ -278,6 +311,29 @@ class TestAnalysis:
         with pytest.raises(ValueError):
             analysis.position_error(a, b, 0.05)
 
+    def test_position_error_over_two_3d_bodies(self):
+        ref_q = np.array([0.0, 0.0, 0.05, 1.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.05, 1.0, 0.0, 0.0, 0.0])
+        # Body 0 shifted along x, body 1 along y and turned by theta about z.
+        theta = 0.012
+        q = ref_q.copy()
+        q[0] += 0.003
+        q[8] += 0.004
+        q[10:] = [math.cos(theta / 2.0), 0.0, 0.0, math.sin(theta / 2.0)]
+        ref = _two_body_trajectory(ref_q, np.zeros(12))
+        traj = _two_body_trajectory(q, np.zeros(12))
+        assert analysis.position_error(traj, ref, 0.05) == \
+            pytest.approx(math.sqrt(0.003 ** 2 + 0.004 ** 2 + theta ** 2), rel=1e-9)
+        renamed = _two_body_trajectory(ref_q, np.zeros(12), bodies=("sphere0", "box"))
+        with pytest.raises(ValueError, match="mismatched body layouts"):
+            analysis.position_error(traj, renamed, 0.05)
+
+    def test_no_loaded_contact_is_a_value_error(self):
+        # The disk is still falling after 5 steps: no contact carried load.
+        traj = run_scenario(ScenarioSpec("falling_sphere", duration=0.01))
+        for measure in (analysis.first_contact_time, analysis.force_amplification):
+            with pytest.raises(ValueError, match="no contact carried load"):
+                measure(traj)
+
     def test_gliding_offset_rejects_stiction_windows(self):
         traj = run_scenario(ScenarioSpec("falling_sphere", model="lagged", dt=2e-3))
         tr = analysis.slide_roll_transition(traj)
@@ -293,7 +349,7 @@ class TestAnalysis:
             spec = ScenarioSpec("falling_sphere", dt=0.01, duration=1.0)
             return Trajectory(spec=spec, times=0.01 * np.arange(n + 1),
                               q=np.zeros((n + 1, 3)), v=np.zeros((n + 1, 3)),
-                              q_layout=[("disk", "2d", 0)], masses=[0.5], inertias=[1e-4],
+                              bodies=["disk"], masses=[0.5], inertias=[1e-4],
                               keys=[(1, 0, 0)], v_n=zeros, v_t=col, f_n=np.ones((n, 1)),
                               f_t=zeros, x0=zeros, eps_s=zeros,
                               iterations=np.zeros(n, dtype=int),
