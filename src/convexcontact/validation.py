@@ -10,18 +10,25 @@ Three checks run over a deterministic cloud of randomized contact states:
 * check_psd      -- the analytic Hessian is positive semi-definite (the
   potential is convex).
 
-Each check runs on arrays of states and builds one kernel.  `CheckData`
+The checks run on arrays of states, and those of one (field, CheckData,
+SamplingSpec) share one sampling and one kernel evaluation.  `CheckData`
 holds what a check keeps fixed, and `CheckData.kernel` builds the solver's
 array kernel (`batch.ContactBatch`) over the sampled previous-step
 penetrations x0, each repeated once per stencil point (a state and its
 4 * dim offset points).  That one build gives the sliding states' vhat,
 every state's finite-difference step and its distance to the kernel's own
 kinks (`ContactBatch.kink_distance`), and one call of `evaluate` (or
-`naive_impulse`) covers every stencil; the rows of skipped states are
-dropped afterwards.  So the checks certify the code that steps the
-simulations, with its one normal law (`batch.HuntCrossley`); they need
-nothing beyond numpy and `batch`.  NaN-propagating reductions make a
-non-finite error fail.
+`naive_impulse`) covers every stencil.  check_gradient and check_curl drop
+the rows of skipped states from it; check_psd reads every state's Hessian
+from its stencil's first point, the state itself.  So the checks certify
+the code that steps the simulations, with its one normal law
+(`batch.HuntCrossley`); they need nothing beyond numpy and `batch`.
+NaN-propagating reductions make a non-finite error fail.
+
+The per-state draws and the evaluation are each memoised for their latest
+arguments only, as read-only arrays, so gradient, curl and psd in turn on
+one state set draw it once and evaluate the kernel once; every check
+still builds its own report.
 
 Finite differences use 4th-order central stencils: the friction models have
 third derivatives of order 1/eps_s^2, and the tight stiction tolerances used
@@ -35,7 +42,9 @@ negative control: on sliding states with dissipation it must FAIL symmetry.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -110,8 +119,9 @@ class ValidationReport:
 class CheckData:
     """What a check holds fixed: the Hunt & Crossley law, the friction, the
     step dt, the previous-step normal impulse gamma_n0, the Delassus
-    diagonal w and the world dimension dim (2 or 3).  Each check samples its
-    own previous-step penetrations x0."""
+    diagonal w and the world dimension dim (2 or 3).  The previous-step
+    penetrations x0 are sampled with the states; the checks of one
+    (field, CheckData, SamplingSpec) share them."""
 
     law: HuntCrossley
     friction: FrictionParams
@@ -125,8 +135,8 @@ class CheckData:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 <= self.gamma_n0 < math.inf:
             raise ValueError(f"gamma_n0 must be finite and >= 0, got {self.gamma_n0}")
-        if not self.w > 0.0:
-            raise ValueError(f"w must be positive, got {self.w}")
+        if not 0.0 < self.w < math.inf:
+            raise ValueError(f"w must be finite and positive, got {self.w}")
         check_integer("dim", self.dim)
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
@@ -163,29 +173,67 @@ def _norms(a):
     return np.sqrt(np.vecdot(a, a))
 
 
-def sample_states(data: CheckData, spec: SamplingSpec):
-    """(x0 (N,), v_c (N, dim)) for N = spec.samples states, deterministic in the seed.
+class _Latest:
+    """fn memoised on its arguments, keeping only the latest (args, result)
+    in entry.  A call hits when each argument is the one last passed, or is
+    equal to it with the same repr: repr tells -0.0 from 0.0 and 1 from 1.0
+    where == does not, so a hit returns the bits that a call would."""
 
-    One generator draws each state in turn: x0, the stiction coin (mixed),
-    |v_t|, the sign of v_n (mixed), |v_n| or its offset below vhat
-    (sliding), then the tangent.  Only the draws run per state; the values
-    of rng.uniform and rng.choice are mapped from them afterwards, on arrays.
-    """
-    return _sampled(data, spec)[:2]
+    def __init__(self, fn):
+        functools.update_wrapper(self, fn)
+        self.fn, self.entry = fn, None
+
+    def __call__(self, *args):
+        entry = self.entry  # one read, so that a concurrent call cannot swap the result
+        if entry is None or not (all(map(operator.is_, args, entry[0]))
+                                 or args == entry[0] and repr(args) == repr(entry[0])):
+            entry = (args, self.fn(*args))
+            self.entry = entry
+        return entry[1]
+
+    def cache_clear(self):
+        self.entry = None
 
 
-def _sampled(data: CheckData, spec: SamplingSpec, model: str = "lagged", width: int = 1):
-    """sample_states, plus the check's one kernel: the model's over
-    x0.repeat(width), width rows per state (one per stencil point, or
-    width 1).  The sliding regime reads vhat from it."""
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@_Latest
+def _draws(spec: SamplingSpec, tdim: int):
+    """The generator's draws for spec's states, read-only: u (5 or 3, N)
+    from rng.random() (with the sign of v_n already picked, mixed) and the
+    tangents (N, tdim).  Only this loop runs per state."""
     rng, signs = np.random.default_rng(spec.seed), (-1.0, 1.0)  # rng.choice(signs)
-    tdim, eps, mixed = data.dim - 1, data.friction.v_s, spec.regime == "mixed"
+    mixed = spec.regime == "mixed"
     u, tangents = [], []
     for _ in range(spec.samples):
         u.append((rng.random(), rng.random(), rng.random(), signs[rng.integers(2)], rng.random())
                  if mixed else (rng.random(), rng.random(), rng.random()))
         tangents.append(signs[rng.integers(2)] if tdim == 1 else rng.normal(size=tdim))
-    u, tangents = np.array(u).T, np.array(tangents).reshape(-1, tdim)
+    return _read_only(np.array(u).T, np.array(tangents).reshape(-1, tdim))
+
+
+def sample_states(data: CheckData, spec: SamplingSpec):
+    """(x0 (N,), v_c (N, dim)) for N = spec.samples states, deterministic in the seed.
+
+    One generator draws each state in turn: x0, the stiction coin (mixed),
+    |v_t|, the sign of v_n (mixed), |v_n| or its offset below vhat
+    (sliding), then the tangent.  Only the draws run per state, and they are
+    kept for the latest (spec, dim); the values of rng.uniform and
+    rng.choice are mapped from them on arrays, fresh on every call.
+    """
+    return _states(data, spec)[:2]
+
+
+def _states(data: CheckData, spec: SamplingSpec, model: str = "lagged", width: int = 1):
+    """sample_states, plus the model's kernel over x0.repeat(width), width
+    rows per state (one per stencil point, or width 1).  The sliding regime
+    reads vhat from it."""
+    tdim, eps, mixed = data.dim - 1, data.friction.v_s, spec.regime == "mixed"
+    u, tangents = _draws(spec, tdim)
     x0 = _uniform(u[0], spec.x0_low, spec.x0_high)
     kernel = data.kernel(model, x0.repeat(width))
     # Log-uniform: |v_t| and |v_n| (mixed), or |v_t| and v_n's offset below vhat.
@@ -225,21 +273,29 @@ def _fd(values, h):
     return ((fm2 - fp2) + 8.0 * (fp1 - fm1)) / (12.0 * h.reshape(n, 1, *[1] * len(tail)))
 
 
-def _fd_states(field_id: str, data: CheckData, states: SamplingSpec):
+@_Latest
+def _evaluated(field_id: str, data: CheckData, states: SamplingSpec):
     """Sample the states and evaluate the field on all their stencils in one
-    call, then drop the states within 10 * h of a kink.  Returns (x0, v_c,
-    h) of the kept states, a report that counts them and the evaluation,
-    each array (kept, 1 + 4*dim, ...): the impulses of the naive field,
-    (costs, impulses, Hessians) of a model."""
+    call.  Returns x0, v_c and h of every state, its kink mask keep (False
+    within 10 * h of a kink) and the evaluation, each array (N, 1 + 4*dim,
+    ...): the impulses of the naive field, (costs, impulses, Hessians) of a
+    model.  Every array is read-only: the checks share them."""
     width = 1 + 4 * data.dim
-    x0, v_c, kernel = _sampled(data, states, "lagged" if field_id == "naive" else field_id, width)
+    x0, v_c, kernel = _states(data, states, "lagged" if field_id == "naive" else field_id, width)
     h = _fd_step(v_c, kernel.eps[::width])
     # Each state's stencil, whose first point is the state itself.
     points = (v_c[:, None, :] + _OFFSETS[data.dim] * h[:, None, None]).reshape(-1, data.dim)
     keep = ~(kernel.kink_distance(points)[::width] < 10.0 * h)
     out = (kernel.naive_impulse(points),) if field_id == "naive" else evaluate(kernel, points)
-    out = [values.reshape(len(x0), width, *values.shape[1:])[keep] for values in out]
-    x0, v_c, h = x0[keep], v_c[keep], h[keep]
+    out = _read_only(*(values.reshape(len(x0), width, *values.shape[1:]) for values in out))
+    return (*_read_only(x0, v_c, h, keep), out)
+
+
+def _fd_states(field_id: str, data: CheckData, states: SamplingSpec):
+    """_evaluated without the states within 10 * h of a kink: (x0, v_c, h) of
+    the kept states, a report that counts them and the kept evaluation."""
+    x0, v_c, h, keep, out = _evaluated(field_id, data, states)
+    x0, v_c, h, out = x0[keep], v_c[keep], h[keep], [values[keep] for values in out]
     report = ValidationReport(samples=len(x0), skipped=states.samples - len(x0), seed=states.seed)
     return x0, v_c, h, report, out
 
@@ -296,8 +352,10 @@ def check_psd(model: str, data: CheckData, states: SamplingSpec) -> ValidationRe
     Pass criterion: min eigenvalue >= -1e-10 * |H| per state, tracked by
     min_scaled_eigenvalue >= -1e-10.
     """
-    x0, v_c, kernel = _sampled(data, states, model)
-    hess = evaluate(kernel, v_c)[2]
+    model_id(model)
+    # Stencil column 0 is the state itself: the Hessians of every state.
+    x0, v_c, _, _, (_, _, hessians) = _evaluated(model, data, states)
+    hess = hessians[:, 0]
     eig = np.linalg.eigvalsh(hess)[:, 0]
     scaled = eig / np.maximum(_norms(hess), 1e-30)
     report = ValidationReport(samples=len(x0), seed=states.seed)

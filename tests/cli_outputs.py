@@ -11,9 +11,10 @@ the same CLI bytes when `diff -r` of their directories is empty.
 
 Covered: `run` for every scenario x model at its default parameters, a
 short `study` (2D and clutter) and `sweep`, `validate` for lagged,
-similar, sap and naive, every `--help`, a config-file run, config and
-flag errors, and a solver failure.  It takes about two minutes on one
-core.  Not collected by pytest.
+similar, sap and naive (in 2D for lagged_regularized and naive, and at
+another sample count and seed for similar), every `--help`, a
+config-file run, config and flag errors, and a solver failure.  It takes
+about two minutes on one core.  Not collected by pytest.
 """
 
 import os
@@ -56,6 +57,11 @@ def commands() -> dict:
     for field in ("lagged", "similar", "sap", "naive"):
         cmds[f"validate_{field}"] = ["validate", "--model", field,
                                      "--summary", f"validate_{field}.txt"]
+    for field in ("lagged_regularized", "naive"):
+        cmds[f"validate_{field}_2d"] = ["validate", "--model", field, "--dim", "2",
+                                        "--summary", f"validate_{field}_2d.txt"]
+    cmds["validate_similar_seed"] = ["validate", "--model", "similar", "--samples", "3000",
+                                     "--seed", "17", "--summary", "validate_similar_seed.txt"]
     cmds["help"] = ["--help"]
     for command in ("run", "study", "sweep", "validate"):
         cmds[f"help_{command}"] = [command, "--help"]

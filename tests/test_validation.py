@@ -1,8 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from convexcontact import validation
 from convexcontact.batch import FrictionParams, HuntCrossley
 from convexcontact.validation import (
     FIELD_IDS,
@@ -71,6 +73,7 @@ def test_sampling_is_deterministic_and_covers_regimes():
     data = canonical_data()
     spec = SamplingSpec(samples=400, seed=9)
     x0, vs = sample_states(data, spec)
+    validation._draws.cache_clear()  # draw the states again, not from the memo
     x0_again, vs_again = sample_states(data, spec)
     assert np.array_equal(x0, x0_again) and np.array_equal(vs, vs_again)
     for dim in (2, 3):
@@ -262,7 +265,7 @@ def test_sampling_spec_rejects_bad_ranges(fields, name):
 @pytest.mark.parametrize("field_id", FIELD_IDS)
 def test_every_check_builds_one_contact_batch(field_id, monkeypatch):
     # One kernel serves a check's sliding vhat, FD steps, kink test and
-    # stencil evaluation (or, for psd, its Hessians).
+    # stencil evaluation, and the checks of one state set share it.
     from convexcontact.batch import ContactBatch
 
     built = []
@@ -274,8 +277,114 @@ def test_every_check_builds_one_contact_batch(field_id, monkeypatch):
 
     monkeypatch.setattr(ContactBatch, "__init__", counted)
     checks = (check_curl,) if field_id == "naive" else (check_gradient, check_curl, check_psd)
+    kernel = ["lagged" if field_id == "naive" else field_id]
     for regime in ("mixed", "sliding"):
-        for check in checks:
+        spec = SamplingSpec(samples=50, seed=2, regime=regime)
+        for check in checks:  # each check cold
+            validation._evaluated.cache_clear()
             built.clear()
-            check(field_id, canonical_data(), SamplingSpec(samples=50, seed=2, regime=regime))
-            assert built == ["lagged" if field_id == "naive" else field_id], (check, regime)
+            check(field_id, canonical_data(), spec)
+            assert built == kernel, (check, regime)
+        validation._evaluated.cache_clear()
+        built.clear()
+        for check in checks:  # in sequence on one spec
+            check(field_id, canonical_data(), spec)
+        assert built == kernel, regime
+
+
+@pytest.mark.parametrize("w", [0.0, -1.0, np.nan, np.inf])
+def test_check_data_rejects_a_non_finite_or_non_positive_w(w):
+    # At w = inf the SAP Hessians are NaN and check_psd's eigensolver fails.
+    with pytest.raises(ValueError, match="w must be finite and positive"):
+        replace(canonical_data(), w=w)
+
+
+_CHECKS = {"gradient": check_gradient, "curl": check_curl, "psd": check_psd}
+
+
+def _cold(name, field_id, data, spec):
+    validation._draws.cache_clear()
+    validation._evaluated.cache_clear()
+    return _CHECKS[name](field_id, data, spec).as_dict()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("model", ["lagged", "lagged_regularized", "similar", "sap"])
+def test_reports_are_the_same_cold_and_warm_in_any_order(model, dim):
+    data, spec = canonical_data(dim=dim), SamplingSpec(samples=200, seed=7)
+    cold = {name: _cold(name, model, data, spec) for name in _CHECKS}
+    for order in itertools.permutations(_CHECKS):
+        validation._evaluated.cache_clear()
+        for name in order:
+            report = _CHECKS[name](model, data, spec)
+            assert report.as_dict() == cold[name], (order, name)
+            report.samples = -1  # each call builds its own report
+    assert check_psd(model, data, spec).samples == spec.samples
+
+
+def test_interleaved_checks_give_the_cold_reports():
+    # A, B, A, where B differs from A in the model, the dim or the spec:
+    # every report matches a cold one.
+    a = ("similar", canonical_data(), SamplingSpec(samples=100, seed=3))
+    for b in (("lagged", *a[1:]), (a[0], canonical_data(dim=2), a[2]),
+              (*a[:2], SamplingSpec(samples=100, seed=4)),
+              (*a[:2], SamplingSpec(samples=100, seed=3, regime="sliding"))):
+        want = {args: {name: _cold(name, *args) for name in _CHECKS} for args in (a, b)}
+        validation._evaluated.cache_clear()
+        for args in (a, b, a):
+            for name in _CHECKS:
+                assert _CHECKS[name](*args).as_dict() == want[args][name], (args, name)
+
+
+def test_a_memo_hit_needs_the_same_argument_bits():
+    # Equal arguments share the evaluation; -0.0 and 0.0 compare equal but
+    # give other bits (lagged's stiction Hessians are -0.0 at gamma_n0 = -0.0),
+    # so they do not.
+    data, spec = canonical_data(), SamplingSpec(samples=50, seed=1)
+    check_curl("sap", data, spec)
+    kept = validation._evaluated.entry[1]
+    check_curl("sap", replace(data), replace(spec))
+    assert validation._evaluated.entry[1] is kept
+    signs = [np.copysign(1.0, check_psd("lagged", replace(data, gamma_n0=g), spec)
+                         .min_hessian_eigenvalue) for g in (-0.0, 0.0, -0.0)]
+    assert signs == [-1.0, 1.0, -1.0]
+
+
+def test_states_from_sample_states_cannot_change_a_later_report():
+    data, spec = canonical_data(), SamplingSpec(samples=100, seed=6)
+    want = _cold("gradient", "lagged", data, spec)
+    x0, v_c = sample_states(data, spec)
+    x0_copy, v_c_copy = x0.copy(), v_c.copy()
+    x0[:] = 1.0
+    v_c[:] = 0.0
+    assert check_gradient("lagged", data, spec).as_dict() == want
+    x0, v_c = sample_states(data, spec)
+    assert np.array_equal(x0, x0_copy) and np.array_equal(v_c, v_c_copy)
+    # What the memos keep, the checks share, so it is read-only.
+    x0, v_c, h, keep, out = validation._evaluated("lagged", data, spec)
+    for array in (x0, v_c, h, keep, *out, *validation._draws.entry[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_criterion_1_sequence_keeps_one_draw_set_and_one_evaluation(monkeypatch):
+    # Criterion 1's order of checks draws each state set once and builds
+    # one kernel per field, and the memos keep only the last of each.
+    from convexcontact.batch import ContactBatch
+
+    draws, built = [], []
+    draw, init = validation._draws.fn, ContactBatch.__init__
+    monkeypatch.setattr(validation._draws, "fn", lambda *args: draws.append(args) or draw(*args))
+    monkeypatch.setattr(ContactBatch, "__init__",
+                        lambda self, *args, **kw: built.append(args[0]) or init(self, *args, **kw))
+    data = canonical_data()
+    spec = SamplingSpec(samples=200, seed=0)
+    sliding = SamplingSpec(samples=50, seed=1, regime="sliding")
+    for model in ("sap", "lagged", "similar"):
+        for check in _CHECKS.values():
+            check(model, data, spec)
+    check_curl("naive", data, sliding)
+    assert draws == [(spec, 2), (sliding, 2)]
+    assert built == ["sap", "lagged", "similar", "lagged"]
+    assert validation._draws.entry[0] == (sliding, 2)
+    assert validation._evaluated.entry[0] == ("naive", data, sliding)
